@@ -10,10 +10,9 @@ from .errors import (ConfigError, DegenerateInputError, OscprobeError,
 from .estimate import (CoherenceSeries, EstimateReport, extract_bath_term,
                        extract_d2, fit_parameters, log_derivative_model,
                        neg_log_fidelity_model, synthesize_series)
-from .fidelity import (FidelityCurve, fidelity_gen_asymptotic_rate,
-                       fidelity_generalized, fidelity_uj_blocks,
-                       fidelity_uj_gaussian, fidelity_uj_limit,
-                       purity_oscillator, purity_qubit)
+from .fidelity import (fidelity_gen_asymptotic_rate, fidelity_generalized,
+                       fidelity_uj_blocks, fidelity_uj_gaussian,
+                       fidelity_uj_limit, purity_oscillator, purity_qubit)
 from .fock import (BlockDensityMatrix, OracleConfig, build_operators,
                    chord_from_matrix, chord_grid_from_matrix, coherent_block,
                    compare_point, default_dim, displaced_thermal_block,
@@ -23,17 +22,16 @@ from .fock import (BlockDensityMatrix, OracleConfig, build_operators,
 from .phase_space import (Covariance2, GaussianState, PhaseVector,
                           QubitInitState, SystemParams, chord_eval,
                           occupation_from_temperature, wigner_eval)
-from .propagator import (CoherenceSample, PropagatorKernel, chord_block_diag,
-                         chord_block_offdiag, coherence_trace,
-                         diag_block_gaussians, displacement_vector,
-                         fundamental_matrix, kernel_at, reduced_wigner,
-                         reduced_wigner_grid, wigner_lobe_centers)
+from .propagator import (chord_block_diag, chord_block_offdiag,
+                         coherence_trace, diag_block_gaussians,
+                         displacement_vector, fundamental_matrix,
+                         reduced_wigner, reduced_wigner_grid,
+                         wigner_lobe_centers)
 
 __all__ = [
-    "BlockDensityMatrix", "CoherenceSample", "CoherenceSeries", "ConfigError",
-    "Covariance2", "DegenerateInputError", "EstimateReport", "FidelityCurve",
-    "GaussianState", "OracleConfig", "OscprobeError", "PhaseVector",
-    "PropagatorKernel", "QubitInitState", "SystemParams",
+    "BlockDensityMatrix", "CoherenceSeries", "ConfigError", "Covariance2",
+    "DegenerateInputError", "EstimateReport", "GaussianState", "OracleConfig",
+    "OscprobeError", "PhaseVector", "QubitInitState", "SystemParams",
     "TruncationLeakError", "ValidationError", "build_operators",
     "chord_block_diag", "chord_block_offdiag", "chord_eval",
     "chord_from_matrix", "chord_grid_from_matrix", "coherence_trace",
@@ -42,7 +40,7 @@ __all__ = [
     "evolve_thermal_blocks", "extract_bath_term", "extract_d2",
     "fidelity_gen_asymptotic_rate", "fidelity_generalized",
     "fidelity_uj_blocks", "fidelity_uj_gaussian", "fidelity_uj_limit",
-    "fit_parameters", "fundamental_matrix", "kernel_at",
+    "fit_parameters", "fundamental_matrix",
     "log_derivative_model", "neg_log_fidelity_model",
     "occupation_from_temperature", "purity_oscillator", "purity_qubit",
     "reduced_quantities", "reduced_wigner", "reduced_wigner_grid",

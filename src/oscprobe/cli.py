@@ -10,8 +10,9 @@ Commands:
 
 Shared behavior:
   * model flags --g --kappa --delta --mbar and --nbar xor --temperature;
-  * --config FILE: flat JSON whose keys mirror the flags and override them;
-    unknown keys are rejected;
+  * --config FILE: flat JSON whose keys are the flag dests (t_max, a01_re)
+    and override the flags; keys, types and choices are read off the parser,
+    and anything outside them is rejected;
   * --outdir DIR, defaulting to $OSCPROBE_OUTDIR, then the current directory;
   * all outputs are deterministic: a rerun with equal inputs is byte-identical
     (randomness only enters through explicit --seed values).
@@ -40,28 +41,6 @@ from .propagator import (coherence_trace, displacement_vector,
                          reduced_wigner_grid, wigner_lobe_centers)
 
 MAX_GRID_POINTS = 10_000_000
-
-_PARAM_KEYS = {"g": float, "kappa": float, "delta": float, "nbar": float,
-               "temperature": float, "mbar": float}
-_QUBIT_KEYS = {"a00": float, "a01_re": float, "a01_im": float}
-_INIT_KEYS = {"init": str, "q0": float, "p0": float}
-_GRID_KEYS = {"t_max": float, "dt": float}
-
-_CONFIG_KEYS = {
-    "propagate": {**_PARAM_KEYS, **_QUBIT_KEYS, **_INIT_KEYS, **_GRID_KEYS,
-                  "noise": float, "seed": int, "output": str},
-    "fidelity": {**_PARAM_KEYS, **_QUBIT_KEYS, **_GRID_KEYS, "output": str},
-    "wigner": {**_PARAM_KEYS, **_QUBIT_KEYS, **_INIT_KEYS,
-               "times": str, "bound": float, "step": float},
-    "oracle": {**_PARAM_KEYS, "points": int, "seed": int, "t": float,
-               "t_max": float, "dim": int, "method": str,
-               "rel_tol": float, "abs_tol": float,
-               "tol_fgen": float, "tol_fuj": float, "output": str},
-    "estimate": {"mode": str, "output": str},
-    "reproduce": {"nbar": float, "temperature": float, "mbar": float,
-                  **_GRID_KEYS, "bound": float, "step": float},
-}
-
 
 def _add_param_flags(p: argparse.ArgumentParser, defaults: bool = True):
     p.add_argument("--g", type=float, default=0.1 if defaults else None)
@@ -168,7 +147,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> None:
+def _config_schema(parser: argparse.ArgumentParser, command: str) -> dict:
+    """dest -> (type, choices) of every valued flag of `command`.
+
+    --config and --outdir are left out; a flag without a type takes a string.
+    """
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    return {a.dest: (a.type or str, a.choices) for a in sub._actions
+            if isinstance(a, argparse._StoreAction) and a.option_strings
+            and a.dest not in ("config", "outdir")}
+
+
+def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Merge --config JSON over the parsed flags (config wins)."""
     if not getattr(args, "config", None):
         return
@@ -181,12 +172,12 @@ def _apply_config(args: argparse.Namespace) -> None:
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    allowed = _CONFIG_KEYS[args.command]
+    allowed = _config_schema(parser, args.command)
     for key, value in data.items():
         if key not in allowed:
             raise ConfigError(
                 f"unknown config key {key!r} for command {args.command!r}")
-        want = allowed[key]
+        want, choices = allowed[key]
         if want is float:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"config key {key!r} must be a number")
@@ -196,6 +187,9 @@ def _apply_config(args: argparse.Namespace) -> None:
                 raise ConfigError(f"config key {key!r} must be an integer")
         elif want is str and not isinstance(value, str):
             raise ConfigError(f"config key {key!r} must be a string")
+        if choices is not None and value not in choices:
+            raise ConfigError(
+                f"config key {key!r} must be one of {', '.join(choices)}")
         setattr(args, key, value)
 
 
@@ -241,40 +235,42 @@ def _param_metadata(params: SystemParams) -> dict:
             "nbar": params.nbar, "mbar": params.mbar}
 
 
+def _qubit_metadata(qubit: QubitInitState) -> dict:
+    return {"a00": qubit.a00, "a01_re": qubit.a01.real, "a01_im": qubit.a01.imag}
+
+
+def _curve_columns(times, params: SystemParams, init: GaussianState, M: float,
+                   qubit: QubitInitState) -> dict:
+    """The fgen, fuj and purity columns of `propagate` and `fidelity`."""
+    return {"fgen": fidelity_generalized(times, params, init),
+            "fuj": fidelity_uj_blocks(times, params, M),
+            "purity_qubit": purity_qubit(times, params, M, qubit),
+            "purity_oscillator": purity_oscillator(times, params, M, qubit)}
+
+
 def cmd_propagate(args) -> int:
     params = _build_params(args)
     qubit = _build_qubit(args)
     init = _build_init(args, params)
     times = _time_grid(args.t_max, args.dt)
-    coh = np.array([coherence_trace(t, params, init) for t in times])
-    fgen = np.asarray(fidelity_generalized(times, params, init))
+    coh = coherence_trace(times, params, init)
     # the evolved blocks keep a scalar covariance for both supported inits
     m_label = params.M if args.init == "thermal" else 0.5
-    fuj = fidelity_uj_blocks(times, params, m_label)
-    p_q = purity_qubit(times, params, m_label, qubit)
-    p_osc = purity_oscillator(times, params, m_label, qubit)
+    cols = _curve_columns(times, params, init, m_label, qubit)
     if args.noise > 0.0:
+        fgen = cols["fgen"]
         rng = np.random.default_rng(args.seed)
         noisy = fgen * (1.0 + args.noise * rng.standard_normal(fgen.shape))
         noisy = np.clip(noisy, 1e-300, 1.0)
         # keep |coherence|^2 == fgen exact in the emitted record
         coh = coh * np.sqrt(noisy / fgen)
-        fgen = noisy
-    meta = _param_metadata(params)
-    meta.update({"M": m_label, "a00": qubit.a00, "a01_re": qubit.a01.real,
-                 "a01_im": qubit.a01.imag, "init": args.init,
-                 "q0": args.q0, "p0": args.p0,
-                 "noise": args.noise, "seed": args.seed})
+        cols["fgen"] = noisy
+    meta = {**_param_metadata(params), "M": m_label, **_qubit_metadata(qubit),
+            "init": args.init, "q0": args.q0, "p0": args.p0,
+            "noise": args.noise, "seed": args.seed}
     out = _outdir(args) / args.output
-    write_csv(out, meta, {
-        "t": times,
-        "coherence_re": coh.real,
-        "coherence_im": coh.imag,
-        "fgen": fgen,
-        "fuj": fuj,
-        "purity_qubit": p_q,
-        "purity_oscillator": p_osc,
-    })
+    write_csv(out, meta, {"t": times, "coherence_re": coh.real,
+                          "coherence_im": coh.imag, **cols})
     print(f"wrote {out}")
     return 0
 
@@ -283,19 +279,11 @@ def cmd_fidelity(args) -> int:
     params = _build_params(args)
     qubit = _build_qubit(args)
     times = _time_grid(args.t_max, args.dt)
-    fgen = fidelity_generalized(times, params, GaussianState.thermal(params.mbar))
-    meta = _param_metadata(params)
-    meta.update({"M": params.M, "a00": qubit.a00, "a01_re": qubit.a01.real,
-                 "a01_im": qubit.a01.imag,
-                 "fuj_limit": fidelity_uj_limit(params)})
+    meta = {**_param_metadata(params), "M": params.M, **_qubit_metadata(qubit),
+            "fuj_limit": fidelity_uj_limit(params)}
     out = _outdir(args) / args.output
-    write_csv(out, meta, {
-        "t": times,
-        "fgen": np.asarray(fgen),
-        "fuj": fidelity_uj_blocks(times, params, params.M),
-        "purity_qubit": purity_qubit(times, params, params.M, qubit),
-        "purity_oscillator": purity_oscillator(times, params, params.M, qubit),
-    })
+    write_csv(out, meta, {"t": times, **_curve_columns(
+        times, params, GaussianState.thermal(params.mbar), params.M, qubit)})
     print(f"wrote {out}")
     return 0
 
@@ -315,7 +303,25 @@ def _parse_times(text: str) -> list[float]:
 def _axis(bound: float, step: float) -> np.ndarray:
     if not (bound > 0.0 and 0.0 < step <= bound):
         raise ConfigError("need bound > 0 and 0 < step <= bound")
-    return np.arange(-bound, bound + 0.5 * step, step)
+    qs = np.arange(-bound, bound + 0.5 * step, step)
+    if qs.size * qs.size > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"grid of {qs.size}^2 points exceeds the {MAX_GRID_POINTS} limit")
+    return qs
+
+
+def _write_wigner(out: Path, qs, t: float, params: SystemParams,
+                  init: GaussianState, qubit: QubitInitState, args,
+                  extra: dict) -> np.ndarray:
+    """Reduced Wigner grid on qs x qs at time t -> CSV (q varies fastest)."""
+    w = reduced_wigner_grid(qs, qs, t, params, init, qubit)
+    qq, pp = np.meshgrid(qs, qs)
+    meta = {**_param_metadata(params), "t": t, "bound": args.bound,
+            "step": args.step, **_qubit_metadata(qubit), **extra,
+            "grid_integral": float(np.sum(w)) * args.step ** 2}
+    write_csv(out, meta, {"q": qq.ravel(), "p": pp.ravel(), "w": w.ravel()})
+    print(f"wrote {out}")
+    return w
 
 
 def cmd_wigner(args) -> int:
@@ -324,40 +330,28 @@ def cmd_wigner(args) -> int:
     init = _build_init(args, params)
     times = _parse_times(args.times)
     qs = _axis(args.bound, args.step)
-    if qs.size * qs.size > MAX_GRID_POINTS:
-        raise ConfigError(
-            f"grid of {qs.size}^2 points exceeds the {MAX_GRID_POINTS} limit")
     outdir = _outdir(args)
-    qq, pp = np.meshgrid(qs, qs)
+    extra = {"init": args.init, "q0": args.q0, "p0": args.p0}
     for t in times:
-        w = reduced_wigner_grid(qs, qs, t, params, init, qubit)
-        meta = _param_metadata(params)
-        meta.update({"t": t, "bound": args.bound, "step": args.step,
-                     "a00": qubit.a00, "a01_re": qubit.a01.real,
-                     "a01_im": qubit.a01.imag, "init": args.init,
-                     "q0": args.q0, "p0": args.p0,
-                     "grid_integral": float(np.sum(w)) * args.step ** 2})
-        out = outdir / f"wigner_t{t:g}.csv"
-        write_csv(out, meta, {"q": qq.ravel(), "p": pp.ravel(), "w": w.ravel()})
-        print(f"wrote {out}")
+        _write_wigner(outdir / f"wigner_t{t:g}.csv", qs, t, params, init,
+                      qubit, args, extra)
     return 0
 
 
 def cmd_oracle(args) -> int:
     explicit = any(getattr(args, key) is not None
                    for key in ("g", "kappa", "nbar", "temperature", "mbar"))
-    delta = args.delta
     if explicit:
         params = SystemParams(
             g=args.g if args.g is not None else 0.1,
             kappa=args.kappa if args.kappa is not None else 0.1,
-            delta=delta,
+            delta=args.delta,
             nbar=_resolve_nbar(args),
             mbar=args.mbar if args.mbar is not None else 0.0)
         points = [(params, args.t)]
     else:
         points = sample_comparison_points(args.points, args.seed,
-                                          t_max=args.t_max, delta=delta)
+                                          t_max=args.t_max, delta=args.delta)
     config = OracleConfig(dim=args.dim, rel_tol=args.rel_tol,
                           abs_tol=args.abs_tol, method=args.method)
     qubit = QubitInitState.balanced()
@@ -366,38 +360,32 @@ def cmd_oracle(args) -> int:
         row = compare_point(params, qubit, config, t)
         row.update(_param_metadata(params))
         results.append(row)
-    dev_keys = sorted({k for row in results for k in row if k.startswith("dev_")})
-    maxdev = {k: max(row.get(k, 0.0) for row in results) for k in dev_keys}
     tolerances = {"dev_fgen": args.tol_fgen, "dev_fuj": args.tol_fuj,
                   "dev_coherence": args.tol_fgen,
-                  "dev_coherence_magnitude": args.tol_fgen,
                   "dev_purity_qubit": args.tol_fgen,
                   "dev_purity_oscillator": args.tol_fgen}
-    ok = all(maxdev[k] <= tolerances[k] for k in dev_keys)
+    maxdev = {k: max(row[k] for row in results) for k in tolerances}
+    ok = all(maxdev[k] <= tolerances[k] for k in tolerances)
     report = {
         "points": results,
         "max_deviation": maxdev,
-        "tolerances": {k: tolerances[k] for k in dev_keys},
+        "tolerances": tolerances,
         "method": args.method,
         "seed": None if explicit else args.seed,
         "n_points": len(points),
         "pass": ok,
     }
-    if delta != 0.0:
-        rates = [row["phase_rate_offset"] for row in results
-                 if "phase_rate_offset" in row]
-        if rates:
-            report["phase_rate_offset_mean"] = float(np.mean(rates))
-            report["phase_rate_offset_note"] = (
-                "off-diagonal integration carries the detuning coefficient "
-                "delta/2, the closed form exp(-i delta t); magnitudes agree")
     out = _outdir(args) / args.output
     write_json(out, report)
     status = "PASS" if ok else "FAIL"
-    worst = max(maxdev.values()) if maxdev else 0.0
+    worst = max(maxdev.values())
     print(f"oracle {status}: {len(points)} points, worst deviation {worst:.3g} "
           f"(report: {out})")
     return 0 if ok else 1
+
+
+def _nan_to_none(x):
+    return None if isinstance(x, float) and math.isnan(x) else x
 
 
 def cmd_estimate(args) -> int:
@@ -416,11 +404,12 @@ def cmd_estimate(args) -> int:
         names.append(Path(name).name)
     report = fit_parameters(series if len(series) > 1 else series[0],
                             mode=args.mode)
+    # undefined values are NaN in the report and null in the JSON
     payload = {
-        "g": report.g, "kappa": report.kappa, "M": report.M, "N": report.N,
-        "nbar": report.nbar, "mbar": report.mbar,
+        "g": report.g, "kappa": report.kappa, "M": _nan_to_none(report.M),
+        "N": report.N, "nbar": report.nbar, "mbar": _nan_to_none(report.mbar),
         "residual_norm": report.residual_norm,
-        "std_errors": report.std_errors,
+        "std_errors": {k: _nan_to_none(v) for k, v in report.std_errors.items()},
         "method": report.method,
         "inputs": names,
     }
@@ -485,16 +474,8 @@ def _reproduce_fig1(args, outdir: Path) -> int:
     csv_names = []
     lobes = []
     for t in _FIG1_TIMES:
-        w = reduced_wigner_grid(qs, qs, t, params, init, qubit)
-        qq, pp = np.meshgrid(qs, qs)
-        meta = _param_metadata(params)
-        meta.update({"t": t, "bound": args.bound, "step": args.step,
-                     "a00": qubit.a00, "a01_re": qubit.a01.real,
-                     "a01_im": qubit.a01.imag,
-                     "grid_integral": float(np.sum(w)) * args.step ** 2})
         name = f"fig1_wigner_t{t:g}.csv"
-        write_csv(outdir / name, meta, {"q": qq.ravel(), "p": pp.ravel(),
-                                        "w": w.ravel()})
+        w = _write_wigner(outdir / name, qs, t, params, init, qubit, args, {})
         csv_names.append(name)
         peak_a, peak_b = wigner_lobe_centers(qs, qs, w)
         d = displacement_vector(t, params).as_array()
@@ -515,7 +496,6 @@ def _reproduce_fig1(args, outdir: Path) -> int:
             "separation": float(np.linalg.norm(peak_a - peak_b)),
             "analytic_separation": float(np.linalg.norm(d)),
         })
-        print(f"wrote {outdir / name}")
     write_json(outdir / "fig1_lobes.json", {"times": lobes})
     (outdir / "fig1_plot.py").write_text(
         _plot_stub(csv_names, "reduced Wigner function", "wigner"))
@@ -582,7 +562,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        _apply_config(args, parser)
         return _COMMANDS[args.command](args)
     except TruncationLeakError as err:
         print(f"error: {err} (suggested dim: {err.suggested_dim})",

@@ -76,9 +76,7 @@ def _parse_scalar(text: str):
 
 
 def write_json(path, obj) -> None:
-    """Write a JSON report with sorted keys (deterministic byte content)."""
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write a JSON report with sorted keys; NaN and infinities are refused."""
+    Path(path).write_text(
+        json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
-
-def read_json(path):
-    return json.loads(Path(path).read_text())

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
-from scipy.signal import find_peaks
 from scipy.special import exprel
 
 from .errors import DegenerateInputError, ValidationError
@@ -204,7 +203,8 @@ def _initial_guess(times: np.ndarray, y: np.ndarray, M: float):
     design = np.column_stack([np.ones_like(times), times])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = np.abs(y - design @ coef)
-    peaks, _ = find_peaks(resid)
+    # strict interior local maxima of the detrended record
+    peaks = 1 + np.flatnonzero((resid[1:-1] > resid[:-2]) & (resid[1:-1] > resid[2:]))
     if peaks.size >= 2:
         tp = times[peaks]
         rp = np.log(np.maximum(resid[peaks], 1e-300))

@@ -15,25 +15,22 @@ isotropic with the scalar variance
 which interpolates from M to the bath equilibrium value nbar + 1/2, and
 
     F_UJ(t) = exp(-|d(t)|^2 / (4 sigma_s(t))).
+
+Every formula here reads the elementwise kernels of `propagator` over
+arrays of t.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .phase_space import (Covariance2, GaussianState, QubitInitState,
                           SystemParams)
-from .propagator import _delta, _dsq, _eta_components, _require_nonneg_time
-
-
-def _eta_quadratic(t, params: SystemParams, cov: Covariance2):
-    """eta(t)^T sigma0 eta(t), vectorized over t."""
-    e1, e2 = _eta_components(t, params.g, params.kappa)
-    return (cov.s11 * e1 * e1 + 2.0 * cov.s12 * e1 * e2 + cov.s22 * e2 * e2)
+from .propagator import (_dsq, _evolved_covariance, _log_coherence,
+                         _require_nonneg_time)
 
 
 def fidelity_generalized(t, params: SystemParams, init: GaussianState):
@@ -42,9 +39,8 @@ def fidelity_generalized(t, params: SystemParams, init: GaussianState):
     Accepts a scalar or array t >= 0 and returns a matching float/array.
     """
     ta = _require_nonneg_time(t)
-    quad = _eta_quadratic(ta, params, init.cov)
-    out = np.exp(-quad - params.gamma_plus * _delta(ta, params.g, params.kappa))
-    return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
+    out = np.exp(2.0 * _log_coherence(ta, params, init).real)
+    return float(out) if np.ndim(t) == 0 else out
 
 
 def fidelity_gen_asymptotic_rate(params: SystemParams) -> float:
@@ -74,16 +70,18 @@ def fidelity_uj_gaussian(state1: GaussianState, state2: GaussianState) -> float:
     return float(prefactor * math.exp(expo))
 
 
-def _sigma_s(t, params: SystemParams, M: float):
-    """Scalar variance of the evolved blocks for a thermal start with variance M."""
-    neq = params.nbar + 0.5
-    return neq + (M - neq) * np.exp(-2.0 * params.kappa * np.asarray(t, dtype=float))
-
-
 def _check_m(M: float) -> float:
     if not (math.isfinite(M) and M >= 0.5 - 1e-12):
         raise ValidationError("thermal variance M must be >= 1/2")
     return float(M)
+
+
+def _thermal_blocks(t, params: SystemParams, M: float):
+    """sigma_s(t) and F_UJ(t) of the two evolved blocks for a thermal start."""
+    M = _check_m(M)
+    ta = _require_nonneg_time(t)
+    sigma_s = _evolved_covariance(ta, params, Covariance2.isotropic(M))[0]
+    return sigma_s, np.exp(-_dsq(ta, params.g, params.kappa) / (4.0 * sigma_s))
 
 
 def fidelity_uj_blocks(t, params: SystemParams, M: float):
@@ -93,9 +91,7 @@ def fidelity_uj_blocks(t, params: SystemParams, M: float):
     to the evolved block Gaussians (the prefactor is exactly 1 for equal
     covariances).
     """
-    M = _check_m(M)
-    ta = _require_nonneg_time(t)
-    out = np.exp(-_dsq(ta, params.g, params.kappa) / (4.0 * _sigma_s(ta, params, M)))
+    out = _thermal_blocks(t, params, M)[1]
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -119,47 +115,8 @@ def purity_oscillator(t, params: SystemParams, M: float, qubit: QubitInitState):
     For g = 0 this reduces to the free-thermalization purity 1/(2 sigma_s(t)),
     which stays 1 when state and bath are both in the ground state.
     """
-    M = _check_m(M)
-    ta = _require_nonneg_time(t)
-    fuj = np.exp(-_dsq(ta, params.g, params.kappa) / (4.0 * _sigma_s(ta, params, M)))
+    sigma_s, fuj = _thermal_blocks(t, params, M)
     num = qubit.a00 ** 2 + qubit.a11 ** 2 + 2.0 * qubit.a00 * qubit.a11 * fuj
-    out = num / (2.0 * _sigma_s(ta, params, M))
+    out = num / (2.0 * sigma_s)
     return float(out) if np.ndim(t) == 0 else out
 
-
-_CURVE_KINDS = ("generalized", "uhlmann-jozsa")
-
-
-@dataclass(frozen=True)
-class FidelityCurve:
-    """A sampled fidelity curve plus the parameters that produced it."""
-
-    times: np.ndarray
-    values: np.ndarray
-    kind: str
-    params: SystemParams
-    M: float
-
-    def __post_init__(self):
-        if self.kind not in _CURVE_KINDS:
-            raise ValidationError(f"kind must be one of {_CURVE_KINDS}")
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if t.shape != v.shape or t.ndim != 1:
-            raise ValidationError("times and values must be 1d arrays of equal length")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def sample_generalized(cls, params: SystemParams, M: float,
-                           times) -> "FidelityCurve":
-        M = _check_m(M)
-        t = np.asarray(times, dtype=float)
-        vals = fidelity_generalized(t, params, GaussianState.thermal(M - 0.5))
-        return cls(t, vals, "generalized", params, M)
-
-    @classmethod
-    def sample_uj(cls, params: SystemParams, M: float, times) -> "FidelityCurve":
-        M = _check_m(M)
-        t = np.asarray(times, dtype=float)
-        return cls(t, fidelity_uj_blocks(t, params, M), "uhlmann-jozsa", params, M)

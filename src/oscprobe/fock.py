@@ -6,15 +6,12 @@ purities) from the raw density matrices, independently of the closed forms.
 
 Vectorization is row-major: vec(A rho B) = (A kron B^T) vec(rho).
 
-The off-diagonal pair is integrated as
+The qubit has splitting delta, H_q = (delta/2) sigma_z, so the off-diagonal
+block is integrated as
 
-    d rho_01/dt = -i [ (H+ rho_01 - rho_01 H-) + (delta/2) rho_01 ] + L[rho_01]
+    d rho_01/dt = -i [ H+ rho_01 - rho_01 H- + delta rho_01 ] + L[rho_01],
 
-with the detuning coefficient delta/2 as written in the block equations this
-oracle reproduces; the closed-form solution instead carries exp(-i delta t).
-The `oscprobe oracle` command reports the resulting constant phase-rate
-offset whenever delta != 0 rather than hiding it. All magnitude observables
-(and everything at delta = 0) are unaffected.
+whose trace carries the same phase factor exp(-i delta t) as the closed form.
 """
 
 from __future__ import annotations
@@ -140,7 +137,7 @@ class OperatorSet:
             ham = lmul(self.h_minus) - rmul(self.h_minus)
         else:
             ham = (lmul(self.h_plus) - rmul(self.h_minus)
-                   + 0.5 * prm.delta * sp.identity(dim * dim, format="csr"))
+                   + prm.delta * sp.identity(dim * dim, format="csr"))
 
         n_op = (self.adag @ self.a).tocsr()
         aad = (self.a @ self.adag).tocsr()
@@ -434,11 +431,7 @@ def sample_comparison_points(n: int, seed: int, t_max: float = 20.0,
 
 def compare_point(params: SystemParams, qubit: QubitInitState,
                   config: OracleConfig, t: float) -> dict:
-    """Oracle-vs-closed-form deviations for every observable at one point.
-
-    Complex coherence is compared directly only at delta = 0; otherwise its
-    magnitude is compared and the constant phase-rate offset is reported.
-    """
+    """Oracle-vs-closed-form deviations for every observable at one point."""
     blocks = evolve_thermal_blocks(params, config, t)
     dim = blocks["dim"]
     init = GaussianState.thermal(params.mbar)
@@ -453,19 +446,12 @@ def compare_point(params: SystemParams, qubit: QubitInitState,
     pq_a = purity_qubit(t, params, params.M, qubit)
     posc_a = purity_oscillator(t, params, params.M, qubit)
 
-    out = {
+    return {
         "t": t,
         "dim": dim,
         "dev_fgen": abs(fgen_o - fgen_a),
         "dev_fuj": abs(fuj_o - fuj_a),
+        "dev_coherence": abs(tr01 - coh_a),
         "dev_purity_qubit": abs(red["purity_qubit"] - pq_a),
         "dev_purity_oscillator": abs(red["purity_oscillator"] - posc_a),
     }
-    if params.delta == 0.0:
-        out["dev_coherence"] = abs(tr01 - coh_a)
-    else:
-        out["dev_coherence_magnitude"] = abs(abs(tr01) - abs(coh_a))
-        if t > 0.0 and abs(tr01) > 0.0:
-            offset = np.angle(tr01 * np.conj(coh_a)) / t
-            out["phase_rate_offset"] = float(offset)
-    return out

@@ -5,7 +5,7 @@ density matrix into oscillator blocks: rho_00 and rho_11 evolve under the
 oscillator Hamiltonian displaced by +g x and -g x respectively (plus thermal
 damping), while rho_01 evolves under the non-Hermitian pair. In chord
 coordinates every block stays Gaussian-times-exponential, and the full time
-dependence reduces to scalar kernels:
+dependence reduces to these kernels:
 
     R(t)     = e^{kappa t} [[cos t, sin t], [-sin t, cos t]]  (fundamental matrix)
     d(t)     = center separation of the two conditional Gaussians
@@ -14,6 +14,11 @@ dependence reduces to scalar kernels:
     delta(t) = int_0^t |eta(t')|^2 dt'
     Gamma(t) = 2 int_0^t R^T(-t') eta(t') dt'
 
+Every kernel is elementwise in t, so each observable is read over a whole
+array of times at once. The qubit has splitting delta, the detuning
+(H_q = (delta/2) sigma_z; not the integral delta(t) above), which gives the
+coherence the phase factor exp(-i delta t).
+
 All kappa -> 0 limits go through expm1/exprel-stable forms; no formula
 branching on kappa == 0.
 """
@@ -21,7 +26,6 @@ branching on kappa == 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import exprel
@@ -36,8 +40,13 @@ def fundamental_matrix(t: float, kappa: float) -> np.ndarray:
     """Fundamental matrix R(t) of the damped-rotation characteristics; any real t."""
     if not math.isfinite(t):
         raise ValidationError("t must be finite")
+    try:
+        scale = math.exp(kappa * t)
+    except OverflowError as err:
+        raise ValidationError(
+            f"e^(kappa t) overflows at kappa t = {kappa * t:.6g}") from err
     c, s = math.cos(t), math.sin(t)
-    return math.exp(kappa * t) * np.array([[c, s], [-s, c]])
+    return scale * np.array([[c, s], [-s, c]])
 
 
 def _require_nonneg_time(t) -> np.ndarray:
@@ -112,48 +121,30 @@ def displacement_vector(t: float, params: SystemParams) -> PhaseVector:
     return PhaseVector(float(d1), float(d2))
 
 
-def _sigma_matrix(t: float, params: SystemParams, sigma0: Covariance2) -> np.ndarray:
-    rm = fundamental_matrix(-t, params.kappa)
-    a = float(_alpha(t, params.kappa, params.nbar))
-    return a * np.eye(2) + rm.T @ sigma0.as_matrix() @ rm
+def _evolved_covariance(t, params: SystemParams, sigma0: Covariance2):
+    """(s11, s12, s22) of sigma(t) = alpha I + R^T(-t) sigma0 R(-t), elementwise in t.
 
-
-@dataclass(frozen=True)
-class PropagatorKernel:
-    """All scalar/vector kernels of the block propagation at a single time.
-
-    R is the forward fundamental matrix R(t); the chord solutions use
-    R(-t) = R(t)^{-1}. sigma is the evolved covariance
-    alpha(t) * identity + R^T(-t) sigma0 R(-t).
+    Written as alpha I + e^{-2 kappa t} Rot^T sigma0 Rot, Rot = [[c, -s], [s, c]].
     """
-
-    t: float
-    R: np.ndarray
-    d: PhaseVector
-    alpha: float
-    eta: PhaseVector
-    delta: float
-    Gamma: PhaseVector
-    sigma: Covariance2
+    a = _alpha(t, params.kappa, params.nbar)
+    e = np.exp(-2.0 * params.kappa * t)
+    c, s = np.cos(t), np.sin(t)
+    s11, s12, s22 = sigma0.s11, sigma0.s12, sigma0.s22
+    return (a + e * (s11 * c * c + 2.0 * s12 * c * s + s22 * s * s),
+            e * ((s22 - s11) * c * s + s12 * (c * c - s * s)),
+            a + e * (s11 * s * s - 2.0 * s12 * c * s + s22 * c * c))
 
 
-def kernel_at(t: float, params: SystemParams, sigma0: Covariance2) -> PropagatorKernel:
-    """Evaluate every propagation kernel at time t >= 0."""
-    _require_nonneg_time(t)
-    t = float(t)
-    g, k = params.g, params.kappa
-    d1, d2 = _d_components(t, g, k)
-    g1, g2 = _gamma_components(t, g, k)
-    return PropagatorKernel(
-        t=t,
-        R=fundamental_matrix(t, k),
-        d=PhaseVector(float(d1), float(d2)),
-        alpha=float(_alpha(t, k, params.nbar)),
-        eta=PhaseVector(float(-d2), float(-d1)),
-        delta=float(_delta(t, g, k)),
-        Gamma=PhaseVector(float(g1), float(g2)),
-        sigma=Covariance2.from_matrix(_sigma_matrix(t, params, sigma0)),
-    )
+def _log_coherence(t, params: SystemParams, init: GaussianState):
+    """ln Tr rho_01(t), elementwise in t; the real part is ln F_gen(t) / 2.
+
+    ln Tr rho_01 = i x0.eta - eta^T sigma0 eta/2 - i delta t - gamma_plus delta(t)/2
+    """
+    e1, e2 = _eta_components(t, params.g, params.kappa)
+    cov, x0 = init.cov, init.center
+    quad = cov.s11 * e1 * e1 + 2.0 * cov.s12 * e1 * e2 + cov.s22 * e2 * e2
+    return (-0.5 * quad - 0.5 * params.gamma_plus * _delta(t, params.g, params.kappa)
+            + 1j * (x0.x1 * e1 + x0.x2 * e2 - params.delta * t))
 
 
 def chord_block_diag(r, t: float, params: SystemParams, init: GaussianState,
@@ -195,15 +186,13 @@ def chord_block_offdiag(r, t: float, params: SystemParams,
     return complex(w0 * np.exp(expo))
 
 
-def coherence_trace(t: float, params: SystemParams, init: GaussianState) -> complex:
-    """Trace of the off-diagonal block (initially unit trace) at time t >= 0."""
-    _require_nonneg_time(t)
-    t = float(t)
-    e1, e2 = _eta_components(t, params.g, params.kappa)
-    w0 = chord_eval(init, (e1, e2))
-    gam = params.gamma_plus
-    expo = -1j * params.delta * t - 0.5 * gam * float(_delta(t, params.g, params.kappa))
-    return complex(w0 * np.exp(expo))
+def coherence_trace(t, params: SystemParams, init: GaussianState):
+    """Trace of the off-diagonal block (initially unit trace) at times t >= 0.
+
+    Accepts a scalar or array t and returns a complex or a complex array.
+    """
+    out = np.exp(_log_coherence(_require_nonneg_time(t), params, init))
+    return complex(out) if np.ndim(t) == 0 else out
 
 
 def diag_block_gaussians(t: float, params: SystemParams,
@@ -220,7 +209,7 @@ def diag_block_gaussians(t: float, params: SystemParams,
     x0 = rm.T @ init.center.as_array()
     d1, d2 = _d_components(t, params.g, params.kappa)
     half_d = 0.5 * np.array([d1, d2])
-    cov = Covariance2.from_matrix(_sigma_matrix(t, params, init.cov))
+    cov = Covariance2(*(float(v) for v in _evolved_covariance(t, params, init.cov)))
     up = GaussianState(PhaseVector.from_array(x0 - half_d), cov)
     down = GaussianState(PhaseVector.from_array(x0 + half_d), cov)
     return up, down
@@ -293,11 +282,3 @@ def wigner_lobe_centers(qs, ps, w, mid=(0.0, 0.0)) -> tuple[np.ndarray, np.ndarr
     j2, i2 = np.unravel_index(int(np.argmax(sub)), sub.shape)
     peak2 = _refine_peak(qs, ps, w, jsel[j2], isel[i2])
     return peak1, peak2
-
-
-@dataclass(frozen=True)
-class CoherenceSample:
-    """One sample of the off-diagonal trace: time and complex value."""
-
-    t: float
-    value: complex

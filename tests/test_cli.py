@@ -1,10 +1,15 @@
 """Command-line interface: outputs, config handling, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oscprobe
 from oscprobe import SystemParams, fidelity_uj_blocks
 from oscprobe.cli import main
 from oscprobe.datafiles import read_csv
@@ -91,6 +96,19 @@ def test_config_rejects_wrong_types(tmp_path, capsys):
     assert "must be a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, entries, allowed", [
+    ("propagate", {"init": "Coherent", "q0": 2}, "thermal, coherent"),
+    ("oracle", {"method": "euler"}, "rk, expm"),
+])
+def test_config_rejects_values_outside_choices(tmp_path, capsys, command,
+                                                entries, allowed):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(entries))
+    assert run(command, "--config", cfg, "--outdir", tmp_path) == 2
+    assert allowed in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
 def test_nbar_and_temperature_conflict(tmp_path, capsys):
     assert run("propagate", "--nbar", 0.5, "--temperature", 1.0,
                "--outdir", tmp_path) == 2
@@ -148,6 +166,37 @@ def test_estimate_recovers_from_propagate_output(tmp_path):
     assert report["N"] == pytest.approx(1.6, rel=1e-6)
     assert report["nbar"] == pytest.approx(0.3, rel=1e-5)
     assert report["inputs"] == ["propagate.csv"]
+
+
+def test_estimate_writes_strict_json(tmp_path):
+    def refuse(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    for mbar, name in ((0.0, "m0.csv"), (1.0, "m1.csv")):
+        assert run("propagate", "--g", 0.2, "--kappa", 0.1, "--nbar", 0.5,
+                   "--mbar", mbar, "--output", name, "--outdir", tmp_path) == 0
+    inputs = ["--input", tmp_path / "m0.csv", "--input", tmp_path / "m1.csv"]
+    assert run("estimate", *inputs, "--output", "direct.json",
+               "--outdir", tmp_path) == 0
+    assert run("estimate", *inputs, "--mode", "two-temperature",
+               "--output", "two.json", "--outdir", tmp_path) == 0
+    direct = json.loads((tmp_path / "direct.json").read_text(),
+                        parse_constant=refuse)
+    two = json.loads((tmp_path / "two.json").read_text(), parse_constant=refuse)
+    # records at different M leave the pooled M undefined
+    assert direct["M"] is None and direct["mbar"] is None
+    assert direct["N"] == pytest.approx(2.0, rel=1e-6)
+    assert two["std_errors"]["N"] is None
+    assert two["M"] == 0.5
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    env = dict(os.environ, PYTHONPATH=str(Path(oscprobe.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, oscprobe.cli; print('scipy.signal' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_estimate_requires_variance_label(tmp_path, capsys):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from oscprobe import (FidelityCurve, GaussianState, QubitInitState,
-                      SystemParams, ValidationError,
+from oscprobe import (GaussianState, QubitInitState, SystemParams,
+                      ValidationError,
                       fidelity_gen_asymptotic_rate, fidelity_generalized,
                       fidelity_uj_blocks, fidelity_uj_gaussian,
                       fidelity_uj_limit, purity_oscillator, purity_qubit)
@@ -144,17 +144,3 @@ def test_uj_validation():
         purity_oscillator(1.0, SystemParams(g=0.1, kappa=0.1), 0.3,
                           QubitInitState.balanced())
 
-
-def test_fidelity_curve_container():
-    p = SystemParams(g=0.1, kappa=0.05, nbar=0.2)
-    ts = np.linspace(0, 10, 11)
-    c = FidelityCurve.sample_generalized(p, 1.0, ts)
-    assert c.kind == "generalized"
-    assert np.allclose(c.values, fidelity_generalized(
-        ts, p, GaussianState.thermal(0.5)))
-    c2 = FidelityCurve.sample_uj(p, 1.0, ts)
-    assert c2.kind == "uhlmann-jozsa"
-    with pytest.raises(ValidationError):
-        FidelityCurve(ts, c.values, "bogus", p, 1.0)
-    with pytest.raises(ValidationError):
-        FidelityCurve(ts, c.values[:-1], "generalized", p, 1.0)

@@ -182,20 +182,18 @@ def test_uhlmann_thermal_pair_matches_gaussian_formula():
 
 
 def test_offdiag_detuning_phase_is_reported():
-    # off-diagonal generator carries delta/2 on the block itself; the
-    # comparison keeps magnitudes and surfaces the rate offset separately
+    # H_q = (delta/2) sigma_z: the oracle's rho_01 turns at -delta t, as the
+    # closed form does, so complex coherence is compared directly
     p = SystemParams(g=0.0, kappa=0.0, delta=0.8, nbar=0.0, mbar=0.5)
     t = 2.0
     blocks = evolve_thermal_blocks(p, OracleConfig(dim=25), t)
     tr01 = blocks["01"].trace
     assert abs(tr01) == pytest.approx(1.0, abs=1e-9)
-    assert np.angle(tr01) == pytest.approx(-0.5 * 0.8 * t, abs=1e-8)
+    assert np.angle(tr01) == pytest.approx(-0.8 * t, abs=1e-8)
     assert np.angle(coherence_trace(t, p, GaussianState.thermal(0.5))) == \
         pytest.approx(-0.8 * t, abs=1e-12)
     rep = compare_point(p, QubitInitState.balanced(), OracleConfig(dim=25), t)
-    assert rep["dev_coherence_magnitude"] < 1e-9
-    assert rep["phase_rate_offset"] == pytest.approx(0.4, abs=1e-8)
-    assert "dev_coherence" not in rep
+    assert rep["dev_coherence"] < 1e-9
 
 
 def test_validation_errors():

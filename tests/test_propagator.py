@@ -1,19 +1,21 @@
 """Closed-form propagation kernels against their defining integrals."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oscprobe import (GaussianState, PhaseVector, QubitInitState,
-                      SystemParams, ValidationError, chord_block_diag,
-                      chord_block_offdiag, chord_eval, coherence_trace,
-                      diag_block_gaussians, displacement_vector,
-                      fidelity_generalized, fundamental_matrix, kernel_at,
-                      reduced_wigner, reduced_wigner_grid, wigner_eval,
-                      wigner_lobe_centers)
+from oscprobe import (Covariance2, GaussianState, PhaseVector,
+                      QubitInitState, SystemParams, ValidationError,
+                      chord_block_diag, chord_block_offdiag,
+                      coherence_trace, diag_block_gaussians,
+                      displacement_vector, fidelity_generalized,
+                      fundamental_matrix, reduced_wigner, reduced_wigner_grid,
+                      wigner_eval, wigner_lobe_centers)
 from oscprobe.propagator import (_alpha, _delta, _dsq, _dsq_prime,
-                                 _eta_components, _gamma_components,
-                                 _sigma_matrix)
+                                 _eta_components, _evolved_covariance,
+                                 _gamma_components)
 
 
 def random_params(rng):
@@ -36,6 +38,9 @@ def test_fundamental_matrix_group_properties():
         inv = np.linalg.inv(fundamental_matrix(t, k))
         assert np.allclose(fundamental_matrix(-t, k), inv,
                            atol=1e-12 * np.abs(inv).max())
+    # e^{kappa t} past the float range is a validation error, not an overflow
+    with pytest.raises(ValidationError):
+        fundamental_matrix(8000.0, 0.1)
 
 
 def test_displacement_at_zero_and_negative_time():
@@ -121,25 +126,41 @@ def test_evolved_covariance_stays_physical():
     rng = np.random.default_rng(8)
     for _ in range(64):
         p = random_params(rng)
-        t = 20 * rng.random()
-        sig = _sigma_matrix(t, p, GaussianState.thermal(p.mbar).cov)
-        assert sig[0, 1] == pytest.approx(sig[1, 0], abs=1e-12)
-        assert np.linalg.det(sig) >= 0.25 - 1e-10
+        ts = 20 * rng.random(16)
+        s11, s12, s22 = _evolved_covariance(ts, p, GaussianState.thermal(p.mbar).cov)
+        assert np.all(s11 > 0.0) and np.all(s22 > 0.0)
+        assert np.all(s11 * s22 - s12 * s12 >= 0.25 - 1e-10)
 
 
-def test_kernel_at_matches_pieces():
+def test_evolved_covariance_matches_fundamental_matrix():
+    # squeezed, rotated start: alpha I + R^T(-t) sigma0 R(-t) entry by entry
     p = SystemParams(g=0.15, kappa=0.07, nbar=0.8, mbar=0.3)
-    t = 4.2
-    ker = kernel_at(t, p, GaussianState.thermal(p.mbar).cov)
-    assert np.allclose(ker.R, fundamental_matrix(t, p.kappa))
-    assert np.allclose(ker.d.as_array(), displacement_vector(t, p).as_array())
-    assert np.allclose(ker.eta.as_array(), _eta_components(t, p.g, p.kappa))
-    assert ker.alpha == pytest.approx(_alpha(t, p.kappa, p.nbar))
-    assert ker.delta == pytest.approx(_delta(t, p.g, p.kappa))
-    assert np.allclose(ker.Gamma.as_array(),
-                       _gamma_components(t, p.g, p.kappa))
-    assert np.allclose(ker.sigma.as_matrix(),
-                       _sigma_matrix(t, p, GaussianState.thermal(p.mbar).cov))
+    sigma0 = Covariance2(1.9, 0.55, 0.4)
+    ts = np.array([0.0, 0.3, 4.2, 11.0, 37.5])
+    s11, s12, s22 = _evolved_covariance(ts, p, sigma0)
+    for i, t in enumerate(ts):
+        rm = fundamental_matrix(-t, p.kappa)
+        want = _alpha(t, p.kappa, p.nbar) * np.eye(2) + rm.T @ sigma0.as_matrix() @ rm
+        got = np.array([[s11[i], s12[i]], [s12[i], s22[i]]])
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-15)
+    # an overflowing forward R(t) is never formed
+    assert np.all(np.isfinite(_evolved_covariance(8000.0, p, sigma0)))
+
+
+def test_coherence_trace_array_matches_scalar_calls():
+    rng = np.random.default_rng(12)
+    ts = np.linspace(0.0, 30.0, 61)
+    for i in range(24):
+        p = replace(random_params(rng), delta=0.3 * (i % 2))
+        init = (GaussianState.thermal(p.mbar),
+                GaussianState.coherent(*rng.normal(size=2)),
+                GaussianState(PhaseVector(*rng.normal(size=2)),
+                              Covariance2(1.2, 0.3, 0.6)))[i % 3]
+        got = coherence_trace(ts, p, init)
+        want = np.array([coherence_trace(t, p, init) for t in ts])
+        assert got.shape == ts.shape
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
+    assert type(coherence_trace(2.0, p, init)) is complex
 
 
 def test_diag_chord_hermiticity_and_sign_flip():
