@@ -116,7 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=10.0,
                    help="evaluation time when model flags pin a single point")
     p.add_argument("--t-max", dest="t_max", type=float, default=20.0)
-    p.add_argument("--dim", type=int, default=None)
+    p.add_argument("--dim", type=int, default=None,
+                   help="fixed number-basis size; by default each point is "
+                        "sized from a closed-form bound on its tail and "
+                        "doubled (at most twice) if the leak guard trips")
     p.add_argument("--method", choices=("rk", "expm"), default="rk")
     p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-10)
     p.add_argument("--abs-tol", dest="abs_tol", type=float, default=1e-12)
@@ -411,10 +414,15 @@ def cmd_estimate(args) -> int:
         "residual_norm": report.residual_norm,
         "std_errors": {k: _nan_to_none(v) for k, v in report.std_errors.items()},
         "method": report.method,
+        "converged": report.converged,
+        "nfev": report.nfev,
         "inputs": names,
     }
     out = _outdir(args) / args.output
     write_json(out, payload)
+    if not report.converged:
+        print(f"warning: the {report.method} fit did not converge "
+              f"after {report.nfev} evaluations", file=sys.stderr)
     print(f"estimate ({report.method}): g={report.g:.6g} kappa={report.kappa:.6g} "
           f"M={report.M:.6g} N={report.N:.6g} (report: {out})")
     return 0

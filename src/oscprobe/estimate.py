@@ -67,7 +67,11 @@ class CoherenceSeries:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Fit result: parameter values, uncertainties, and the method used."""
+    """Fit result: parameter values, uncertainties, and the method used.
+
+    converged is True when least_squares stopped on one of its tolerances
+    (status > 0); nfev counts its residual evaluations.
+    """
 
     g: float
     kappa: float
@@ -76,6 +80,8 @@ class EstimateReport:
     residual_norm: float
     std_errors: dict
     method: str
+    converged: bool
+    nfev: int
 
     @property
     def nbar(self) -> float:
@@ -265,7 +271,7 @@ def _fit_direct(series_list: list[CoherenceSeries]) -> EstimateReport:
         g=g, kappa=k, M=report_m, N=n,
         residual_norm=float(np.linalg.norm(sol.fun)),
         std_errors={"g": std[0], "kappa": std[1], "N": std[2], "M": 0.0},
-        method="direct-fit")
+        method="direct-fit", converged=sol.status > 0, nfev=sol.nfev)
 
 
 def _std_errors(jac: np.ndarray, resid: np.ndarray) -> np.ndarray:
@@ -316,7 +322,7 @@ def _fit_two_temperature(series_list: list[CoherenceSeries]) -> EstimateReport:
         g=g, kappa=k, M=s1.M, N=n,
         residual_norm=float(np.linalg.norm(sol.fun)),
         std_errors={"g": std[0], "kappa": std[1], "N": float("nan"), "M": 0.0},
-        method="two-temperature")
+        method="two-temperature", converged=sol.status > 0, nfev=sol.nfev)
 
 
 def fit_parameters(series, mode: str = "direct-fit") -> EstimateReport:

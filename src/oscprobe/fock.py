@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
-from scipy.linalg import eigh, eigvalsh, expm
 from scipy.sparse.linalg import expm_multiply
 
 from .errors import TruncationLeakError, ValidationError
@@ -32,6 +31,9 @@ from .phase_space import GaussianState, QubitInitState, SystemParams, as_vec2
 from .propagator import coherence_trace
 
 LEAK_TOL = 1e-8
+# default_dim sizes the basis to this tail weight; sizing right at LEAK_TOL
+# left evolved blocks close enough to the guard to trip it at a few points
+SIZING_TOL = LEAK_TOL / 10
 EIG_CLAMP = -1e-8  # integrator roundoff scale at dim ~100; real leakage is orders larger
 _BLOCKS = ("00", "11", "01")
 _METHODS = ("rk", "expm")
@@ -83,10 +85,42 @@ class BlockDensityMatrix:
         return complex(np.trace(self.entries))
 
 
+def _expi_hermitian(gen: np.ndarray) -> np.ndarray:
+    """exp(i gen) for a dense Hermitian gen, as V e^{i lambda} V^dag."""
+    lam, vecs = np.linalg.eigh(gen)
+    return (vecs * np.exp(1j * lam)) @ vecs.conj().T
+
+
+def _bounding_gaussian(params: SystemParams, dim: int) -> np.ndarray:
+    """Thermal state at max(mbar, nbar) displaced by the drift bound.
+
+    At every t each evolved block is a Gaussian of occupation at most
+    max(mbar, nbar) about a center at most 2g/sqrt(1 + kappa^2) from the
+    origin.
+    """
+    shift = 2.0 * abs(params.g) / math.sqrt(1.0 + params.kappa ** 2)
+    occ = max(params.mbar, params.nbar)
+    return displaced_thermal_block(dim, occ, shift, 0.0).entries
+
+
 def default_dim(params: SystemParams) -> int:
-    """Basis-size heuristic: thermal support plus the coupling displacement."""
-    est = 8.0 * (params.nbar + params.mbar + 1.0) + 6.0 * (2.0 * params.g) ** 2
-    return max(30, int(math.ceil(est)))
+    """Smallest basis at which the bounding Gaussian's tail stays below SIZING_TOL.
+
+    The bounding Gaussian (see _bounding_gaussian) is built in a basis at
+    least twice as large as the answer; every level n >= dim - 1 has tail
+    weight below SIZING_TOL in the leak guard's own measure. The bound holds
+    for all t; the guard still checks every evolved block.
+    """
+    big = 32
+    while True:
+        rho = _bounding_gaussian(params, big)
+        # the top half of the big basis carries its own truncation error
+        over = [n for n in range(big // 2)
+                if _tail_weight(rho[:n + 1, :n + 1]) >= SIZING_TOL]
+        dim = over[-1] + 2
+        if dim <= big // 2:
+            return dim
+        big *= 2
 
 
 def _tail_weight(entries: np.ndarray) -> float:
@@ -200,7 +234,8 @@ def displaced_thermal_block(dim: int, mbar: float, q0: float, p0: float,
     alpha = (q0 + 1j * p0) / math.sqrt(2.0)
     rootn = np.sqrt(np.arange(1, dim))
     a = np.diag(rootn, 1)
-    disp = expm(alpha * a.conj().T - np.conj(alpha) * a)
+    # D(alpha) = exp(alpha a^dag - alpha^* a) = exp(i gen), gen Hermitian
+    disp = _expi_hermitian(-1j * (alpha * a.conj().T - np.conj(alpha) * a))
     rho = thermal_block(dim, mbar, block).entries
     return BlockDensityMatrix(dim, disp @ rho @ disp.conj().T, block)
 
@@ -246,7 +281,7 @@ def chord_from_matrix(rho, r) -> complex:
     a = np.diag(rootn, 1)
     x = (a + a.conj().T) / math.sqrt(2.0)
     p = -1j * (a - a.conj().T) / math.sqrt(2.0)
-    u = expm(1j * (rv[0] * x + rv[1] * p))
+    u = _expi_hermitian(rv[0] * x + rv[1] * p)
     return complex(np.einsum("ij,ji->", entries, u))
 
 
@@ -266,8 +301,8 @@ def chord_grid_from_matrix(rho, ks, ss) -> np.ndarray:
     a = np.diag(rootn, 1)
     x = (a + a.conj().T) / math.sqrt(2.0)
     p = -1j * (a - a.conj().T) / math.sqrt(2.0)
-    lam_x, vx = eigh(x)
-    lam_p, vp = eigh(p)
+    lam_x, vx = np.linalg.eigh(x)
+    lam_p, vp = np.linalg.eigh(p)
     pm = vx.T @ vp
     qm = vp.conj().T @ entries @ vx
     cm = pm * qm.T
@@ -329,7 +364,7 @@ def wigner_grid_from_matrix(rho, qs, ps) -> np.ndarray:
 
 
 def _clamped_sqrt_eigs(mat: np.ndarray) -> np.ndarray:
-    vals = eigvalsh(mat)
+    vals = np.linalg.eigvalsh(mat)
     if vals.min() < EIG_CLAMP:
         raise ValidationError(
             f"matrix has eigenvalue {vals.min():.3g} below clamp {EIG_CLAMP:g}")
@@ -346,7 +381,7 @@ def uhlmann_fidelity(rho1, rho2) -> float:
     e2 = rho2.entries if isinstance(rho2, BlockDensityMatrix) else np.asarray(rho2)
     e1 = 0.5 * (e1 + e1.conj().T)
     e2 = 0.5 * (e2 + e2.conj().T)
-    vals, vecs = eigh(e1)
+    vals, vecs = np.linalg.eigh(e1)
     if vals.min() < EIG_CLAMP:
         raise ValidationError(
             f"matrix has eigenvalue {vals.min():.3g} below clamp {EIG_CLAMP:g}")
@@ -388,13 +423,17 @@ def evolve_thermal_blocks(params: SystemParams, config: OracleConfig,
                           t: float) -> dict:
     """Evolve all three blocks from the thermal start given by params.mbar.
 
-    With config.dim None, starts from the heuristic dim and doubles it (at
-    most twice) whenever the truncation guard trips.
+    With config.dim None, starts from default_dim and doubles it (at most
+    twice) whenever the truncation guard trips. Returns the blocks under
+    "00", "11" and "01", the dim that held under "dim", and every dim
+    attempted, in order, under "dims_tried".
     """
     dim = config.dim if config.dim is not None else default_dim(params)
     attempts = 3 if config.dim is None else 1
+    dims_tried = []
     last_err: TruncationLeakError | None = None
     for _ in range(attempts):
+        dims_tried.append(dim)
         try:
             run_cfg = OracleConfig(dim=dim, rel_tol=config.rel_tol,
                                    abs_tol=config.abs_tol, method=config.method)
@@ -403,6 +442,7 @@ def evolve_thermal_blocks(params: SystemParams, config: OracleConfig,
                 init = thermal_block(dim, params.mbar, block)
                 out[block] = evolve_block(init, params, run_cfg, t)
             out["dim"] = dim
+            out["dims_tried"] = dims_tried
             return out
         except TruncationLeakError as err:
             last_err = err
@@ -431,7 +471,11 @@ def sample_comparison_points(n: int, seed: int, t_max: float = 20.0,
 
 def compare_point(params: SystemParams, qubit: QubitInitState,
                   config: OracleConfig, t: float) -> dict:
-    """Oracle-vs-closed-form deviations for every observable at one point."""
+    """Oracle-vs-closed-form deviations for every observable at one point.
+
+    Besides the dev_* deviations, reports the dim used, every dim tried
+    (dims_tried) and the number of leak-guard retries (leak_retries).
+    """
     blocks = evolve_thermal_blocks(params, config, t)
     dim = blocks["dim"]
     init = GaussianState.thermal(params.mbar)
@@ -449,6 +493,8 @@ def compare_point(params: SystemParams, qubit: QubitInitState,
     return {
         "t": t,
         "dim": dim,
+        "dims_tried": blocks["dims_tried"],
+        "leak_retries": len(blocks["dims_tried"]) - 1,
         "dev_fgen": abs(fgen_o - fgen_a),
         "dev_fuj": abs(fuj_o - fuj_a),
         "dev_coherence": abs(tr01 - coh_a),

@@ -90,17 +90,6 @@ class Covariance2:
         return np.array([[self.s22, -self.s12], [-self.s12, self.s11]]) / d
 
     @classmethod
-    def from_matrix(cls, mat) -> "Covariance2":
-        m = np.asarray(mat, dtype=float)
-        if m.shape != (2, 2):
-            raise ValidationError(f"expected a 2x2 matrix, got shape {m.shape}")
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if abs(m[0, 1] - m[1, 0]) > 1e-10 * scale:
-            raise ValidationError("covariance matrix must be symmetric")
-        off = 0.5 * float(m[0, 1] + m[1, 0])
-        return cls(float(m[0, 0]), off, float(m[1, 1]))
-
-    @classmethod
     def isotropic(cls, s: float) -> "Covariance2":
         return cls(float(s), 0.0, float(s))
 

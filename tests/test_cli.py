@@ -1,5 +1,6 @@
 """Command-line interface: outputs, config handling, exit codes."""
 
+import functools
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import oscprobe
-from oscprobe import SystemParams, fidelity_uj_blocks
+from oscprobe import SystemParams, estimate, fidelity_uj_blocks
 from oscprobe.cli import main
 from oscprobe.datafiles import read_csv
 
@@ -143,6 +144,8 @@ def test_oracle_random_mode(tmp_path):
     assert report["n_points"] == 1
     assert report["method"] == "rk"
     assert report["points"][0]["dev_fgen"] < 1e-6
+    assert report["points"][0]["dims_tried"] == [report["points"][0]["dim"]]
+    assert report["points"][0]["leak_retries"] == 0
 
 
 def test_oracle_explicit_point(tmp_path):
@@ -188,6 +191,24 @@ def test_estimate_writes_strict_json(tmp_path):
     assert direct["N"] == pytest.approx(2.0, rel=1e-6)
     assert two["std_errors"]["N"] is None
     assert two["M"] == 0.5
+
+
+def test_estimate_warns_when_the_fit_does_not_converge(tmp_path, monkeypatch,
+                                                     capsys):
+    assert run("propagate", "--g", 0.2, "--kappa", 0.1, "--nbar", 0.5,
+               "--outdir", tmp_path) == 0
+    args = ("estimate", "--input", tmp_path / "propagate.csv",
+            "--outdir", tmp_path)
+    assert run(*args) == 0
+    report = json.loads((tmp_path / "estimate_report.json").read_text())
+    assert report["converged"] is True and report["nfev"] > 1
+    assert "warning" not in capsys.readouterr().err
+    monkeypatch.setattr(estimate, "least_squares",
+                        functools.partial(estimate.least_squares, max_nfev=1))
+    assert run(*args) == 0
+    report = json.loads((tmp_path / "estimate_report.json").read_text())
+    assert report["converged"] is False and report["nfev"] == 1
+    assert "did not converge" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_out_scipy_signal():

@@ -1,11 +1,13 @@
 """Parameter recovery from coherence-decay records."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from oscprobe import (CoherenceSeries, DegenerateInputError, SystemParams,
-                      ValidationError, extract_bath_term, extract_d2,
-                      fit_parameters, log_derivative_model,
+                      ValidationError, estimate, extract_bath_term,
+                      extract_d2, fit_parameters, log_derivative_model,
                       neg_log_fidelity_model, synthesize_series)
 from oscprobe.estimate import _model_and_jacobian
 from oscprobe.propagator import _delta, _dsq
@@ -145,3 +147,18 @@ def test_series_validation():
         CoherenceSeries(np.array([0.0, 1.0]), np.array([0.5, 0.4]), M=0.2)
     with pytest.raises(DegenerateInputError):
         extract_d2(make_series(), make_series())  # identical M labels
+
+
+def test_fit_reports_convergence(monkeypatch):
+    s1 = make_series(M=1.0)
+    s2 = make_series(M=2.0)
+    for mode in ("direct-fit", "two-temperature"):
+        rep = fit_parameters([s1, s2], mode=mode)
+        assert rep.converged is True
+        assert rep.nfev > 1
+    monkeypatch.setattr(estimate, "least_squares",
+                        functools.partial(estimate.least_squares, max_nfev=1))
+    for mode in ("direct-fit", "two-temperature"):
+        rep = fit_parameters([s1, s2], mode=mode)
+        assert rep.converged is False
+        assert rep.nfev == 1

@@ -12,6 +12,8 @@ from oscprobe import (BlockDensityMatrix, GaussianState, OracleConfig,
                       evolve_thermal_blocks, fidelity_uj_gaussian,
                       thermal_block, uhlmann_fidelity,
                       wigner_grid_from_matrix)
+from oscprobe import fock
+from oscprobe.fock import SIZING_TOL, _bounding_gaussian, _tail_weight
 from oscprobe.phase_space import Covariance2, QubitInitState
 
 
@@ -53,12 +55,17 @@ def test_initial_blocks():
         0.7 + 1.25 / 2, abs=1e-8)
 
 
-def test_default_dim_scales_with_occupation_and_coupling():
-    assert default_dim(SystemParams(g=0.1, kappa=0.1)) == 30
-    small = default_dim(SystemParams(g=0.1, kappa=0.1, nbar=0.5))
-    big = default_dim(SystemParams(g=0.1, kappa=0.1, nbar=2.0, mbar=2.0))
-    assert big > small
-    assert default_dim(SystemParams(g=2.5, kappa=0.1)) > 100
+def test_default_dim_is_the_smallest_clean_size():
+    # one level fewer puts the bounding Gaussian's top level over the target
+    for p in (SystemParams(g=0.1, kappa=0.1),
+              SystemParams(g=0.05, kappa=0.1, nbar=0.0, mbar=2.0),
+              SystemParams(g=0.3, kappa=0.01, nbar=2.0, mbar=0.5),
+              SystemParams(g=1.5, kappa=0.05, nbar=0.2)):
+        dim = default_dim(p)
+        rho = _bounding_gaussian(p, 4 * dim)
+        assert _tail_weight(rho[:dim - 1, :dim - 1]) >= SIZING_TOL
+        assert all(_tail_weight(rho[:n, :n]) < SIZING_TOL
+                   for n in range(dim, 2 * dim))
 
 
 def test_diag_evolution_preserves_trace_and_hermiticity():
@@ -103,11 +110,26 @@ def test_truncation_guard():
     assert exc.value.suggested_dim == 20
 
 
-def test_auto_doubling_picks_a_clean_dim():
+def test_auto_dim_is_sized_once():
     p = SystemParams(g=0.05, kappa=0.1, nbar=0.0, mbar=2.0)
     blocks = evolve_thermal_blocks(p, OracleConfig(), 2.0)
-    assert blocks["dim"] == 60  # heuristic 30 leaks for mbar = 2
+    assert blocks["dim"] == default_dim(p)
+    assert blocks["dims_tried"] == [default_dim(p)]
     assert blocks["00"].trace == pytest.approx(1.0, abs=1e-9)
+    rep = compare_point(p, QubitInitState.balanced(), OracleConfig(), 2.0)
+    assert rep["dims_tried"] == [rep["dim"]]
+    assert rep["leak_retries"] == 0
+
+
+def test_auto_doubling_picks_a_clean_dim(monkeypatch):
+    p = SystemParams(g=0.05, kappa=0.1, nbar=0.0, mbar=2.0)
+    small = (default_dim(p) + 1) // 2
+    monkeypatch.setattr(fock, "default_dim", lambda params: small)
+    rep = compare_point(p, QubitInitState.balanced(), OracleConfig(), 2.0)
+    assert rep["dims_tried"] == [small, 2 * small]
+    assert rep["leak_retries"] == 1
+    assert rep["dim"] == 2 * small
+    assert rep["dev_fgen"] < 1e-8
 
 
 def test_chord_of_vacuum():

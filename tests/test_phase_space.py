@@ -97,9 +97,7 @@ def test_covariance_validation():
         Covariance2(0.5, 0.4, 0.5)  # det = 0.09 < 1/4
     with pytest.raises(ValidationError):
         Covariance2(-0.5, 0.0, 0.5)
-    with pytest.raises(ValidationError):
-        Covariance2.from_matrix([[1.0, 0.2], [0.4, 1.0]])  # asymmetric
-    c = Covariance2.from_matrix(np.eye(2))
+    c = Covariance2.isotropic(1.0)
     assert c.det == pytest.approx(1.0)
     assert np.allclose(c.inverse(), np.eye(2))
     iso = Covariance2.isotropic(0.5)
