@@ -5,6 +5,8 @@ and purity measures, a truncated number-basis oracle, and parameter
 estimation from coherence records.
 """
 
+__version__ = "0.1.0"
+
 from .errors import (ConfigError, DegenerateInputError, OscprobeError,
                      TruncationLeakError, ValidationError)
 from .estimate import (CoherenceSeries, EstimateReport, extract_bath_term,

@@ -1,8 +1,10 @@
 """Deterministic CSV/JSON readers and writers for the command-line tools.
 
-CSV files carry `#key=value` metadata lines, then one column-name row, then
-data rows. Floats are written as %.17g so values round-trip exactly and
-reruns with identical inputs produce byte-identical files.
+CSV files carry `#key=value` metadata lines, the first of them
+`#oscprobe_version=...`, then one column-name row, then data rows; JSON
+reports carry an "oscprobe_version" key. Floats are written as %.17g so
+values round-trip exactly and reruns with identical inputs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .errors import ConfigError
 
 
@@ -25,16 +28,16 @@ def write_csv(path, metadata: dict, columns: dict) -> None:
     lengths = {v.shape[0] for v in cols.values()}
     if len(lengths) != 1:
         raise ConfigError("all columns must have the same length")
-    n = lengths.pop()
-    lines = []
+    lines = [f"#oscprobe_version={__version__}"]
     for key, value in metadata.items():
         if isinstance(value, float):
             value = format_float(value)
         lines.append(f"#{key}={value}")
     lines.append(",".join(cols.keys()))
-    arrays = list(cols.values())
-    for i in range(n):
-        lines.append(",".join(format_float(col[i]) for col in arrays))
+    # one %.17g template per row, applied to Python floats: the same text as
+    # format_float of each value
+    row = ",".join(["%.17g"] * len(cols))
+    lines.extend(map(row.__mod__, zip(*(col.tolist() for col in cols.values()))))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -76,7 +79,11 @@ def _parse_scalar(text: str):
 
 
 def write_json(path, obj) -> None:
-    """Write a JSON report with sorted keys; NaN and infinities are refused."""
+    """Write a JSON object with sorted keys and the package version.
+
+    NaN and infinities are refused.
+    """
+    payload = {**obj, "oscprobe_version": __version__}
     Path(path).write_text(
-        json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 

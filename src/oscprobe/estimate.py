@@ -23,13 +23,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.special import exprel
 
 from .errors import DegenerateInputError, ValidationError
 from .fidelity import fidelity_generalized
 from .phase_space import GaussianState, SystemParams
-from .propagator import _delta, _dsq, _dsq_prime
+from .propagator import _delta, _dsq, _dsq_prime, _exprel
 
 
 @dataclass(frozen=True)
@@ -90,6 +88,12 @@ class EstimateReport:
     @property
     def mbar(self) -> float:
         return self.M - 0.5
+
+
+def least_squares(*args, **kwargs):
+    """scipy.optimize.least_squares, imported on the first fit."""
+    from scipy.optimize import least_squares as solve
+    return solve(*args, **kwargs)
 
 
 def log_derivative_model(t, g: float, kappa: float, M: float, N: float):
@@ -160,7 +164,7 @@ def _delta_scaled_dkappa(t, kappa: float):
     u1 = 1.0 + kappa * kappa
     e = np.exp(-kappa * t)
     u = 2.0 * kappa * t
-    a1 = t * exprel(-u)
+    a1 = t * _exprel(-u)
     da1 = 2.0 * t * t * _phi_prime(u)
     cterm = kappa + e * (np.sin(t) - kappa * np.cos(t))
     dc = 1.0 - t * e * (np.sin(t) - kappa * np.cos(t)) - e * np.cos(t)

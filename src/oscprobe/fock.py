@@ -18,17 +18,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.integrate import solve_ivp
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import TruncationLeakError, ValidationError
 from .fidelity import (fidelity_generalized, fidelity_uj_blocks, purity_qubit,
                        purity_oscillator)
 from .phase_space import GaussianState, QubitInitState, SystemParams, as_vec2
 from .propagator import coherence_trace
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 LEAK_TOL = 1e-8
 # default_dim sizes the basis to this tail weight; sizing right at LEAK_TOL
@@ -156,6 +157,7 @@ class OperatorSet:
         """Full generator of the requested block as a dim^2 x dim^2 matrix."""
         if block not in _BLOCKS:
             raise ValidationError(f"block must be one of {_BLOCKS}")
+        import scipy.sparse as sp
         dim, prm = self.dim, self.params
         ident = sp.identity(dim, format="csr")
 
@@ -186,6 +188,7 @@ def build_operators(dim: int, params: SystemParams) -> OperatorSet:
     """Ladder operators, quadratures, and the two displaced Hamiltonians."""
     if dim < 2:
         raise ValidationError("dim must be >= 2")
+    import scipy.sparse as sp
     rootn = np.sqrt(np.arange(1, dim))
     a = sp.diags(rootn, 1, format="csr")
     adag = sp.diags(rootn, -1, format="csr")
@@ -240,6 +243,12 @@ def displaced_thermal_block(dim: int, mbar: float, q0: float, p0: float,
     return BlockDensityMatrix(dim, disp @ rho @ disp.conj().T, block)
 
 
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first evolution."""
+    from scipy.integrate import solve_ivp as solve
+    return solve(*args, **kwargs)
+
+
 def evolve_block(init: BlockDensityMatrix, params: SystemParams,
                  config: OracleConfig, t: float) -> BlockDensityMatrix:
     """Propagate one block to time t >= 0 in the truncated basis.
@@ -259,6 +268,7 @@ def evolve_block(init: BlockDensityMatrix, params: SystemParams,
     liou = build_operators(dim, params).liouvillian(init.block)
     v0 = init.entries.reshape(-1)
     if config.method == "expm":
+        from scipy.sparse.linalg import expm_multiply
         vt = expm_multiply(liou * t, v0)
     else:
         sol = solve_ivp(lambda _t, v: liou.dot(v), (0.0, t), v0,

@@ -19,8 +19,8 @@ array of times at once. The qubit has splitting delta, the detuning
 (H_q = (delta/2) sigma_z; not the integral delta(t) above), which gives the
 coherence the phase factor exp(-i delta t).
 
-All kappa -> 0 limits go through expm1/exprel-stable forms; no formula
-branching on kappa == 0.
+All kappa -> 0 limits go through exprel-stable forms, (e^x - 1)/x computed
+with numpy's expm1 (`_exprel`); no formula branching on kappa == 0.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import exprel
 
 from .errors import ValidationError
 from .phase_space import (Covariance2, GaussianState, PhaseVector,
@@ -82,17 +81,27 @@ def _dsq_prime(t, g: float, kappa: float):
                + 2.0 * e * np.sin(t)))
 
 
+def _exprel(x):
+    """(e^x - 1)/x elementwise, 1 where |x| < machine epsilon.
+
+    The same kernel as scipy.special.exprel, on numpy's expm1.
+    """
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < np.finfo(float).eps
+    return np.where(small, 1.0, np.expm1(x) / np.where(small, 1.0, x))[()]
+
+
 def _alpha(t, kappa: float, nbar: float):
     """Accumulated thermal-noise variance alpha(t) = (nbar+1/2)(1 - e^{-2 kappa t})."""
     # (1 - e^{-2kt}) = 2kt * exprel(-2kt), stable for kappa -> 0
-    return (nbar + 0.5) * 2.0 * kappa * t * exprel(-2.0 * kappa * np.asarray(t))
+    return (nbar + 0.5) * 2.0 * kappa * t * _exprel(-2.0 * kappa * np.asarray(t))
 
 
 def _delta(t, g: float, kappa: float):
     """delta(t) = int_0^t |d(t')|^2 dt' in closed form."""
     u1 = 1.0 + kappa * kappa
     ta = np.asarray(t, dtype=float)
-    a1 = ta * exprel(-2.0 * kappa * ta)  # (1 - e^{-2kt}) / (2k)
+    a1 = ta * _exprel(-2.0 * kappa * ta)  # (1 - e^{-2kt}) / (2k)
     e = np.exp(-kappa * ta)
     cterm = kappa + e * (np.sin(ta) - kappa * np.cos(ta))
     return 4.0 * g * g / u1 * (a1 - 2.0 * cterm / u1 + ta)
@@ -104,7 +113,7 @@ def _gamma_components(t, g: float, kappa: float):
     ta = np.asarray(t, dtype=float)
     e = np.exp(-kappa * ta)
     g1 = -c * (1.0 - 2.0 * e * np.cos(ta) + e * e)
-    g2 = c * (2.0 * ta * exprel(-2.0 * kappa * ta) - 2.0 * e * np.sin(ta))
+    g2 = c * (2.0 * ta * _exprel(-2.0 * kappa * ta) - 2.0 * e * np.sin(ta))
     return g1, g2
 
 

@@ -211,13 +211,34 @@ def test_estimate_warns_when_the_fit_does_not_converge(tmp_path, monkeypatch,
     assert "did not converge" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_out_scipy_signal():
+_SCIPY_PROBE = """
+import json, sys
+import oscprobe
+from oscprobe.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+out = sys.argv[1]
+assert main(["propagate", "--t-max", "10", "--dt", "0.1", "--outdir", out]) == 0
+assert main(["reproduce", "fig2", "--nbar", "0.5", "--mbar", "0.5",
+             "--t-max", "5", "--dt", "0.5", "--outdir", out]) == 0
+before = scipy_modules()
+assert main(["estimate", "--input", out + "/propagate.csv", "--outdir", out]) == 0
+print(json.dumps({"before_estimate": before, "after_estimate": scipy_modules()}))
+"""
+
+
+def test_cli_commands_start_without_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(oscprobe.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, oscprobe.cli; print('scipy.signal' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert proc.stdout.strip() == "False"
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120,
+                          check=True)
+    loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    # propagate and reproduce fig2 run on numpy alone ...
+    assert loaded["before_estimate"] == []
+    # ... and estimate still loads the optimizer on its first fit
+    assert "scipy.optimize" in loaded["after_estimate"]
 
 
 def test_estimate_requires_variance_label(tmp_path, capsys):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import exprel
 
 from oscprobe import (Covariance2, GaussianState, PhaseVector,
                       QubitInitState, SystemParams, ValidationError,
@@ -15,7 +16,7 @@ from oscprobe import (Covariance2, GaussianState, PhaseVector,
                       wigner_eval, wigner_lobe_centers)
 from oscprobe.propagator import (_alpha, _delta, _dsq, _dsq_prime,
                                  _eta_components, _evolved_covariance,
-                                 _gamma_components)
+                                 _exprel, _gamma_components)
 
 
 def random_params(rng):
@@ -145,6 +146,18 @@ def test_evolved_covariance_matches_fundamental_matrix():
         assert np.allclose(got, want, rtol=1e-13, atol=1e-15)
     # an overflowing forward R(t) is never formed
     assert np.all(np.isfinite(_evolved_covariance(8000.0, p, sigma0)))
+
+
+def test_exprel_matches_scipy_within_two_ulp():
+    rng = np.random.default_rng(41)
+    points = [0.0, -0.0, 5e-324, -5e-324, 1e-16, -1e-16, 2.3e-16, -2.3e-16,
+              -700.0]
+    x = np.concatenate([-10.0 ** rng.uniform(-20.0, 3.0, 20_000),
+                        -rng.uniform(0.0, 50.0, 20_000), points])
+    got, want = _exprel(x), exprel(x)
+    assert np.all(np.abs(got - want) <= 2.0 * np.spacing(want))
+    assert _exprel(0.0) == 1.0 and _exprel(-0.0) == 1.0
+    assert np.ndim(_exprel(-0.3)) == 0 and isinstance(_exprel(-0.3), float)
 
 
 def test_coherence_trace_array_matches_scalar_calls():
