@@ -1,5 +1,9 @@
 """Truncated number-basis oracle: operators, evolution, chord/Wigner readout."""
 
+import gc
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -101,6 +105,59 @@ def test_integrator_backends_agree():
     rk = evolve_block(init, p, OracleConfig(dim=35, method="rk"), 4.0)
     ex = evolve_block(init, p, OracleConfig(dim=35, method="expm"), 4.0)
     assert np.max(np.abs(rk.entries - ex.entries)) < 1e-10
+
+
+def test_rk_matches_scipy_dop853_reference():
+    # scipy's Python DOP853 (the previous backend) as an independent reference
+    from scipy.integrate import solve_ivp
+    p = SystemParams(g=0.18, kappa=0.07, delta=0.3, nbar=0.3, mbar=0.6)
+    ops = build_operators(35, p)
+    for block in ("00", "11", "01"):
+        liou = ops.liouvillian(block)
+        v0 = thermal_block(35, 0.6, block).entries.reshape(-1)
+        ref = solve_ivp(lambda _t, v: liou.dot(v), (0.0, 6.0), v0,
+                        method="DOP853", rtol=1e-10, atol=1e-12, t_eval=(6.0,))
+        sol = fock.solve_ivp(liou, v0, 6.0, 1e-10, 1e-12)
+        assert sol.success and sol.nfev > 0
+        assert np.max(np.abs(sol.y - ref.y[:, -1])) <= 1e-9
+
+
+def test_non_finite_generator_fails_with_its_return_code(monkeypatch):
+    p = SystemParams(g=0.1, kappa=0.1)
+    init = thermal_block(8, 0.0)
+    good = fock.OperatorSet.liouvillian
+
+    def poisoned(self, block):
+        liou = good(self, block).tolil()
+        liou[1, 1] = np.nan
+        return liou.tocsr()
+
+    sol = fock.solve_ivp(poisoned(build_operators(8, p), "00"),
+                         init.entries.reshape(-1), 1.0, 1e-10, 1e-12)
+    assert not sol.success and sol.status < 0
+    monkeypatch.setattr(fock.OperatorSet, "liouvillian", poisoned)
+    with pytest.raises(ValidationError, match=f"return code {sol.status}"):
+        evolve_block(init, p, OracleConfig(dim=8), 1.0)
+
+
+def test_repeated_evolutions_keep_memory_flat():
+    # each call builds a new generator; none of them may stay referenced
+    def run(i):
+        p = SystemParams(g=0.1 + 0.002 * i, kappa=0.07, nbar=0.3, mbar=0.6)
+        evolve_block(thermal_block(30, 0.6), p, OracleConfig(dim=30), 1.0)
+
+    run(0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(1, 41):
+            run(i)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 2e6
 
 
 def test_truncation_guard():
@@ -221,8 +278,11 @@ def test_offdiag_detuning_phase_is_reported():
 def test_validation_errors():
     with pytest.raises(ValidationError):
         OracleConfig(method="euler")
-    with pytest.raises(ValidationError):
-        OracleConfig(rel_tol=-1.0)
+    for bad in ({"rel_tol": -1.0}, {"rel_tol": math.inf},
+                {"rel_tol": math.nan}, {"abs_tol": math.inf},
+                {"abs_tol": math.nan}, {"rel_tol": 1e-15}):
+        with pytest.raises(ValidationError):
+            OracleConfig(**bad)
     with pytest.raises(ValidationError):
         BlockDensityMatrix(3, np.zeros((3, 4)), "00")
     with pytest.raises(ValidationError):
