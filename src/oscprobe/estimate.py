@@ -14,7 +14,12 @@ fitting ("two-temperature" mode).
 
 Fits run on log-space residuals with an analytic Jacobian; positivity
 constraints (kappa > 0, g > 0, N > 1) are built into softplus
-reparametrizations instead of clipping.
+reparametrizations instead of clipping. A residual evaluation computes the
+model alone; the analytic Jacobian, with its kappa-derivative kernels, is
+evaluated only when least_squares asks for it. The tolerances stay at
+xtol = ftol = gtol = 1e-14, where the stopping point depends on the last bits
+of the model, so the residual and the Jacobian path share one expression for
+-ln F (`_scaled_model`).
 """
 
 from __future__ import annotations
@@ -111,8 +116,10 @@ def _check_pair(series1: CoherenceSeries, series2: CoherenceSeries):
         raise DegenerateInputError("both series need a known M label")
     if series1.M == series2.M:
         raise DegenerateInputError("series must have distinct M labels")
-    if (series1.times.shape != series2.times.shape
-            or not np.allclose(series1.times, series2.times)):
+    t1, t2 = series1.times, series2.times
+    # the same grid up to roundoff of its scale; np.allclose's rtol 1e-5
+    # would pass grids 1e-3 apart over long records and bias the split
+    if t1.shape != t2.shape or np.max(np.abs(t1 - t2)) > 1e-12 * np.max(np.abs(t1)):
         raise DegenerateInputError("series must share the same time grid")
 
 
@@ -189,18 +196,26 @@ def _sigmoid(u):
     return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(u, dtype=float)))
 
 
+def _scaled_model(t, kappa: float, N: float, M: float):
+    """(-ln F) / g^2 = M D + kappa N E, and the bath kernel E it used."""
+    ev = _delta(t, 1.0, kappa)
+    return M * _dsq(t, 1.0, kappa) + kappa * N * ev, ev
+
+
+def _model(t, g: float, kappa: float, N: float, M: float):
+    """-ln F at the physical (g, kappa, N) for a record of variance M."""
+    return g * g * _scaled_model(t, kappa, N, M)[0]
+
+
 def _model_and_jacobian(t, g: float, kappa: float, N: float, M: float):
     """-ln F and its Jacobian columns wrt the physical (g, kappa, N)."""
-    dv = _dsq(t, 1.0, kappa)
-    ev = _delta(t, 1.0, kappa)
-    core = M * dv + kappa * N * ev
-    y = g * g * core
+    core, ev = _scaled_model(t, kappa, N, M)
     ddk = _dsq_scaled_dkappa(t, kappa)
     dek = _delta_scaled_dkappa(t, kappa)
     jg = 2.0 * g * core
     jk = g * g * (M * ddk + N * ev + kappa * N * dek)
     jn = g * g * kappa * ev
-    return y, jg, jk, jn
+    return g * g * core, jg, jk, jn
 
 
 def _initial_guess(times: np.ndarray, y: np.ndarray, M: float):
@@ -233,30 +248,32 @@ def _fit_direct(series_list: list[CoherenceSeries]) -> EstimateReport:
     y = np.concatenate([-np.log(s.fgen) for s in series_list])
     m_labels = np.concatenate([np.full(s.times.shape, s.M) for s in series_list])
     m0 = series_list[0].M
+    # one (selector, times, M) per distinct label; records sharing an M need
+    # not be adjacent, so the selectors are masks
+    groups = []
+    for m in np.unique(m_labels):
+        sel = m_labels == m
+        groups.append((sel, times[sel], m))
 
     def unpack(u):
         return (float(_softplus(u[0])), float(_softplus(u[1])),
                 1.0 + float(_softplus(u[2])))
 
+    def physical_jacobian(g, k, n):
+        jac = np.empty((y.size, 3))
+        for sel, ts, m in groups:
+            jac[sel] = np.column_stack(_model_and_jacobian(ts, g, k, n, m)[1:])
+        return jac
+
     def residuals(u):
         g, k, n = unpack(u)
         out = np.empty_like(y)
-        for m in np.unique(m_labels):
-            sel = m_labels == m
-            out[sel] = (_model_and_jacobian(times[sel], g, k, n, m)[0]
-                        - y[sel])
+        for sel, ts, m in groups:
+            out[sel] = _model(ts, g, k, n, m) - y[sel]
         return out
 
     def jacobian(u):
-        g, k, n = unpack(u)
-        jac = np.empty((y.size, 3))
-        for m in np.unique(m_labels):
-            sel = m_labels == m
-            _, jg, jk, jn = _model_and_jacobian(times[sel], g, k, n, m)
-            jac[sel, 0] = jg
-            jac[sel, 1] = jk
-            jac[sel, 2] = jn
-        return jac * _sigmoid(np.asarray(u))[None, :]
+        return physical_jacobian(*unpack(u)) * _sigmoid(np.asarray(u))[None, :]
 
     g0, k0, n0 = _initial_guess(series_list[0].times,
                                 -np.log(series_list[0].fgen), m0)
@@ -264,12 +281,7 @@ def _fit_direct(series_list: list[CoherenceSeries]) -> EstimateReport:
     sol = least_squares(residuals, u0, jac=jacobian, xtol=1e-14, ftol=1e-14,
                         gtol=1e-14)
     g, k, n = unpack(sol.x)
-    jac_phys = np.empty((y.size, 3))
-    for m in np.unique(m_labels):
-        sel = m_labels == m
-        _, jg, jk, jn = _model_and_jacobian(times[sel], g, k, n, m)
-        jac_phys[sel] = np.column_stack([jg, jk, jn])
-    std = _std_errors(jac_phys, sol.fun)
+    std = _std_errors(physical_jacobian(g, k, n), sol.fun)
     report_m = m0 if len({s.M for s in series_list}) == 1 else float("nan")
     return EstimateReport(
         g=g, kappa=k, M=report_m, N=n,

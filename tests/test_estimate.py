@@ -162,3 +162,91 @@ def test_fit_reports_convergence(monkeypatch):
         rep = fit_parameters([s1, s2], mode=mode)
         assert rep.converged is False
         assert rep.nfev == 1
+
+
+def test_two_temperature_grids_must_agree_to_roundoff():
+    p1 = SystemParams(g=0.1, kappa=0.05, nbar=0.3, mbar=0.0)
+    p2 = SystemParams(g=0.1, kappa=0.05, nbar=0.3, mbar=1.0)
+    ts = np.linspace(0.0, 200.0, 801)
+    s1 = make_series(p1, times=ts)
+    # off by up to 1.8e-3 at t = 200: within np.allclose's defaults, yet
+    # enough to bias g by ~1e-4 and kappa by ~3e-4 on noiseless data
+    stretched = make_series(p2, times=ts * (1.0 + 9e-6))
+    with pytest.raises(DegenerateInputError):
+        fit_parameters([s1, stretched], mode="two-temperature")
+    nudged = np.nextafter(np.nextafter(ts, np.inf), np.inf)
+    report = fit_parameters([s1, make_series(p2, times=nudged)],
+                            mode="two-temperature")
+    assert abs(report.g - 0.1) / 0.1 < 1e-3
+    assert abs(report.kappa - 0.05) / 0.05 < 1e-3
+    assert abs(report.N - 1.6) / 1.6 < 1e-3
+
+
+def _capture_solver(monkeypatch):
+    """Route estimate.least_squares through a recorder of its calls."""
+    calls = []
+    solve = estimate.least_squares
+
+    def recorded(fun, x0, jac, **kwargs):
+        sol = solve(fun, x0, jac=jac, **kwargs)
+        calls.append({"fun": fun, "jac": jac, "x0": x0, "sol": sol})
+        return sol
+
+    monkeypatch.setattr(estimate, "least_squares", recorded)
+    return calls
+
+
+def test_residual_evaluations_run_no_jacobian_kernel(monkeypatch):
+    kernel_calls = []
+    kernel = estimate._delta_scaled_dkappa
+
+    def counted(*args):
+        kernel_calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(estimate, "_delta_scaled_dkappa", counted)
+    solver_calls = _capture_solver(monkeypatch)
+    fit_parameters([make_series(M=1.0), make_series(M=2.0)])
+    (call,) = solver_calls
+    sol = call["sol"]
+    assert sol.nfev > 1
+    # one kernel call per M group for each solver Jacobian and for the
+    # post-fit standard errors; residual evaluations add none
+    assert len(kernel_calls) == (sol.njev + 1) * 2
+
+
+def test_split_residual_and_jacobian_agree(monkeypatch):
+    solver_calls = _capture_solver(monkeypatch)
+    s = make_series(M=1.0)
+    s2 = make_series(M=2.0)
+    s_other = make_series(M=1.0, times=GRID[1:] - 0.025)
+    mixed = fit_parameters([s, s2, s_other])   # the M = 1 rows are not adjacent
+    (call,) = solver_calls
+    fun, jac = call["fun"], call["jac"]
+    parts = (s, s2, s_other)
+    times = np.concatenate([p.times for p in parts])
+    y = np.concatenate([-np.log(p.fgen) for p in parts])
+    m_labels = np.concatenate([np.full(p.times.shape, p.M) for p in parts])
+    h = 1e-6
+    for u in (call["x0"], call["sol"].x):
+        r = fun(u)
+        j = jac(u)
+        for i in range(3):
+            du = np.zeros(3)
+            du[i] = h
+            fd = (fun(u + du) - fun(u - du)) / (2 * h)
+            assert np.max(np.abs(j[:, i] - fd)) <= 1e-6 * np.max(np.abs(fd))
+        g, k = float(estimate._softplus(u[0])), float(estimate._softplus(u[1]))
+        n = 1.0 + float(estimate._softplus(u[2]))
+        for m in (1.0, 2.0):
+            sel = m_labels == m
+            want = _model_and_jacobian(times[sel], g, k, n, m)[0] - y[sel]
+            assert np.array_equal(r[sel], want)
+    grouped = fit_parameters([s, s_other, s2])
+    for name in ("g", "kappa", "N"):
+        a, b = getattr(mixed, name), getattr(grouped, name)
+        assert abs(a - b) <= 1e-10 * abs(b)
+    for report in (mixed, grouped):
+        assert abs(report.g - 0.1) / 0.1 < 1e-3
+        assert abs(report.kappa - 0.05) / 0.05 < 1e-3
+        assert abs(report.N - 1.6) / 1.6 < 1e-3
