@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datafiles import read_csv, write_csv, write_json
+from .datafiles import read_csv, write_csv, write_grid_csv, write_json
 from .errors import ConfigError, OscprobeError, TruncationLeakError
 from .estimate import CoherenceSeries, fit_parameters
 from .fidelity import (fidelity_generalized, fidelity_uj_blocks,
@@ -318,11 +318,10 @@ def _write_wigner(out: Path, qs, t: float, params: SystemParams,
                   extra: dict) -> np.ndarray:
     """Reduced Wigner grid on qs x qs at time t -> CSV (q varies fastest)."""
     w = reduced_wigner_grid(qs, qs, t, params, init, qubit)
-    qq, pp = np.meshgrid(qs, qs)
     meta = {**_param_metadata(params), "t": t, "bound": args.bound,
             "step": args.step, **_qubit_metadata(qubit), **extra,
             "grid_integral": float(np.sum(w)) * args.step ** 2}
-    write_csv(out, meta, {"q": qq.ravel(), "p": pp.ravel(), "w": w.ravel()})
+    write_grid_csv(out, meta, qs, qs, w)
     print(f"wrote {out}")
     return w
 

@@ -22,22 +22,49 @@ def format_float(x: float) -> str:
     return "%.17g" % float(x)
 
 
+def _header_lines(metadata: dict, names) -> list:
+    lines = [f"#oscprobe_version={__version__}"]
+    for key, value in metadata.items():
+        if isinstance(value, float):
+            value = format_float(value)
+        lines.append(f"#{key}={value}")
+    lines.append(",".join(names))
+    return lines
+
+
 def write_csv(path, metadata: dict, columns: dict) -> None:
     """Write named float columns of equal length with a metadata header."""
     cols = {key: np.asarray(val, dtype=float) for key, val in columns.items()}
     lengths = {v.shape[0] for v in cols.values()}
     if len(lengths) != 1:
         raise ConfigError("all columns must have the same length")
-    lines = [f"#oscprobe_version={__version__}"]
-    for key, value in metadata.items():
-        if isinstance(value, float):
-            value = format_float(value)
-        lines.append(f"#{key}={value}")
-    lines.append(",".join(cols.keys()))
+    lines = _header_lines(metadata, cols.keys())
     # one %.17g template per row, applied to Python floats: the same text as
     # format_float of each value
     row = ",".join(["%.17g"] * len(cols))
     lines.extend(map(row.__mod__, zip(*(col.tolist() for col in cols.values()))))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_grid_csv(path, metadata: dict, qs, ps, values) -> None:
+    """Write values[j, i] at (qs[i], ps[j]) as q,p,w rows, q varying fastest.
+
+    The bytes are those of write_csv on the flattened meshgrid columns; each
+    axis value is formatted once rather than once per row.
+    """
+    qs = np.asarray(qs, dtype=float)
+    ps = np.asarray(ps, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if values.shape != (ps.size, qs.size):
+        raise ConfigError(
+            f"grid shape {values.shape} does not match the axes "
+            f"({ps.size}, {qs.size})")
+    lines = _header_lines(metadata, ("q", "p", "w"))
+    q_text = ["%.17g," % q for q in qs.tolist()]
+    for p, row in zip(ps.tolist(), values.tolist()):
+        # a formatted float holds no "%", so it can sit inside the template
+        lines.extend(map(("%s" + format_float(p) + ",%.17g").__mod__,
+                         zip(q_text, row)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -14,11 +14,15 @@ block is integrated as
 whose trace carries the same phase factor exp(-i delta t) as the closed form.
 
 The default integrator ("rk") is Hairer's compiled DOP853, reached through
-scipy.integrate.ode, run on the zero-copy real view of the complex state
-(v.view(float)). Its stage sums are compiled loops, not threaded-BLAS
-products, so the integration runs on one core and leaves no BLAS worker
-spinning between steps. One solver is built and cached per
-(rel_tol, abs_tol) pair; it is not re-entrant.
+scipy.integrate.ode. The 00 and 11 blocks are Hermitian at every t, so they
+travel as the dim^2 reals R = Re rho + Im rho, from which
+rho = (R + R^T)/2 + i (R - R^T)/2; on vec R the generator is the real matrix
+G = Re L + (Im L) S, with S the permutation vec X -> vec X^T. The 01 block
+runs on the zero-copy real view of its complex state (v.view(float)). The
+stage sums are compiled loops, not threaded-BLAS products, so the
+integration runs on one core and leaves no BLAS worker spinning between
+steps. One solver is built and cached per (rel_tol, abs_tol) pair; it is
+not re-entrant.
 """
 
 from __future__ import annotations
@@ -45,7 +49,11 @@ LEAK_TOL = 1e-8
 # left evolved blocks close enough to the guard to trip it at a few points
 SIZING_TOL = LEAK_TOL / 10
 EIG_CLAMP = -1e-8  # integrator roundoff scale at dim ~100; real leakage is orders larger
+# a 00/11 start further than this (relative to its largest entry) from
+# Hermitian is refused rather than projected onto the Hermitian part
+HERMITIAN_TOL = 1e-12
 _BLOCKS = ("00", "11", "01")
+_HERMITIAN_BLOCKS = ("00", "11")
 _METHODS = ("rk", "expm")
 _MIN_REL_TOL = 100 * np.finfo(float).eps
 _MAX_STEPS = 100_000  # Hairer's default NMAX
@@ -56,10 +64,11 @@ class OracleConfig:
     """Oracle settings: basis size (None = automatic), tolerances, integrator.
 
     method "rk" integrates with Hairer's compiled DOP853 (scipy.integrate.ode)
-    on the real view of the state at (rel_tol, abs_tol), with one solver
-    cached per tolerance pair; its stage sums call no threaded BLAS. "expm"
-    applies the exact exponential of the generator. Tolerances must be
-    finite and positive, and rel_tol at least 100 machine epsilons.
+    at (rel_tol, abs_tol): the Hermitian 00 and 11 blocks as dim^2 reals, the
+    01 block on the real view of its complex state. One solver is cached per
+    tolerance pair; its stage sums call no threaded BLAS. "expm" applies the
+    exact exponential of the complex generator. Tolerances must be finite
+    and positive, and rel_tol at least 100 machine epsilons.
     """
 
     dim: int | None = None
@@ -149,6 +158,15 @@ def _tail_weight(entries: np.ndarray) -> float:
     return tail / scale
 
 
+def _check_hermitian(entries: np.ndarray, block: str) -> None:
+    scale = max(float(np.max(np.abs(entries))), 1e-300)
+    skew = float(np.max(np.abs(entries - entries.conj().T)))
+    if skew > HERMITIAN_TOL * scale:
+        raise ValidationError(
+            f"{block} block is not Hermitian: |rho - rho^dag| {skew:.3g} > "
+            f"{HERMITIAN_TOL:g} of its largest entry")
+
+
 def _check_leak(entries: np.ndarray, dim: int, stage: str) -> None:
     w = _tail_weight(entries)
     if w > LEAK_TOL:
@@ -159,7 +177,11 @@ def _check_leak(entries: np.ndarray, dim: int, stage: str) -> None:
 
 @dataclass(frozen=True)
 class OperatorSet:
-    """Sparse ladder/quadrature operators and block Hamiltonians at one dim."""
+    """Sparse ladder/quadrature operators and block Hamiltonians at one dim.
+
+    The superoperator pieces every block shares (the dissipator and the
+    left/right products with H+ and H-) are built on first use and kept.
+    """
 
     dim: int
     params: SystemParams
@@ -170,35 +192,41 @@ class OperatorSet:
     h_plus: sp.csr_matrix
     h_minus: sp.csr_matrix
 
+    def _lmul(self, op) -> sp.csr_matrix:
+        import scipy.sparse as sp
+        return sp.kron(op, sp.identity(self.dim, format="csr"), format="csr")
+
+    def _rmul(self, op) -> sp.csr_matrix:
+        import scipy.sparse as sp
+        return sp.kron(sp.identity(self.dim, format="csr"), op.T, format="csr")
+
+    @functools.cached_property
+    def _products(self) -> dict:
+        """Left and right products with each block Hamiltonian, as superoperators."""
+        return {sign: (self._lmul(h), self._rmul(h))
+                for sign, h in (("+", self.h_plus), ("-", self.h_minus))}
+
+    @functools.cached_property
+    def _dissipator(self) -> sp.csr_matrix:
+        import scipy.sparse as sp
+        down = self.params.kappa * (1.0 + self.params.nbar)
+        up = self.params.kappa * self.params.nbar
+        # down (2 a rho a^dag - {a^dag a, rho}) + up (2 a^dag rho a - {a a^dag, rho})
+        anti = (down * (self.adag @ self.a) + up * (self.a @ self.adag)).tocsr()
+        return (2.0 * down * sp.kron(self.a, self.a, format="csr")
+                + 2.0 * up * sp.kron(self.adag, self.adag, format="csr")
+                - self._lmul(anti) - self._rmul(anti)).tocsr()
+
     def liouvillian(self, block: str) -> sp.csr_matrix:
         """Full generator of the requested block as a dim^2 x dim^2 matrix."""
         if block not in _BLOCKS:
             raise ValidationError(f"block must be one of {_BLOCKS}")
-        import scipy.sparse as sp
-        dim, prm = self.dim, self.params
-        ident = sp.identity(dim, format="csr")
-
-        def lmul(op):
-            return sp.kron(op, ident, format="csr")
-
-        def rmul(op):
-            return sp.kron(ident, op.T, format="csr")
-
-        if block == "00":
-            ham = lmul(self.h_plus) - rmul(self.h_plus)
-        elif block == "11":
-            ham = lmul(self.h_minus) - rmul(self.h_minus)
-        else:
-            ham = (lmul(self.h_plus) - rmul(self.h_minus)
-                   + prm.delta * sp.identity(dim * dim, format="csr"))
-
-        n_op = (self.adag @ self.a).tocsr()
-        aad = (self.a @ self.adag).tocsr()
-        down = 2.0 * sp.kron(self.a, self.a, format="csr") - lmul(n_op) - rmul(n_op)
-        up = (2.0 * sp.kron(self.adag, self.adag, format="csr")
-              - lmul(aad) - rmul(aad))
-        diss = prm.kappa * (1.0 + prm.nbar) * down + prm.kappa * prm.nbar * up
-        return (-1j * ham + diss).tocsr()
+        left, right = {"00": "++", "11": "--", "01": "+-"}[block]
+        ham = self._products[left][0] - self._products[right][1]
+        if block == "01":
+            import scipy.sparse as sp
+            ham = ham + self.params.delta * sp.identity(self.dim ** 2, format="csr")
+        return (-1j * ham + self._dissipator).tocsr()
 
 
 def build_operators(dim: int, params: SystemParams) -> OperatorSet:
@@ -260,8 +288,41 @@ def displaced_thermal_block(dim: int, mbar: float, q0: float, p0: float,
     return BlockDensityMatrix(dim, disp @ rho @ disp.conj().T, block)
 
 
+def _pack_hermitian(entries: np.ndarray) -> np.ndarray:
+    """vec R for R = Re rho + Im rho: the dim^2 reals that fix a Hermitian rho."""
+    return (entries.real + entries.imag).ravel()
+
+
+def _unpack_hermitian(v: np.ndarray, dim: int) -> np.ndarray:
+    """The exactly Hermitian (R + R^T)/2 + i (R - R^T)/2 from vec R."""
+    r = v.reshape(dim, dim)
+    out = np.empty((dim, dim), dtype=complex)
+    out.real = 0.5 * (r + r.T)
+    out.imag = 0.5 * (r - r.T)
+    return out
+
+
+def _hermitian_generator(liou: sp.csr_matrix, dim: int) -> sp.csr_matrix:
+    """G = Re L + (Im L) S, the generator of a Hermitian-preserving L on vec R.
+
+    S permutes vec X to vec X^T, so (Im L) S is Im L with its column indices
+    permuted; zeros of the sum are dropped.
+    """
+    import scipy.sparse as sp
+    transpose = np.arange(dim * dim).reshape(dim, dim).T.ravel()
+    re = sp.csr_matrix((liou.data.real, liou.indices, liou.indptr),
+                       shape=liou.shape)
+    # sort_indices reorders data in place, and .imag is a view of liou's data
+    im = sp.csr_matrix((liou.data.imag.copy(), transpose[liou.indices],
+                        liou.indptr), shape=liou.shape)
+    im.sort_indices()
+    return re + im
+
+
 def _rhs(_t, v, liou):
-    return liou.dot(v.view(complex)).view(float)
+    if liou.dtype.kind == "c":
+        return liou.dot(v.view(complex)).view(float)
+    return liou.dot(v)
 
 
 # One solver per tolerance pair, with the generator passed through
@@ -293,10 +354,11 @@ class Integration:
 
 def solve_ivp(liou, v0: np.ndarray, t: float, rel_tol: float,
               abs_tol: float) -> Integration:
-    """Integrate dv/dt = liou v from the complex v0 over [0, t] with DOP853.
+    """Integrate dv/dt = liou v from v0 over [0, t] with DOP853.
 
-    Runs the cached compiled solver for (rel_tol, abs_tol) on the real view
-    of the state and returns its own end state (no dense output).
+    Runs the cached compiled solver for (rel_tol, abs_tol) and returns its
+    own end state (no dense output), of v0's dtype. A complex v0, with a
+    complex liou, runs on its real view; a real v0 needs a real liou.
     """
     solver = _dop853(rel_tol, abs_tol)
     solver.set_initial_value(v0.view(float), 0.0).set_f_params(liou)
@@ -307,17 +369,21 @@ def solve_ivp(liou, v0: np.ndarray, t: float, rel_tol: float,
     status = int(solver.get_return_code())
     integrator = solver._integrator
     return Integration(
-        y=y.view(complex), nfev=int(integrator.iwork[16]),  # Hairer's NFCN
+        y=y.view(v0.dtype), nfev=int(integrator.iwork[16]),  # Hairer's NFCN
         status=status, message=integrator.messages.get(
             status, f"unexpected return code {status}"))
 
 
 def evolve_block(init: BlockDensityMatrix, params: SystemParams,
-                 config: OracleConfig, t: float) -> BlockDensityMatrix:
+                 config: OracleConfig, t: float, *,
+                 ops: OperatorSet | None = None) -> BlockDensityMatrix:
     """Propagate one block to time t >= 0 in the truncated basis.
 
-    Raises TruncationLeakError (with a suggested dim) when the initial or the
-    evolved matrix puts more than LEAK_TOL relative weight on the top level.
+    ops, the operators at init.dim for params, is built here when None.
+    Raises ValidationError when a 00 or 11 start is not Hermitian to
+    HERMITIAN_TOL, and TruncationLeakError (with a suggested dim) when the
+    initial or the evolved matrix puts more than LEAK_TOL relative weight on
+    the top level.
     """
     if not (math.isfinite(t) and t >= 0.0):
         raise ValidationError("t must be finite and >= 0")
@@ -325,21 +391,30 @@ def evolve_block(init: BlockDensityMatrix, params: SystemParams,
         raise ValidationError(
             f"config dim {config.dim} != initial matrix dim {init.dim}")
     dim = init.dim
+    if ops is not None and (ops.dim != dim or ops.params != params):
+        raise ValidationError("ops were built for another dim or params")
+    hermitian = init.block in _HERMITIAN_BLOCKS
+    if hermitian:
+        _check_hermitian(init.entries, init.block)
     _check_leak(init.entries, dim, "initial state")
     if t == 0.0:
         return BlockDensityMatrix(dim, init.entries.copy(), init.block)
-    liou = build_operators(dim, params).liouvillian(init.block)
+    if ops is None:
+        ops = build_operators(dim, params)
+    liou = ops.liouvillian(init.block)
     v0 = init.entries.reshape(-1)
     if config.method == "expm":
         from scipy.sparse.linalg import expm_multiply
-        vt = expm_multiply(liou * t, v0)
+        out = expm_multiply(liou * t, v0).reshape(dim, dim)
     else:
+        if hermitian:
+            liou, v0 = _hermitian_generator(liou, dim), _pack_hermitian(init.entries)
         sol = solve_ivp(liou, v0, t, config.rel_tol, config.abs_tol)
         if not sol.success:
             raise ValidationError(
                 f"integration failed (return code {sol.status}): {sol.message}")
-        vt = sol.y
-    out = vt.reshape(dim, dim)
+        out = (_unpack_hermitian(sol.y, dim) if hermitian
+               else sol.y.reshape(dim, dim))
     _check_leak(out, dim, f"evolved {init.block} block")
     return BlockDensityMatrix(dim, out, init.block)
 
@@ -483,7 +558,8 @@ def reduced_quantities(blocks: dict, qubit: QubitInitState, qs=None, ps=None,
     p_q = (qubit.a00 ** 2 + qubit.a11 ** 2
            + 2.0 * abs(qubit.a01 * tr01) ** 2)
     rho_osc = qubit.a00 * e00 + qubit.a11 * e11
-    p_osc = float(np.real(np.trace(rho_osc @ rho_osc)))
+    # Tr rho^2 = sum |rho_ij|^2 for the Hermitian rho_osc
+    p_osc = float(np.vdot(rho_osc, rho_osc).real)
     out = {"purity_qubit": float(p_q), "purity_oscillator": p_osc,
            "qs": np.asarray(qs, dtype=float), "ps": np.asarray(ps, dtype=float)}
     if with_wigner:
@@ -509,10 +585,11 @@ def evolve_thermal_blocks(params: SystemParams, config: OracleConfig,
         try:
             run_cfg = OracleConfig(dim=dim, rel_tol=config.rel_tol,
                                    abs_tol=config.abs_tol, method=config.method)
+            ops = build_operators(dim, params)
             out = {}
             for block in _BLOCKS:
                 init = thermal_block(dim, params.mbar, block)
-                out[block] = evolve_block(init, params, run_cfg, t)
+                out[block] = evolve_block(init, params, run_cfg, t, ops=ops)
             out["dim"] = dim
             out["dims_tried"] = dims_tried
             return out

@@ -13,7 +13,7 @@ import pytest
 import oscprobe
 from oscprobe import SystemParams, estimate, fidelity_uj_blocks
 from oscprobe.cli import main
-from oscprobe.datafiles import read_csv
+from oscprobe.datafiles import read_csv, write_csv
 
 
 @pytest.fixture(autouse=True)
@@ -134,6 +134,16 @@ def test_wigner_writes_one_file_per_time(tmp_path):
     _, cols = read_csv(tmp_path / "wigner_t0.csv")
     assert cols["q"][1] != cols["q"][0]
     assert cols["p"][1] == cols["p"][0]
+
+
+def test_wigner_csv_bytes_match_the_generic_writer(tmp_path):
+    assert run("wigner", "--g", 0.3, "--times", "1.5", "--bound", 1.2,
+               "--step", 0.3, "--outdir", tmp_path) == 0
+    meta, cols = read_csv(tmp_path / "wigner_t1.5.csv")
+    del meta["oscprobe_version"]
+    write_csv(tmp_path / "generic.csv", meta, cols)
+    assert ((tmp_path / "wigner_t1.5.csv").read_bytes()
+            == (tmp_path / "generic.csv").read_bytes())
 
 
 def test_oracle_random_mode(tmp_path):

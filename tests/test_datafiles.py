@@ -8,7 +8,8 @@ import pytest
 
 import oscprobe
 from oscprobe import ConfigError
-from oscprobe.datafiles import format_float, read_csv, write_csv, write_json
+from oscprobe.datafiles import (format_float, read_csv, write_csv, write_grid_csv,
+                                write_json)
 
 
 def test_write_csv_rows_match_per_value_formatting(tmp_path):
@@ -26,6 +27,26 @@ def test_write_csv_rows_match_per_value_formatting(tmp_path):
     meta_back, cols_back = read_csv(tmp_path / "x.csv")
     assert meta_back["oscprobe_version"] == oscprobe.__version__
     np.testing.assert_array_equal(cols_back["a"], cols["a"])
+
+
+def test_write_grid_csv_matches_write_csv_on_the_meshgrid(tmp_path):
+    qs = np.array([-0.0, 5e-324, 0.1, 1e300, float("inf")])
+    ps = np.array([-2.5, 0.0, float("nan")])
+    values = np.arange(15.0).reshape(3, 5) / 7.0
+    values[1, 2] = -0.0
+    values[2, 4] = float("nan")
+    meta = {"t": 0.3, "init": "thermal", "step": 1}
+    write_grid_csv(tmp_path / "grid.csv", meta, qs, ps, values)
+    qq, pp = np.meshgrid(qs, ps)
+    write_csv(tmp_path / "cols.csv", meta,
+              {"q": qq.ravel(), "p": pp.ravel(), "w": values.ravel()})
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "cols.csv").read_bytes()
+
+
+def test_write_grid_csv_rejects_a_grid_that_does_not_fit_the_axes(tmp_path):
+    with pytest.raises(ConfigError, match="grid shape"):
+        write_grid_csv(tmp_path / "bad.csv", {}, np.zeros(3), np.zeros(2),
+                       np.zeros((3, 2)))
 
 
 def test_write_csv_zero_length_columns_write_only_the_header(tmp_path):

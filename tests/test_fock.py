@@ -75,11 +75,13 @@ def test_default_dim_is_the_smallest_clean_size():
 def test_diag_evolution_preserves_trace_and_hermiticity():
     p = SystemParams(g=0.2, kappa=0.12, nbar=0.5, mbar=1.0)
     cfg = OracleConfig(dim=45)
-    out = evolve_block(thermal_block(45, 1.0), p, cfg, 6.0)
-    assert out.trace == pytest.approx(1.0, abs=1e-9)
-    assert np.max(np.abs(out.entries - out.entries.conj().T)) < 1e-10
-    vals = np.linalg.eigvalsh(0.5 * (out.entries + out.entries.conj().T))
-    assert vals.min() > -1e-10
+    # coherent and displaced-thermal starts pass the start's Hermitian check
+    for init in (thermal_block(45, 1.0), coherent_block(45, 0.8, -0.5, "11"),
+                 displaced_thermal_block(45, 0.3, -0.4, 0.6)):
+        out = evolve_block(init, p, cfg, 6.0)
+        assert out.trace == pytest.approx(1.0, abs=1e-9)
+        assert np.array_equal(out.entries, out.entries.conj().T)
+        assert np.linalg.eigvalsh(out.entries).min() > -1e-10
 
 
 def test_matched_bath_is_stationary():
@@ -101,10 +103,67 @@ def test_occupation_relaxes_at_rate_two_kappa():
 
 def test_integrator_backends_agree():
     p = SystemParams(g=0.18, kappa=0.07, nbar=0.3, mbar=0.6)
-    init = thermal_block(35, 0.6, "01")
-    rk = evolve_block(init, p, OracleConfig(dim=35, method="rk"), 4.0)
-    ex = evolve_block(init, p, OracleConfig(dim=35, method="expm"), 4.0)
-    assert np.max(np.abs(rk.entries - ex.entries)) < 1e-10
+    for block in ("00", "11", "01"):
+        init = thermal_block(35, 0.6, block)
+        rk = evolve_block(init, p, OracleConfig(dim=35, method="rk"), 4.0)
+        ex = evolve_block(init, p, OracleConfig(dim=35, method="expm"), 4.0)
+        assert np.max(np.abs(rk.entries - ex.entries)) < 1e-10
+
+
+def random_hermitian(rng, dim):
+    y = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return y + y.conj().T
+
+
+def test_hermitian_packing_round_trips():
+    x = random_hermitian(np.random.default_rng(4), 12)
+    packed = fock._pack_hermitian(x)
+    assert packed.dtype == float and packed.shape == (144,)
+    back = fock._unpack_hermitian(packed, 12)
+    assert np.array_equal(back, back.conj().T)
+    assert np.max(np.abs(back - x)) <= 4 * np.finfo(float).eps * np.max(np.abs(x))
+
+
+@pytest.mark.parametrize("block", ["00", "11"])
+def test_real_generator_acts_as_the_liouvillian(block):
+    rng = np.random.default_rng(5)
+    p = SystemParams(g=0.21, kappa=0.09, delta=0.3, nbar=0.7)
+    liou = build_operators(20, p).liouvillian(block)
+    kept = liou.copy()
+    gen = fock._hermitian_generator(liou, 20)
+    assert gen.dtype == float
+    # building G leaves the complex generator as it was
+    assert (liou != kept).nnz == 0
+    for _ in range(3):
+        x = random_hermitian(rng, 20)
+        want = fock._pack_hermitian((liou @ x.reshape(-1)).reshape(20, 20))
+        got = fock._rhs(0.0, fock._pack_hermitian(x), gen)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_non_hermitian_diagonal_start_is_refused():
+    p = SystemParams(g=0.1, kappa=0.1)
+    entries = thermal_block(12, 0.1).entries
+    entries[0, 1] = 1e-9
+    for block in ("00", "11"):
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            evolve_block(BlockDensityMatrix(12, entries, block), p,
+                         OracleConfig(dim=12), 1.0)
+    # the off-diagonal block need not be Hermitian
+    evolve_block(BlockDensityMatrix(12, entries, "01"), p, OracleConfig(dim=12), 1.0)
+
+
+def test_shared_operators_must_match_the_start():
+    p = SystemParams(g=0.1, kappa=0.1)
+    init = thermal_block(12, 0.1)
+    with pytest.raises(ValidationError, match="another dim or params"):
+        evolve_block(init, p, OracleConfig(dim=12), 1.0, ops=build_operators(14, p))
+    other = SystemParams(g=0.2, kappa=0.1)
+    with pytest.raises(ValidationError, match="another dim or params"):
+        evolve_block(init, p, OracleConfig(dim=12), 1.0, ops=build_operators(12, other))
+    shared = evolve_block(init, p, OracleConfig(dim=12), 1.0, ops=build_operators(12, p))
+    own = evolve_block(init, p, OracleConfig(dim=12), 1.0)
+    assert np.array_equal(shared.entries, own.entries)
 
 
 def test_rk_matches_scipy_dop853_reference():
