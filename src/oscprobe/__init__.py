@@ -27,8 +27,7 @@ from .phase_space import (Covariance2, GaussianState, PhaseVector,
 from .propagator import (chord_block_diag, chord_block_offdiag,
                          coherence_trace, diag_block_gaussians,
                          displacement_vector, fundamental_matrix,
-                         reduced_wigner, reduced_wigner_grid,
-                         wigner_lobe_centers)
+                         reduced_wigner_grid, wigner_lobe_centers)
 
 __all__ = [
     "BlockDensityMatrix", "CoherenceSeries", "ConfigError", "Covariance2",
@@ -45,7 +44,7 @@ __all__ = [
     "fit_parameters", "fundamental_matrix",
     "log_derivative_model", "neg_log_fidelity_model",
     "occupation_from_temperature", "purity_oscillator", "purity_qubit",
-    "reduced_quantities", "reduced_wigner", "reduced_wigner_grid",
+    "reduced_quantities", "reduced_wigner_grid",
     "sample_comparison_points", "synthesize_series", "thermal_block",
     "uhlmann_fidelity", "wigner_eval", "wigner_grid_from_matrix",
     "wigner_lobe_centers",

@@ -120,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fixed number-basis size; by default each point is "
                         "sized from a closed-form bound on its tail and "
                         "doubled (at most twice) if the leak guard trips")
-    p.add_argument("--method", choices=("rk", "expm"), default="rk")
     p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-10)
     p.add_argument("--abs-tol", dest="abs_tol", type=float, default=1e-12)
     p.add_argument("--tol-fgen", dest="tol_fgen", type=float, default=1e-6)
@@ -228,9 +227,12 @@ def _outdir(args) -> Path:
 
 
 def _time_grid(t_max: float, dt: float) -> np.ndarray:
-    if not (t_max > 0.0 and dt > 0.0 and t_max >= dt):
-        raise ConfigError("need t_max >= dt > 0")
-    return np.arange(0.0, t_max + 0.5 * dt, dt)
+    if not (math.isfinite(t_max) and t_max >= dt > 0.0):
+        raise ConfigError("need finite t_max >= dt > 0")
+    stop = t_max + 0.5 * dt
+    if stop / dt > MAX_GRID_POINTS:  # np.arange makes ceil(stop / dt) points
+        raise ConfigError(f"time grid exceeds the {MAX_GRID_POINTS}-point limit")
+    return np.arange(0.0, stop, dt)
 
 
 def _param_metadata(params: SystemParams) -> dict:
@@ -304,13 +306,14 @@ def _parse_times(text: str) -> list[float]:
 
 
 def _axis(bound: float, step: float) -> np.ndarray:
-    if not (bound > 0.0 and 0.0 < step <= bound):
-        raise ConfigError("need bound > 0 and 0 < step <= bound")
-    qs = np.arange(-bound, bound + 0.5 * step, step)
-    if qs.size * qs.size > MAX_GRID_POINTS:
-        raise ConfigError(
-            f"grid of {qs.size}^2 points exceeds the {MAX_GRID_POINTS} limit")
-    return qs
+    if not (math.isfinite(bound) and 0.0 < step <= bound):
+        raise ConfigError("need finite bound > 0 and 0 < step <= bound")
+    stop = bound + 0.5 * step
+    # np.arange makes n = ceil((stop + bound) / step) points per axis, and
+    # n^2 exceeds the limit exactly when n exceeds its integer square root
+    if (stop + bound) / step > math.isqrt(MAX_GRID_POINTS):
+        raise ConfigError(f"grid exceeds the {MAX_GRID_POINTS}-point limit")
+    return np.arange(-bound, stop, step)
 
 
 def _write_wigner(out: Path, qs, t: float, params: SystemParams,
@@ -341,6 +344,8 @@ def cmd_wigner(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.points < 1:
+        raise ConfigError("--points must be >= 1")
     explicit = any(getattr(args, key) is not None
                    for key in ("g", "kappa", "nbar", "temperature", "mbar"))
     if explicit:
@@ -355,7 +360,7 @@ def cmd_oracle(args) -> int:
         points = sample_comparison_points(args.points, args.seed,
                                           t_max=args.t_max, delta=args.delta)
     config = OracleConfig(dim=args.dim, rel_tol=args.rel_tol,
-                          abs_tol=args.abs_tol, method=args.method)
+                          abs_tol=args.abs_tol)
     qubit = QubitInitState.balanced()
     results = []
     for params, t in points:
@@ -372,7 +377,6 @@ def cmd_oracle(args) -> int:
         "points": results,
         "max_deviation": maxdev,
         "tolerances": tolerances,
-        "method": args.method,
         "seed": None if explicit else args.seed,
         "n_points": len(points),
         "pass": ok,

@@ -13,7 +13,7 @@ block is integrated as
 
 whose trace carries the same phase factor exp(-i delta t) as the closed form.
 
-The default integrator ("rk") is Hairer's compiled DOP853, reached through
+Every block is integrated with Hairer's compiled DOP853, reached through
 scipy.integrate.ode. The 00 and 11 blocks are Hermitian at every t, so they
 travel as the dim^2 reals R = Re rho + Im rho, from which
 rho = (R + R^T)/2 + i (R - R^T)/2; on vec R the generator is the real matrix
@@ -38,7 +38,7 @@ import numpy as np
 from .errors import TruncationLeakError, ValidationError
 from .fidelity import (fidelity_generalized, fidelity_uj_blocks, purity_qubit,
                        purity_oscillator)
-from .phase_space import GaussianState, QubitInitState, SystemParams, as_vec2
+from .phase_space import GaussianState, QubitInitState, SystemParams, as_points
 from .propagator import coherence_trace
 
 if TYPE_CHECKING:
@@ -54,27 +54,24 @@ EIG_CLAMP = -1e-8  # integrator roundoff scale at dim ~100; real leakage is orde
 HERMITIAN_TOL = 1e-12
 _BLOCKS = ("00", "11", "01")
 _HERMITIAN_BLOCKS = ("00", "11")
-_METHODS = ("rk", "expm")
 _MIN_REL_TOL = 100 * np.finfo(float).eps
 _MAX_STEPS = 100_000  # Hairer's default NMAX
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Oracle settings: basis size (None = automatic), tolerances, integrator.
+    """Oracle settings: basis size (None = automatic) and integrator tolerances.
 
-    method "rk" integrates with Hairer's compiled DOP853 (scipy.integrate.ode)
+    Blocks are integrated with Hairer's compiled DOP853 (scipy.integrate.ode)
     at (rel_tol, abs_tol): the Hermitian 00 and 11 blocks as dim^2 reals, the
     01 block on the real view of its complex state. One solver is cached per
-    tolerance pair; its stage sums call no threaded BLAS. "expm" applies the
-    exact exponential of the complex generator. Tolerances must be finite
-    and positive, and rel_tol at least 100 machine epsilons.
+    tolerance pair; its stage sums call no threaded BLAS. Tolerances must be
+    finite and positive, and rel_tol at least 100 machine epsilons.
     """
 
     dim: int | None = None
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    method: str = "rk"
 
     def __post_init__(self):
         if self.dim is not None and (not isinstance(self.dim, int) or self.dim < 2):
@@ -84,8 +81,6 @@ class OracleConfig:
             raise ValidationError("tolerances must be finite and positive")
         if self.rel_tol < _MIN_REL_TOL:
             raise ValidationError(f"rel_tol must be >= {_MIN_REL_TOL:.3g}")
-        if self.method not in _METHODS:
-            raise ValidationError(f"method must be one of {_METHODS}")
 
 
 @dataclass(frozen=True)
@@ -403,18 +398,13 @@ def evolve_block(init: BlockDensityMatrix, params: SystemParams,
         ops = build_operators(dim, params)
     liou = ops.liouvillian(init.block)
     v0 = init.entries.reshape(-1)
-    if config.method == "expm":
-        from scipy.sparse.linalg import expm_multiply
-        out = expm_multiply(liou * t, v0).reshape(dim, dim)
-    else:
-        if hermitian:
-            liou, v0 = _hermitian_generator(liou, dim), _pack_hermitian(init.entries)
-        sol = solve_ivp(liou, v0, t, config.rel_tol, config.abs_tol)
-        if not sol.success:
-            raise ValidationError(
-                f"integration failed (return code {sol.status}): {sol.message}")
-        out = (_unpack_hermitian(sol.y, dim) if hermitian
-               else sol.y.reshape(dim, dim))
+    if hermitian:
+        liou, v0 = _hermitian_generator(liou, dim), _pack_hermitian(init.entries)
+    sol = solve_ivp(liou, v0, t, config.rel_tol, config.abs_tol)
+    if not sol.success:
+        raise ValidationError(
+            f"integration failed (return code {sol.status}): {sol.message}")
+    out = _unpack_hermitian(sol.y, dim) if hermitian else sol.y.reshape(dim, dim)
     _check_leak(out, dim, f"evolved {init.block} block")
     return BlockDensityMatrix(dim, out, init.block)
 
@@ -423,7 +413,9 @@ def chord_from_matrix(rho, r) -> complex:
     """Chord value Tr[rho exp(i(k x + s p))] from a raw density matrix."""
     entries = rho.entries if isinstance(rho, BlockDensityMatrix) else np.asarray(rho)
     dim = entries.shape[0]
-    rv = as_vec2(r)
+    rv = as_points(r)
+    if rv.shape != (2,):
+        raise ValidationError(f"expected one point, got shape {rv.shape}")
     rootn = np.sqrt(np.arange(1, dim))
     a = np.diag(rootn, 1)
     x = (a + a.conj().T) / math.sqrt(2.0)
@@ -584,7 +576,7 @@ def evolve_thermal_blocks(params: SystemParams, config: OracleConfig,
         dims_tried.append(dim)
         try:
             run_cfg = OracleConfig(dim=dim, rel_tol=config.rel_tol,
-                                   abs_tol=config.abs_tol, method=config.method)
+                                   abs_tol=config.abs_tol)
             ops = build_operators(dim, params)
             out = {}
             for block in _BLOCKS:

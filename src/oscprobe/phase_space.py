@@ -5,6 +5,9 @@ Conventions (hbar = 1, oscillator frequency = 1):
     chord function  w(r) = Tr[rho exp(i(k x + s p))],  r = (k, s)
     Gaussian chord  w(r) = exp(i x0.r - r^T sigma r / 2)
     Wigner          W(x) = exp(-(x-x0)^T sigma^-1 (x-x0)/2) / (2 pi sqrt(det sigma))
+chord_eval and wigner_eval take points of shape (..., 2), the last axis holding
+(k, s) or (q, p), and return an array of shape (...), or a Python scalar for a
+single point of shape (2,).
 A thermal state with mean occupation m has center 0 and sigma = (m + 1/2) * identity;
 the vacuum saturates the uncertainty bound det sigma = 1/4.
 """
@@ -47,13 +50,14 @@ class PhaseVector:
         return math.hypot(self.x1, self.x2)
 
 
-def as_vec2(r) -> np.ndarray:
-    """Coerce a PhaseVector or length-2 sequence to a finite float array (2,)."""
-    if isinstance(r, PhaseVector):
-        return r.as_array()
-    arr = np.asarray(r, dtype=float)
-    if arr.shape != (2,):
-        raise ValidationError(f"expected 2 components, got shape {arr.shape}")
+def as_points(x) -> np.ndarray:
+    """Coerce a PhaseVector or array of shape (..., 2) to finite floats."""
+    if isinstance(x, PhaseVector):
+        return x.as_array()
+    arr = np.asarray(x, dtype=float)
+    if arr.shape[-1:] != (2,):
+        raise ValidationError(
+            f"expected points of shape (..., 2), got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("phase-space vector components must be finite")
     return arr
@@ -186,17 +190,31 @@ def occupation_from_temperature(temperature: float) -> float:
     return float(1.0 / math.expm1(beta))
 
 
-def chord_eval(state: GaussianState, r) -> complex:
-    """Chord (characteristic) function of a Gaussian state at chord point r = (k, s)."""
-    rv = as_vec2(r)
-    x0 = state.center.as_array()
-    sig = state.cov.as_matrix()
-    return complex(np.exp(1j * (x0 @ rv) - 0.5 * (rv @ sig @ rv)))
+def _quadratic(m11: float, m12: float, m22: float, a, b):
+    """(a, b) [[m11, m12], [m12, m22]] (a, b)^T, elementwise in a and b."""
+    return m11 * a * a + 2.0 * m12 * a * b + m22 * b * b
 
 
-def wigner_eval(state: GaussianState, x) -> float:
-    """Wigner function of a Gaussian state at phase-space point x = (q, p)."""
-    xv = as_vec2(x)
-    dx = xv - state.center.as_array()
-    quad = dx @ state.cov.inverse() @ dx
-    return float(np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(state.cov.det)))
+def _log_chord(state: GaussianState, k, s):
+    """ln w(r) = i x0.r - r^T sigma r / 2 at r = (k, s), elementwise in k and s."""
+    x0, cov = state.center, state.cov
+    return (1j * (x0.x1 * k + x0.x2 * s)
+            - 0.5 * _quadratic(cov.s11, cov.s12, cov.s22, k, s))
+
+
+def chord_eval(state: GaussianState, r):
+    """Chord (characteristic) function of a Gaussian state at chord points r = (k, s)."""
+    rv = as_points(r)
+    w = np.exp(_log_chord(state, rv[..., 0], rv[..., 1]))
+    return complex(w) if rv.ndim == 1 else w
+
+
+def wigner_eval(state: GaussianState, x):
+    """Wigner function of a Gaussian state at phase-space points x = (q, p)."""
+    xv = as_points(x)
+    dq = xv[..., 0] - state.center.x1
+    dp = xv[..., 1] - state.center.x2
+    inv = state.cov.inverse()
+    quad = _quadratic(inv[0, 0], inv[0, 1], inv[1, 1], dq, dp)
+    w = np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(state.cov.det))
+    return float(w) if xv.ndim == 1 else w

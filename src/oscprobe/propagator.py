@@ -15,9 +15,13 @@ dependence reduces to these kernels:
     Gamma(t) = 2 int_0^t R^T(-t') eta(t') dt'
 
 Every kernel is elementwise in t, so each observable is read over a whole
-array of times at once. The qubit has splitting delta, the detuning
-(H_q = (delta/2) sigma_z; not the integral delta(t) above), which gives the
-coherence the phase factor exp(-i delta t).
+array of times at once. The chord blocks take chord points r of shape
+(..., 2) at one t and, like chord_eval, return an array of shape (...), or a
+complex for a single point of shape (2,).
+
+The qubit has splitting delta, the detuning (H_q = (delta/2) sigma_z; not the
+integral delta(t) above), which gives the coherence the phase factor
+exp(-i delta t).
 
 All kappa -> 0 limits go through exprel-stable forms, (e^x - 1)/x computed
 with numpy's expm1 (`_exprel`); no formula branching on kappa == 0.
@@ -31,8 +35,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .phase_space import (Covariance2, GaussianState, PhaseVector,
-                          QubitInitState, SystemParams, as_vec2, chord_eval,
-                          wigner_eval)
+                          QubitInitState, SystemParams, _log_chord, _quadratic,
+                          as_points, chord_eval, wigner_eval)
 
 
 def fundamental_matrix(t: float, kappa: float) -> np.ndarray:
@@ -151,48 +155,45 @@ def _log_coherence(t, params: SystemParams, init: GaussianState):
     """
     e1, e2 = _eta_components(t, params.g, params.kappa)
     cov, x0 = init.cov, init.center
-    quad = cov.s11 * e1 * e1 + 2.0 * cov.s12 * e1 * e2 + cov.s22 * e2 * e2
+    quad = _quadratic(cov.s11, cov.s12, cov.s22, e1, e2)
     return (-0.5 * quad - 0.5 * params.gamma_plus * _delta(t, params.g, params.kappa)
             + 1j * (x0.x1 * e1 + x0.x2 * e2 - params.delta * t))
 
 
 def chord_block_diag(r, t: float, params: SystemParams, init: GaussianState,
-                     sign: int) -> complex:
-    """Chord function of a diagonal block at chord point r and time t >= 0.
+                     sign: int):
+    """Chord function of a diagonal block at chord points r and time t >= 0.
 
-    sign = +1 selects the qubit-up block (coupling +g, chord factor
-    exp(-i d.r / 2)); sign = -1 the qubit-down block (coupling -g).
+    sign = +1 selects the qubit-up block (coupling +g), sign = -1 the
+    qubit-down block (coupling -g); each is the chord function of its
+    Gaussian from diag_block_gaussians.
     """
     if sign not in (1, -1):
         raise ValidationError("sign must be +1 or -1")
-    _require_nonneg_time(t)
-    rv = as_vec2(r)
-    t = float(t)
-    rm = fundamental_matrix(-t, params.kappa)
-    w0 = chord_eval(init, rm @ rv)
-    d1, d2 = _d_components(t, params.g, params.kappa)
-    a = float(_alpha(t, params.kappa, params.nbar))
-    phase = -0.5j * sign * (d1 * rv[0] + d2 * rv[1])
-    return complex(w0 * np.exp(phase - 0.5 * a * (rv @ rv)))
+    up, down = diag_block_gaussians(t, params, init)
+    return chord_eval(up if sign == 1 else down, r)
 
 
 def chord_block_offdiag(r, t: float, params: SystemParams,
-                        init: GaussianState) -> complex:
+                        init: GaussianState):
     """Chord function of the off-diagonal block (unit initial trace) at time t >= 0."""
-    _require_nonneg_time(t)
-    rv = as_vec2(r)
-    t = float(t)
+    t = float(_require_nonneg_time(t))
+    rv = as_points(r)
     rm = fundamental_matrix(-t, params.kappa)
     e1, e2 = _eta_components(t, params.g, params.kappa)
-    w0 = chord_eval(init, rm @ rv + np.array([e1, e2]))
+    k, s = rv[..., 0], rv[..., 1]
     a = float(_alpha(t, params.kappa, params.nbar))
     g1, g2 = _gamma_components(t, params.g, params.kappa)
     gam = params.gamma_plus
-    expo = (-0.5 * a * (rv @ rv)
-            - 0.5 * gam * (g1 * rv[0] + g2 * rv[1])
-            - 1j * params.delta * t
-            - 0.5 * gam * float(_delta(t, params.g, params.kappa)))
-    return complex(w0 * np.exp(expo))
+    # w0(R(-t) r + eta) elementwise and one exp of the summed exponents: a
+    # matmul or a complex product would round one point unlike an array
+    w = np.exp(_log_chord(init, rm[0, 0] * k + rm[0, 1] * s + e1,
+                          rm[1, 0] * k + rm[1, 1] * s + e2)
+               - 0.5 * a * (k * k + s * s)
+               - 0.5 * gam * (g1 * k + g2 * s)
+               - 1j * params.delta * t
+               - 0.5 * gam * float(_delta(t, params.g, params.kappa)))
+    return complex(w) if rv.ndim == 1 else w
 
 
 def coherence_trace(t, params: SystemParams, init: GaussianState):
@@ -212,8 +213,7 @@ def diag_block_gaussians(t: float, params: SystemParams,
     R^T(-t) x0 -/+ d(t)/2; the qubit-up block sits at -d/2 (its coupling +g x
     pulls the oscillator toward x = -g). Both share the same covariance.
     """
-    _require_nonneg_time(t)
-    t = float(t)
+    t = float(_require_nonneg_time(t))
     rm = fundamental_matrix(-t, params.kappa)
     x0 = rm.T @ init.center.as_array()
     d1, d2 = _d_components(t, params.g, params.kappa)
@@ -224,13 +224,6 @@ def diag_block_gaussians(t: float, params: SystemParams,
     return up, down
 
 
-def reduced_wigner(x, t: float, params: SystemParams, init: GaussianState,
-                   qubit: QubitInitState) -> float:
-    """Reduced oscillator Wigner function at phase-space point x and time t >= 0."""
-    up, down = diag_block_gaussians(t, params, init)
-    return qubit.a00 * wigner_eval(up, x) + qubit.a11 * wigner_eval(down, x)
-
-
 def reduced_wigner_grid(qs, ps, t: float, params: SystemParams,
                         init: GaussianState, qubit: QubitInitState) -> np.ndarray:
     """Reduced Wigner function on a rectangular grid.
@@ -239,15 +232,8 @@ def reduced_wigner_grid(qs, ps, t: float, params: SystemParams,
     C-order flatten therefore runs with q varying fastest.
     """
     up, down = diag_block_gaussians(t, params, init)
-    qq, pp = np.meshgrid(np.asarray(qs, dtype=float), np.asarray(ps, dtype=float))
-    out = np.zeros_like(qq)
-    for weight, state in ((qubit.a00, up), (qubit.a11, down)):
-        dx = qq - state.center.x1
-        dp = pp - state.center.x2
-        inv = state.cov.inverse()
-        quad = inv[0, 0] * dx * dx + 2.0 * inv[0, 1] * dx * dp + inv[1, 1] * dp * dp
-        out += weight * np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(state.cov.det))
-    return out
+    pts = np.stack(np.meshgrid(qs, ps), axis=-1)
+    return qubit.a00 * wigner_eval(up, pts) + qubit.a11 * wigner_eval(down, pts)
 
 
 def _refine_peak(qs, ps, w, j: int, i: int) -> np.ndarray:

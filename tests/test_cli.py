@@ -85,9 +85,12 @@ def test_config_file_overrides_flags(tmp_path):
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"coupling": 0.1}))
-    assert run("propagate", "--config", cfg, "--outdir", tmp_path) == 2
-    assert "unknown config key" in capsys.readouterr().err
+    for command, entries in (("propagate", {"coupling": 0.1}),
+                             ("oracle", {"method": "rk"})):
+        cfg.write_text(json.dumps(entries))
+        assert run(command, "--config", cfg, "--outdir", tmp_path) == 2
+        assert "unknown config key" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
 def test_config_rejects_wrong_types(tmp_path, capsys):
@@ -99,13 +102,14 @@ def test_config_rejects_wrong_types(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, entries, allowed", [
     ("propagate", {"init": "Coherent", "q0": 2}, "thermal, coherent"),
-    ("oracle", {"method": "euler"}, "rk, expm"),
+    ("estimate", {"mode": "both"}, "direct-fit, two-temperature"),
 ])
 def test_config_rejects_values_outside_choices(tmp_path, capsys, command,
                                                 entries, allowed):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(entries))
-    assert run(command, "--config", cfg, "--outdir", tmp_path) == 2
+    required = {"estimate": ["--input", tmp_path / "run.csv"]}.get(command, [])
+    assert run(command, *required, "--config", cfg, "--outdir", tmp_path) == 2
     assert allowed in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
@@ -117,9 +121,21 @@ def test_nbar_and_temperature_conflict(tmp_path, capsys):
 
 
 def test_wigner_grid_guard(tmp_path, capsys):
-    assert run("wigner", "--bound", 300, "--step", 0.001,
-               "--outdir", tmp_path) == 2
-    assert "grid" in capsys.readouterr().err.lower()
+    # the point count is checked before the axis is allocated
+    for bound, step, message in ((300, 0.001, "grid"), ("inf", 0.05, "finite"),
+                                 (1e308, 1e-300, "grid")):
+        assert run("wigner", "--bound", bound, "--step", step,
+                   "--outdir", tmp_path) == 2
+        assert message in capsys.readouterr().err.lower()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_time_grid_guard(tmp_path, capsys):
+    for t_max, dt, message in (("inf", 0.05, "finite"), (1e308, 1e-300, "grid")):
+        assert run("propagate", "--t-max", t_max, "--dt", dt,
+                   "--outdir", tmp_path) == 2
+        assert message in capsys.readouterr().err.lower()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_wigner_writes_one_file_per_time(tmp_path):
@@ -152,10 +168,17 @@ def test_oracle_random_mode(tmp_path):
     report = json.loads((tmp_path / "oracle_report.json").read_text())
     assert report["pass"] is True
     assert report["n_points"] == 1
-    assert report["method"] == "rk"
+    assert "method" not in report
     assert report["points"][0]["dev_fgen"] < 1e-6
     assert report["points"][0]["dims_tried"] == [report["points"][0]["dim"]]
     assert report["points"][0]["leak_retries"] == 0
+
+
+def test_oracle_rejects_an_empty_run(tmp_path, capsys):
+    for points in (0, -1):
+        assert run("oracle", "--points", points, "--outdir", tmp_path) == 2
+        assert "--points must be >= 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_oracle_explicit_point(tmp_path):

@@ -102,12 +102,15 @@ def test_occupation_relaxes_at_rate_two_kappa():
 
 
 def test_integrator_backends_agree():
+    # the exact exponential action of the complex generator as the reference
+    from scipy.sparse.linalg import expm_multiply
     p = SystemParams(g=0.18, kappa=0.07, nbar=0.3, mbar=0.6)
+    ops = build_operators(35, p)
     for block in ("00", "11", "01"):
         init = thermal_block(35, 0.6, block)
-        rk = evolve_block(init, p, OracleConfig(dim=35, method="rk"), 4.0)
-        ex = evolve_block(init, p, OracleConfig(dim=35, method="expm"), 4.0)
-        assert np.max(np.abs(rk.entries - ex.entries)) < 1e-10
+        rk = evolve_block(init, p, OracleConfig(dim=35), 4.0)
+        ex = expm_multiply(ops.liouvillian(block) * 4.0, init.entries.reshape(-1))
+        assert np.max(np.abs(rk.entries - ex.reshape(35, 35))) < 1e-10
 
 
 def random_hermitian(rng, dim):
@@ -335,8 +338,6 @@ def test_offdiag_detuning_phase_is_reported():
 
 
 def test_validation_errors():
-    with pytest.raises(ValidationError):
-        OracleConfig(method="euler")
     for bad in ({"rel_tol": -1.0}, {"rel_tol": math.inf},
                 {"rel_tol": math.nan}, {"abs_tol": math.inf},
                 {"abs_tol": math.nan}, {"rel_tol": 1e-15}):

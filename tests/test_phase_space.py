@@ -43,7 +43,7 @@ def test_wigner_grid_normalization():
     step = 0.1
     ax = np.arange(-8.0, 8.0 + step / 2, step)
     qq, pp = np.meshgrid(ax, ax)
-    total = sum(wigner_eval(th, (q, p)) for q, p in zip(qq.ravel(), pp.ravel()))
+    total = wigner_eval(th, np.stack([qq, pp], axis=-1)).sum()
     assert total * step ** 2 == pytest.approx(1.0, abs=1e-6)
 
 
@@ -59,9 +59,7 @@ def test_chord_wigner_fourier_pair():
         step = 0.1
         ax = np.arange(-12.0, 12.0 + step / 2, step)
         kk, ss = np.meshgrid(ax, ax, indexing="ij")
-        w = np.array([chord_eval(st, (k, s))
-                      for k, s in zip(kk.ravel(), ss.ravel())])
-        w = w.reshape(kk.shape)
+        w = chord_eval(st, np.stack([kk, ss], axis=-1))
         for x in (x0, x0 + [0.5, -0.3]):
             phase = np.exp(-1j * (kk * x[0] + ss * x[1]))
             val = (w * phase).sum().real * step ** 2 / (2 * np.pi) ** 2

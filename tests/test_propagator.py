@@ -9,10 +9,10 @@ from scipy.special import exprel
 
 from oscprobe import (Covariance2, GaussianState, PhaseVector,
                       QubitInitState, SystemParams, ValidationError,
-                      chord_block_diag, chord_block_offdiag,
+                      chord_block_diag, chord_block_offdiag, chord_eval,
                       coherence_trace, diag_block_gaussians,
                       displacement_vector, fidelity_generalized,
-                      fundamental_matrix, reduced_wigner, reduced_wigner_grid,
+                      fundamental_matrix, reduced_wigner_grid,
                       wigner_eval, wigner_lobe_centers)
 from oscprobe.propagator import (_alpha, _delta, _dsq, _dsq_prime,
                                  _eta_components, _evolved_covariance,
@@ -232,6 +232,32 @@ def test_detuning_only_rotates_coherence_phase():
         assert abs(c1) == pytest.approx(abs(c0), abs=1e-14)
 
 
+def test_evaluators_broadcast_over_points():
+    rng = np.random.default_rng(9)
+    p = SystemParams(g=0.2, kappa=0.08, delta=0.3, nbar=0.4, mbar=0.6)
+    init = GaussianState(PhaseVector(0.4, -0.7), Covariance2(1.3, 0.2, 0.9))
+    t = 3.7
+    evaluators = {
+        "chord_eval": (complex, lambda r: chord_eval(init, r)),
+        "wigner_eval": (float, lambda x: wigner_eval(init, x)),
+        "diag up": (complex, lambda r: chord_block_diag(r, t, p, init, +1)),
+        "diag down": (complex, lambda r: chord_block_diag(r, t, p, init, -1)),
+        "offdiag": (complex, lambda r: chord_block_offdiag(r, t, p, init)),
+    }
+    pts = 2.0 * rng.normal(size=(4, 5, 2))
+    for name, (kind, evaluate) in evaluators.items():
+        batch = evaluate(pts)
+        assert batch.shape == (4, 5), name
+        for idx in np.ndindex(4, 5):
+            one = evaluate(pts[idx])
+            assert type(one) is kind, name
+            assert batch[idx] == one, name
+        for bad in (np.zeros((4, 3)), np.zeros(3), 1.0, [[0.0, np.nan]],
+                    [np.inf, 0.0]):
+            with pytest.raises(ValidationError):
+                evaluate(bad)
+
+
 def test_diag_block_gaussian_centers():
     p = SystemParams(g=0.3, kappa=0.08, nbar=0.4, mbar=0.0)
     x0 = np.array([1.2, -0.6])
@@ -250,10 +276,10 @@ def test_reduced_wigner_at_time_zero_matches_init():
     init = GaussianState.thermal(p.mbar)
     q = QubitInitState(0.6, 0.4, 0.3 + 0.2j)
     rng = np.random.default_rng(4)
-    for _ in range(10):
-        x = 2 * rng.normal(size=2)
-        assert reduced_wigner(x, 0.0, p, init, q) == pytest.approx(
-            wigner_eval(init, x), abs=1e-13)
+    qs, ps = 2 * rng.normal(size=10), 2 * rng.normal(size=7)
+    w = reduced_wigner_grid(qs, ps, 0.0, p, init, q)
+    want = wigner_eval(init, np.stack(np.meshgrid(qs, ps), axis=-1))
+    assert np.max(np.abs(w - want)) <= 1e-13
 
 
 def test_reduced_wigner_grid_layout_and_mass():
@@ -264,9 +290,11 @@ def test_reduced_wigner_grid_layout_and_mass():
     ps = np.arange(-5.0, 5.0 + 0.025, 0.05)
     w = reduced_wigner_grid(qs, ps, 3.0, p, init, q)
     assert w.shape == (ps.size, qs.size)
+    up, down = diag_block_gaussians(3.0, p, init)
     i, j = 37, 11
+    x = (qs[i], ps[j])
     assert w[j, i] == pytest.approx(
-        reduced_wigner((qs[i], ps[j]), 3.0, p, init, q), abs=1e-14)
+        q.a00 * wigner_eval(up, x) + q.a11 * wigner_eval(down, x), abs=1e-14)
     assert w.sum() * 0.05 ** 2 == pytest.approx(1.0, abs=1e-5)
 
 

@@ -44,3 +44,23 @@ def test_generalized_fidelity_is_a_fidelity_and_even_in_g(g, kappa, nbar, mbar,
                                                  mbar=mbar), init)
     assert np.all(up > 0.0) and np.all(up <= 1.0)
     np.testing.assert_allclose(up, down, rtol=1e-14, atol=0.0)
+
+
+@CHEAP
+@given(G, KAPPA, OCC, OCC, st.floats(0.2, 1.0), TIMES)
+def test_generalized_fidelity_cannot_tell_g_from_the_occupations(
+        g, kappa, nbar, mbar, frac, times):
+    # ln F = -M |eta|^2 - kappa N delta(t), with eta ~ g and delta(t) ~ g^2,
+    # so (g, M, N) -> (cg, M/c^2, N/c^2) leaves every record unchanged, which
+    # is why one record cannot fix (g, kappa, N); c stays where both
+    # occupations remain >= 0
+    ts = np.array(times)
+    base = SystemParams(g=g, kappa=kappa, nbar=nbar, mbar=mbar)
+    c = frac * np.sqrt(min(2.0 * base.M, base.N))
+    scaled = SystemParams(g=c * g, kappa=kappa,
+                          nbar=max(0.0, 0.5 * (base.N / c ** 2 - 1.0)),
+                          mbar=max(0.0, base.M / c ** 2 - 0.5))
+    np.testing.assert_allclose(
+        fidelity_generalized(ts, scaled, GaussianState.thermal(scaled.mbar)),
+        fidelity_generalized(ts, base, GaussianState.thermal(mbar)),
+        rtol=1e-12, atol=0.0)
