@@ -254,6 +254,8 @@ def _curve_columns(times, params: SystemParams, init: GaussianState, M: float,
 
 
 def cmd_propagate(args) -> int:
+    if not (math.isfinite(args.noise) and args.noise >= 0.0):
+        raise ConfigError("--noise must be finite and >= 0")
     params = _build_params(args)
     qubit = _build_qubit(args)
     init = _build_init(args, params)

@@ -50,6 +50,9 @@ class CoherenceSeries:
     noise: float | None = None
 
     def __post_init__(self):
+        if self.noise is not None and not (math.isfinite(self.noise)
+                                           and self.noise >= 0.0):
+            raise ValidationError("noise level must be finite and >= 0")
         t = np.asarray(self.times, dtype=float)
         f = np.asarray(self.fgen, dtype=float)
         if t.ndim != 1 or t.shape != f.shape:
@@ -367,8 +370,6 @@ def synthesize_series(params: SystemParams, M: float, times,
     f = fidelity_generalized(t, params, GaussianState.thermal(M - 0.5))
     f = np.asarray(f, dtype=float)
     if noise is not None:
-        if noise < 0.0:
-            raise ValidationError("noise level must be >= 0")
         if rng is None:
             rng = np.random.default_rng(0)
         f = f * (1.0 + noise * rng.standard_normal(f.shape))

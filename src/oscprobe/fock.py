@@ -14,15 +14,19 @@ block is integrated as
 whose trace carries the same phase factor exp(-i delta t) as the closed form.
 
 Every block is integrated with Hairer's compiled DOP853, reached through
-scipy.integrate.ode. The 00 and 11 blocks are Hermitian at every t, so they
-travel as the dim^2 reals R = Re rho + Im rho, from which
-rho = (R + R^T)/2 + i (R - R^T)/2; on vec R the generator is the real matrix
-G = Re L + (Im L) S, with S the permutation vec X -> vec X^T. The 01 block
-runs on the zero-copy real view of its complex state (v.view(float)). The
-stage sums are compiled loops, not threaded-BLAS products, so the
-integration runs on one core and leaves no BLAS worker spinning between
-steps. One solver is built and cached per (rel_tol, abs_tol) pair; it is
-not re-entrant.
+scipy.integrate.ode with its stabilized step control (beta = 0.08), as the
+dim^2 reals R = Re X + Im X of a Hermitian X, from which
+X = (R + R^T)/2 + i (R - R^T)/2; on vec R a Hermitian-preserving generator
+L becomes the real matrix G = Re L + (Im L) S, with S the permutation
+vec X -> vec X^T. The 00 and 11 blocks are Hermitian at every t. For the 01
+block, with P = diag((-1)^n), the delta term -i delta commutes with
+everything and P H+ P = H-, so Y = rho_01 P evolves under the delta-free
+generator conjugated by I kron P, which preserves Hermiticity; rho_01(t) is
+then Y(t) P exp(-i delta t). A thermal start gives a Hermitian Y0; any other
+Y0 runs as its two Hermitian parts. The stage sums are compiled loops, not
+threaded-BLAS products, so the integration runs on one core and leaves no
+BLAS worker spinning between steps. One solver is built and cached per
+(rel_tol, abs_tol) pair; it is not re-entrant.
 """
 
 from __future__ import annotations
@@ -56,17 +60,21 @@ _BLOCKS = ("00", "11", "01")
 _HERMITIAN_BLOCKS = ("00", "11")
 _MIN_REL_TOL = 100 * np.finfo(float).eps
 _MAX_STEPS = 100_000  # Hairer's default NMAX
+# Hairer's stabilized step control (Solving ODEs I, II.4); at scipy's
+# default 0 about a quarter of the oracle's steps were rejected
+_BETA = 0.08
 
 
 @dataclass(frozen=True)
 class OracleConfig:
     """Oracle settings: basis size (None = automatic) and integrator tolerances.
 
-    Blocks are integrated with Hairer's compiled DOP853 (scipy.integrate.ode)
-    at (rel_tol, abs_tol): the Hermitian 00 and 11 blocks as dim^2 reals, the
-    01 block on the real view of its complex state. One solver is cached per
-    tolerance pair; its stage sums call no threaded BLAS. Tolerances must be
-    finite and positive, and rel_tol at least 100 machine epsilons.
+    Blocks are integrated with Hairer's compiled DOP853 (scipy.integrate.ode,
+    stabilized step control) at (rel_tol, abs_tol), each as dim^2 reals: the
+    Hermitian 00 and 11 blocks directly, the 01 block as the Hermitian
+    rho_01 P with its delta phase applied at the end. One solver is cached
+    per tolerance pair; its stage sums call no threaded BLAS. Tolerances must
+    be finite and positive, and rel_tol at least 100 machine epsilons.
     """
 
     dim: int | None = None
@@ -85,11 +93,17 @@ class OracleConfig:
 
 @dataclass(frozen=True)
 class BlockDensityMatrix:
-    """One oscillator block in the truncated number basis."""
+    """One oscillator block in the truncated number basis.
+
+    rhs_evals and rejected_steps count the integrator work that produced it
+    (0 for a start).
+    """
 
     dim: int
     entries: np.ndarray
     block: str
+    rhs_evals: int = 0
+    rejected_steps: int = 0
 
     def __post_init__(self):
         if self.block not in _BLOCKS:
@@ -314,10 +328,19 @@ def _hermitian_generator(liou: sp.csr_matrix, dim: int) -> sp.csr_matrix:
     return re + im
 
 
-def _rhs(_t, v, liou):
-    if liou.dtype.kind == "c":
-        return liou.dot(v.view(complex)).view(float)
-    return liou.dot(v)
+def _parity_generator(liou: sp.csr_matrix, delta: float, dim: int) -> sp.csr_matrix:
+    """(I (x) P)(L + i delta)(I (x) P): the 01 generator L acting on Y = rho_01 P.
+
+    P = diag((-1)^n). With delta removed, Y stays Hermitian from a Hermitian
+    start; on the row-major vec, the conjugation flips L's entries by s_i s_j.
+    """
+    import scipy.sparse as sp
+    flip = sp.diags(np.tile((-1.0) ** np.arange(dim), dim))
+    return (flip @ (liou + 1j * delta * sp.identity(dim * dim)) @ flip).tocsr()
+
+
+def _rhs(_t, v, gen):
+    return gen.dot(v)
 
 
 # One solver per tolerance pair, with the generator passed through
@@ -330,15 +353,16 @@ def _rhs(_t, v, liou):
 def _dop853(rel_tol: float, abs_tol: float):
     from scipy.integrate import ode
     return ode(_rhs).set_integrator("dop853", rtol=rel_tol, atol=abs_tol,
-                                    nsteps=_MAX_STEPS)
+                                    nsteps=_MAX_STEPS, beta=_BETA)
 
 
 @dataclass(frozen=True)
 class Integration:
-    """End state and work count of one solve_ivp run."""
+    """End state and work counts of one solve_ivp run."""
 
     y: np.ndarray
     nfev: int
+    rejected_steps: int
     status: int
     message: str
 
@@ -347,16 +371,16 @@ class Integration:
         return self.status > 0
 
 
-def solve_ivp(liou, v0: np.ndarray, t: float, rel_tol: float,
+def solve_ivp(gen, v0: np.ndarray, t: float, rel_tol: float,
               abs_tol: float) -> Integration:
-    """Integrate dv/dt = liou v from v0 over [0, t] with DOP853.
+    """Integrate dv/dt = gen v from the real v0 over [0, t] with DOP853.
 
-    Runs the cached compiled solver for (rel_tol, abs_tol) and returns its
-    own end state (no dense output), of v0's dtype. A complex v0, with a
-    complex liou, runs on its real view; a real v0 needs a real liou.
+    Runs the cached compiled solver for (rel_tol, abs_tol), with stabilized
+    step control, and returns its own end state (no dense output) with
+    Hairer's counts of RHS evaluations (NFCN) and rejected steps (NREJCT).
     """
     solver = _dop853(rel_tol, abs_tol)
-    solver.set_initial_value(v0.view(float), 0.0).set_f_params(liou)
+    solver.set_initial_value(v0, 0.0).set_f_params(gen)
     with warnings.catch_warnings():
         # a failure is reported through the result, not as a warning
         warnings.simplefilter("ignore", UserWarning)
@@ -364,7 +388,8 @@ def solve_ivp(liou, v0: np.ndarray, t: float, rel_tol: float,
     status = int(solver.get_return_code())
     integrator = solver._integrator
     return Integration(
-        y=y.view(v0.dtype), nfev=int(integrator.iwork[16]),  # Hairer's NFCN
+        y=y, nfev=int(integrator.iwork[16]),
+        rejected_steps=int(integrator.iwork[19]),
         status=status, message=integrator.messages.get(
             status, f"unexpected return code {status}"))
 
@@ -374,11 +399,15 @@ def evolve_block(init: BlockDensityMatrix, params: SystemParams,
                  ops: OperatorSet | None = None) -> BlockDensityMatrix:
     """Propagate one block to time t >= 0 in the truncated basis.
 
-    ops, the operators at init.dim for params, is built here when None.
-    Raises ValidationError when a 00 or 11 start is not Hermitian to
-    HERMITIAN_TOL, and TruncationLeakError (with a suggested dim) when the
-    initial or the evolved matrix puts more than LEAK_TOL relative weight on
-    the top level.
+    Integrates dim^2 reals under a real generator: the 00 and 11 blocks
+    themselves, and for 01 the Hermitian Y = rho_01 P at delta = 0, turned by
+    exp(-i delta t) at the end (a Y0 that is not Hermitian runs as its two
+    Hermitian parts, skipping one that is exactly zero). The result carries
+    the solver's RHS evaluations and rejected steps. ops, the operators at
+    init.dim for params, is built here when None. Raises ValidationError when
+    a 00 or 11 start is not Hermitian to HERMITIAN_TOL, and
+    TruncationLeakError (with a suggested dim) when the initial or the
+    evolved matrix puts more than LEAK_TOL relative weight on the top level.
     """
     if not (math.isfinite(t) and t >= 0.0):
         raise ValidationError("t must be finite and >= 0")
@@ -396,17 +425,30 @@ def evolve_block(init: BlockDensityMatrix, params: SystemParams,
         return BlockDensityMatrix(dim, init.entries.copy(), init.block)
     if ops is None:
         ops = build_operators(dim, params)
-    liou = ops.liouvillian(init.block)
-    v0 = init.entries.reshape(-1)
-    if hermitian:
-        liou, v0 = _hermitian_generator(liou, dim), _pack_hermitian(init.entries)
-    sol = solve_ivp(liou, v0, t, config.rel_tol, config.abs_tol)
-    if not sol.success:
-        raise ValidationError(
-            f"integration failed (return code {sol.status}): {sol.message}")
-    out = _unpack_hermitian(sol.y, dim) if hermitian else sol.y.reshape(dim, dim)
+    liou, parts, phase = ops.liouvillian(init.block), [(1.0, init.entries)], 1.0
+    if not hermitian:
+        parity = (-1.0) ** np.arange(dim)
+        liou = _parity_generator(liou, params.delta, dim)
+        # Y0 = A + iB with A, B Hermitian; a thermal start has B = 0
+        y0 = init.entries * parity
+        parts = [(1.0, 0.5 * (y0 + y0.conj().T)), (1j, -0.5j * (y0 - y0.conj().T))]
+        phase = np.exp(-1j * params.delta * t) * parity
+    gen = _hermitian_generator(liou, dim)
+    out = np.zeros((dim, dim), dtype=complex)
+    nfev = rejected = 0
+    for weight, part in parts:
+        if not part.any():
+            continue
+        sol = solve_ivp(gen, _pack_hermitian(part), t, config.rel_tol,
+                        config.abs_tol)
+        if not sol.success:
+            raise ValidationError(
+                f"integration failed (return code {sol.status}): {sol.message}")
+        out += weight * _unpack_hermitian(sol.y, dim)
+        nfev, rejected = nfev + sol.nfev, rejected + sol.rejected_steps
+    out *= phase
     _check_leak(out, dim, f"evolved {init.block} block")
-    return BlockDensityMatrix(dim, out, init.block)
+    return BlockDensityMatrix(dim, out, init.block, nfev, rejected)
 
 
 def chord_from_matrix(rho, r) -> complex:
@@ -615,7 +657,9 @@ def compare_point(params: SystemParams, qubit: QubitInitState,
     """Oracle-vs-closed-form deviations for every observable at one point.
 
     Besides the dev_* deviations, reports the dim used, every dim tried
-    (dims_tried) and the number of leak-guard retries (leak_retries).
+    (dims_tried), the number of leak-guard retries (leak_retries), and the
+    integrator's RHS evaluations and rejected steps summed over the three
+    evolved blocks (rhs_evals, rejected_steps).
     """
     blocks = evolve_thermal_blocks(params, config, t)
     dim = blocks["dim"]
@@ -636,6 +680,8 @@ def compare_point(params: SystemParams, qubit: QubitInitState,
         "dim": dim,
         "dims_tried": blocks["dims_tried"],
         "leak_retries": len(blocks["dims_tried"]) - 1,
+        "rhs_evals": sum(blocks[b].rhs_evals for b in _BLOCKS),
+        "rejected_steps": sum(blocks[b].rejected_steps for b in _BLOCKS),
         "dev_fgen": abs(fgen_o - fgen_a),
         "dev_fuj": abs(fuj_o - fuj_a),
         "dev_coherence": abs(tr01 - coh_a),

@@ -138,6 +138,21 @@ def test_time_grid_guard(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_propagate_refuses_a_bad_noise_level(tmp_path, capsys):
+    for noise in (-0.5, "nan"):
+        assert run("propagate", "--noise", noise, "--outdir", tmp_path) == 2
+        assert "--noise must be finite and >= 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    # a record that declares such a level is not fitted either
+    record = tmp_path / "rec" / "bad.csv"
+    record.parent.mkdir()
+    write_csv(record, {"M": 1.0, "noise": -0.5},
+              {"t": [0.0, 1.0, 2.0], "fgen": [1.0, 0.9, 0.8]})
+    assert run("estimate", "--input", record, "--outdir", tmp_path / "est") == 2
+    assert "noise level must be finite and >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "est" / "estimate_report.json").exists()
+
+
 def test_wigner_writes_one_file_per_time(tmp_path):
     assert run("wigner", "--g", 0.4, "--times", "0,2.5", "--bound", 4,
                "--step", 0.1, "--outdir", tmp_path) == 0
@@ -172,6 +187,19 @@ def test_oracle_random_mode(tmp_path):
     assert report["points"][0]["dev_fgen"] < 1e-6
     assert report["points"][0]["dims_tried"] == [report["points"][0]["dim"]]
     assert report["points"][0]["leak_retries"] == 0
+
+
+def test_oracle_report_is_deterministic_and_counts_solver_work(tmp_path):
+    for sub in ("a", "b"):
+        assert run("oracle", "--points", 2, "--t-max", 3, "--seed", 4,
+                   "--outdir", tmp_path / sub) == 0
+    text = (tmp_path / "a" / "oracle_report.json").read_text()
+    assert text == (tmp_path / "b" / "oracle_report.json").read_text()
+    report = json.loads(text)
+    for pt in report["points"]:
+        assert pt["rhs_evals"] > 0 and pt["rejected_steps"] >= 0
+    # work counts are not deviations: neither is held to a tolerance
+    assert set(report["max_deviation"]) == set(report["tolerances"])
 
 
 def test_oracle_rejects_an_empty_run(tmp_path, capsys):

@@ -145,6 +145,14 @@ def test_series_validation():
         CoherenceSeries(np.array([0.0, 1.0]), np.array([0.5, 1.5]))
     with pytest.raises(ValidationError):
         CoherenceSeries(np.array([0.0, 1.0]), np.array([0.5, 0.4]), M=0.2)
+    for noise in (-0.5, np.nan, np.inf):
+        with pytest.raises(ValidationError, match="noise level"):
+            CoherenceSeries(np.array([0.0, 1.0]), np.array([1.0, 0.4]),
+                            noise=noise)
+        with pytest.raises(ValidationError, match="noise level"):
+            make_series(noise=noise)
+    assert CoherenceSeries(np.array([0.0, 1.0]), np.array([1.0, 0.4]),
+                           noise=0.0).noise == 0.0
     with pytest.raises(DegenerateInputError):
         extract_d2(make_series(), make_series())  # identical M labels
 

@@ -102,15 +102,28 @@ def test_occupation_relaxes_at_rate_two_kappa():
 
 
 def test_integrator_backends_agree():
-    # the exact exponential action of the complex generator as the reference
+    # the exact exponential action of the complex generator, delta included,
+    # as the reference; the displaced 01 start is not parity-even, so its
+    # Y = rho_01 P is not Hermitian and runs as two Hermitian parts
+    from scipy.sparse.linalg import expm_multiply
+    p = SystemParams(g=0.18, kappa=0.07, delta=0.3, nbar=0.3, mbar=0.6)
+    ops = build_operators(35, p)
+    starts = [thermal_block(35, 0.6, block) for block in ("00", "11", "01")]
+    for init in starts + [displaced_thermal_block(35, 0.6, 0.4, -0.3, "01")]:
+        rk = evolve_block(init, p, OracleConfig(dim=35), 4.0)
+        ex = expm_multiply(ops.liouvillian(init.block) * 4.0,
+                           init.entries.reshape(-1))
+        assert np.max(np.abs(rk.entries - ex.reshape(35, 35))) < 1e-10
+
+
+def test_thermal_offdiagonal_block_times_parity_stays_hermitian():
+    # the identity the real 01 path rests on, checked on the complex generator
     from scipy.sparse.linalg import expm_multiply
     p = SystemParams(g=0.18, kappa=0.07, nbar=0.3, mbar=0.6)
-    ops = build_operators(35, p)
-    for block in ("00", "11", "01"):
-        init = thermal_block(35, 0.6, block)
-        rk = evolve_block(init, p, OracleConfig(dim=35), 4.0)
-        ex = expm_multiply(ops.liouvillian(block) * 4.0, init.entries.reshape(-1))
-        assert np.max(np.abs(rk.entries - ex.reshape(35, 35))) < 1e-10
+    liou = build_operators(35, p).liouvillian("01")
+    v0 = thermal_block(35, 0.6, "01").entries.reshape(-1)
+    y = expm_multiply(liou * 4.0, v0).reshape(35, 35) * (-1.0) ** np.arange(35)
+    assert np.max(np.abs(y - y.conj().T)) < 1e-12
 
 
 def random_hermitian(rng, dim):
@@ -127,19 +140,38 @@ def test_hermitian_packing_round_trips():
     assert np.max(np.abs(back - x)) <= 4 * np.finfo(float).eps * np.max(np.abs(x))
 
 
-@pytest.mark.parametrize("block", ["00", "11"])
+def generator(liou, block, params):
+    """The real generator evolve_block integrates for block, from its L."""
+    dim = math.isqrt(liou.shape[0])
+    if block == "01":
+        liou = fock._parity_generator(liou, params.delta, dim)
+    return fock._hermitian_generator(liou, dim)
+
+
+def packed_start(init):
+    """The packed Hermitian start of evolve_block (Y0 = rho_01 P for 01)."""
+    parity = (-1.0) ** np.arange(init.dim) if init.block == "01" else 1.0
+    return fock._pack_hermitian(init.entries * parity)
+
+
+@pytest.mark.parametrize("block", ["00", "11", "01"])
 def test_real_generator_acts_as_the_liouvillian(block):
     rng = np.random.default_rng(5)
     p = SystemParams(g=0.21, kappa=0.09, delta=0.3, nbar=0.7)
     liou = build_operators(20, p).liouvillian(block)
     kept = liou.copy()
-    gen = fock._hermitian_generator(liou, 20)
+    gen = generator(liou, block, p)
     assert gen.dtype == float
     # building G leaves the complex generator as it was
     assert (liou != kept).nnz == 0
+    # 01 carries Y = rho P: dY/dt = (L rho + i delta rho) P
+    parity = (-1.0) ** np.arange(20) if block == "01" else 1.0
+    shift = 1j * p.delta if block == "01" else 0.0
     for _ in range(3):
         x = random_hermitian(rng, 20)
-        want = fock._pack_hermitian((liou @ x.reshape(-1)).reshape(20, 20))
+        rho = x * parity
+        drho = (liou @ rho.reshape(-1)).reshape(20, 20) + shift * rho
+        want = fock._pack_hermitian(drho * parity)
         got = fock._rhs(0.0, fock._pack_hermitian(x), gen)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -175,11 +207,11 @@ def test_rk_matches_scipy_dop853_reference():
     p = SystemParams(g=0.18, kappa=0.07, delta=0.3, nbar=0.3, mbar=0.6)
     ops = build_operators(35, p)
     for block in ("00", "11", "01"):
-        liou = ops.liouvillian(block)
-        v0 = thermal_block(35, 0.6, block).entries.reshape(-1)
-        ref = solve_ivp(lambda _t, v: liou.dot(v), (0.0, 6.0), v0,
+        gen = generator(ops.liouvillian(block), block, p)
+        v0 = packed_start(thermal_block(35, 0.6, block))
+        ref = solve_ivp(lambda _t, v: gen.dot(v), (0.0, 6.0), v0,
                         method="DOP853", rtol=1e-10, atol=1e-12, t_eval=(6.0,))
-        sol = fock.solve_ivp(liou, v0, 6.0, 1e-10, 1e-12)
+        sol = fock.solve_ivp(gen, v0, 6.0, 1e-10, 1e-12)
         assert sol.success and sol.nfev > 0
         assert np.max(np.abs(sol.y - ref.y[:, -1])) <= 1e-9
 
@@ -194,8 +226,9 @@ def test_non_finite_generator_fails_with_its_return_code(monkeypatch):
         liou[1, 1] = np.nan
         return liou.tocsr()
 
-    sol = fock.solve_ivp(poisoned(build_operators(8, p), "00"),
-                         init.entries.reshape(-1), 1.0, 1e-10, 1e-12)
+    sol = fock.solve_ivp(
+        fock._hermitian_generator(poisoned(build_operators(8, p), "00"), 8),
+        packed_start(init), 1.0, 1e-10, 1e-12)
     assert not sol.success and sol.status < 0
     monkeypatch.setattr(fock.OperatorSet, "liouvillian", poisoned)
     with pytest.raises(ValidationError, match=f"return code {sol.status}"):

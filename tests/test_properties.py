@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscprobe import GaussianState, SystemParams, default_dim, fidelity_generalized
+from oscprobe import (GaussianState, QubitInitState, SystemParams, default_dim,
+                      fidelity_generalized, purity_oscillator, purity_qubit)
 
 # the box sample_comparison_points draws from
 G = st.floats(1e-3, 0.3)
@@ -13,6 +14,16 @@ OCC = st.floats(0.0, 2.0)
 GROWTH = st.floats(0.0, 1.0)
 TIMES = st.lists(st.floats(0.0, 20.0), min_size=1, max_size=16)
 CHEAP = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def qubits(draw):
+    """A valid qubit start: populations summing to 1, |a01|^2 <= a00 a11."""
+    a00 = draw(st.floats(0.0, 1.0))
+    a11 = 1.0 - a00
+    radius = draw(st.floats(0.0, 1.0)) * np.sqrt(a00 * a11)
+    phase = draw(st.floats(-np.pi, np.pi))
+    return QubitInitState(a00, a11, complex(radius * np.exp(1j * phase)))
 
 
 @CHEAP
@@ -64,3 +75,14 @@ def test_generalized_fidelity_cannot_tell_g_from_the_occupations(
         fidelity_generalized(ts, scaled, GaussianState.thermal(scaled.mbar)),
         fidelity_generalized(ts, base, GaussianState.thermal(mbar)),
         rtol=1e-12, atol=0.0)
+
+
+@CHEAP
+@given(G, KAPPA, OCC, OCC, TIMES, qubits())
+def test_purities_stay_in_their_bounds(g, kappa, nbar, mbar, times, qubit):
+    ts = np.array(times)
+    p = SystemParams(g=g, kappa=kappa, nbar=nbar, mbar=mbar)
+    pq = purity_qubit(ts, p, p.M, qubit)
+    posc = purity_oscillator(ts, p, p.M, qubit)
+    assert np.all(pq >= 0.5 - 1e-12) and np.all(pq <= 1.0 + 1e-12)
+    assert np.all(posc > 0.0) and np.all(posc <= 1.0 + 1e-12)
