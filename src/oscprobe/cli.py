@@ -6,7 +6,7 @@ Commands:
   fidelity    generalized/Uhlmann-Jozsa fidelity and purity curves -> CSV
   oracle      truncated-basis cross-check of the closed forms -> JSON report
   estimate    fit (g, kappa, N) to recorded coherence curves -> JSON report
-  reproduce   canned datasets fig1 | fig2 | fig3 -> CSV + plotting stub
+  reproduce   canned datasets fig1 | fig2 | fig3 -> CSV (+ JSON lobes for fig1)
 
 Shared behavior:
   * model flags --g --kappa --delta --mbar and --nbar xor --temperature;
@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -222,7 +223,10 @@ def _build_init(args, params: SystemParams) -> GaussianState:
 def _outdir(args) -> Path:
     name = args.outdir or os.environ.get("OSCPROBE_OUTDIR") or "."
     path = Path(name)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot use output directory {path}: {err}") from err
     return path
 
 
@@ -233,11 +237,6 @@ def _time_grid(t_max: float, dt: float) -> np.ndarray:
     if stop / dt > MAX_GRID_POINTS:  # np.arange makes ceil(stop / dt) points
         raise ConfigError(f"time grid exceeds the {MAX_GRID_POINTS}-point limit")
     return np.arange(0.0, stop, dt)
-
-
-def _param_metadata(params: SystemParams) -> dict:
-    return {"g": params.g, "kappa": params.kappa, "delta": params.delta,
-            "nbar": params.nbar, "mbar": params.mbar}
 
 
 def _qubit_metadata(qubit: QubitInitState) -> dict:
@@ -256,6 +255,8 @@ def _curve_columns(times, params: SystemParams, init: GaussianState, M: float,
 def cmd_propagate(args) -> int:
     if not (math.isfinite(args.noise) and args.noise >= 0.0):
         raise ConfigError("--noise must be finite and >= 0")
+    if args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
     params = _build_params(args)
     qubit = _build_qubit(args)
     init = _build_init(args, params)
@@ -272,7 +273,7 @@ def cmd_propagate(args) -> int:
         # keep |coherence|^2 == fgen exact in the emitted record
         coh = coh * np.sqrt(noisy / fgen)
         cols["fgen"] = noisy
-    meta = {**_param_metadata(params), "M": m_label, **_qubit_metadata(qubit),
+    meta = {**asdict(params), "M": m_label, **_qubit_metadata(qubit),
             "init": args.init, "q0": args.q0, "p0": args.p0,
             "noise": args.noise, "seed": args.seed}
     out = _outdir(args) / args.output
@@ -286,7 +287,7 @@ def cmd_fidelity(args) -> int:
     params = _build_params(args)
     qubit = _build_qubit(args)
     times = _time_grid(args.t_max, args.dt)
-    meta = {**_param_metadata(params), "M": params.M, **_qubit_metadata(qubit),
+    meta = {**asdict(params), "M": params.M, **_qubit_metadata(qubit),
             "fuj_limit": fidelity_uj_limit(params)}
     out = _outdir(args) / args.output
     write_csv(out, meta, {"t": times, **_curve_columns(
@@ -323,7 +324,7 @@ def _write_wigner(out: Path, qs, t: float, params: SystemParams,
                   extra: dict) -> np.ndarray:
     """Reduced Wigner grid on qs x qs at time t -> CSV (q varies fastest)."""
     w = reduced_wigner_grid(qs, qs, t, params, init, qubit)
-    meta = {**_param_metadata(params), "t": t, "bound": args.bound,
+    meta = {**asdict(params), "t": t, "bound": args.bound,
             "step": args.step, **_qubit_metadata(qubit), **extra,
             "grid_integral": float(np.sum(w)) * args.step ** 2}
     write_grid_csv(out, meta, qs, qs, w)
@@ -336,18 +337,22 @@ def cmd_wigner(args) -> int:
     qubit = _build_qubit(args)
     init = _build_init(args, params)
     times = _parse_times(args.times)
+    names = [f"wigner_t{t:g}.csv" for t in times]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"--times {args.times!r} repeat a file name")
     qs = _axis(args.bound, args.step)
     outdir = _outdir(args)
     extra = {"init": args.init, "q0": args.q0, "p0": args.p0}
-    for t in times:
-        _write_wigner(outdir / f"wigner_t{t:g}.csv", qs, t, params, init,
-                      qubit, args, extra)
+    for name, t in zip(names, times):
+        _write_wigner(outdir / name, qs, t, params, init, qubit, args, extra)
     return 0
 
 
 def cmd_oracle(args) -> int:
     if args.points < 1:
         raise ConfigError("--points must be >= 1")
+    if args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
     explicit = any(getattr(args, key) is not None
                    for key in ("g", "kappa", "nbar", "temperature", "mbar"))
     if explicit:
@@ -367,7 +372,7 @@ def cmd_oracle(args) -> int:
     results = []
     for params, t in points:
         row = compare_point(params, qubit, config, t)
-        row.update(_param_metadata(params))
+        row.update(asdict(params))
         results.append(row)
     tolerances = {"dev_fgen": args.tol_fgen, "dev_fuj": args.tol_fuj,
                   "dev_coherence": args.tol_fgen,
@@ -396,6 +401,12 @@ def _nan_to_none(x):
     return None if isinstance(x, float) and math.isnan(x) else x
 
 
+def _header_float(value, key: str, source: str) -> float | None:
+    if isinstance(value, str):
+        raise ConfigError(f"{source}: header value {key}={value!r} is not a number")
+    return None if value is None else float(value)
+
+
 def cmd_estimate(args) -> int:
     series = []
     names = []
@@ -403,12 +414,10 @@ def cmd_estimate(args) -> int:
         meta, cols = read_csv(name)
         if "t" not in cols or "fgen" not in cols:
             raise ConfigError(f"{name}: needs 't' and 'fgen' columns")
-        m_label = meta.get("M")
-        noise = meta.get("noise")
         series.append(CoherenceSeries(
             times=cols["t"], fgen=np.minimum(cols["fgen"], 1.0),
-            M=float(m_label) if m_label is not None else None,
-            noise=float(noise) if noise else None))
+            M=_header_float(meta.get("M"), "M", name),
+            noise=_header_float(meta.get("noise") or None, "noise", name)))
         names.append(Path(name).name)
     report = fit_parameters(series if len(series) > 1 else series[0],
                             mode=args.mode)
@@ -436,46 +445,6 @@ def cmd_estimate(args) -> int:
 _FIG1_TIMES = (0.0, 3.0, 10.0, 50.0)
 
 
-def _plot_stub(csv_names: list[str], title: str, kind: str) -> str:
-    files = ", ".join(repr(n) for n in csv_names)
-    if kind == "wigner":
-        body = """\
-for name in FILES:
-    rows = np.genfromtxt(name, delimiter=",", comments="#", names=True)
-    q = np.unique(rows["q"])
-    p = np.unique(rows["p"])
-    w = rows["w"].reshape(p.size, q.size)
-    fig, ax = plt.subplots()
-    ax.pcolormesh(q, p, w, shading="auto")
-    ax.set_xlabel("q")
-    ax.set_ylabel("p")
-    ax.set_title(f"{TITLE}: {name}")
-    fig.savefig(name.replace(".csv", ".png"), dpi=150)
-"""
-    else:
-        body = """\
-fig, ax = plt.subplots()
-for name in FILES:
-    rows = np.genfromtxt(name, delimiter=",", comments="#", names=True)
-    for g in np.unique(rows["g"]):
-        for kappa in np.unique(rows["kappa"]):
-            sel = (rows["g"] == g) & (rows["kappa"] == kappa)
-            style = "-" if kappa == min(np.unique(rows["kappa"])) else "--"
-            ax.plot(rows["t"][sel], rows["value"][sel], style,
-                    label=f"g={g:g}, kappa={kappa:g}")
-ax.set_xlabel("t")
-ax.set_ylabel(TITLE)
-ax.legend(fontsize=7)
-fig.savefig("%s.png" % TITLE.replace(" ", "_"), dpi=150)
-"""
-    return (f'"""Plotting stub for {title}; run separately '
-            f'(needs matplotlib, not a package dependency)."""\n'
-            "import numpy as np\n"
-            "import matplotlib.pyplot as plt\n\n"
-            f"FILES = [{files}]\n"
-            f"TITLE = {title!r}\n\n" + body)
-
-
 def _reproduce_fig1(args, outdir: Path) -> int:
     if args.nbar is not None or args.temperature is not None or args.mbar is not None:
         raise ConfigError("fig1 parameters are fixed; omit --nbar/--temperature/--mbar")
@@ -484,12 +453,10 @@ def _reproduce_fig1(args, outdir: Path) -> int:
     qubit = QubitInitState.balanced()
     init = GaussianState.thermal(params.mbar)
     qs = _axis(args.bound, args.step)
-    csv_names = []
     lobes = []
     for t in _FIG1_TIMES:
-        name = f"fig1_wigner_t{t:g}.csv"
-        w = _write_wigner(outdir / name, qs, t, params, init, qubit, args, {})
-        csv_names.append(name)
+        w = _write_wigner(outdir / f"fig1_wigner_t{t:g}.csv", qs, t, params,
+                          init, qubit, args, {})
         peak_a, peak_b = wigner_lobe_centers(qs, qs, w)
         d = displacement_vector(t, params).as_array()
         up, down = -0.5 * d, 0.5 * d
@@ -510,9 +477,7 @@ def _reproduce_fig1(args, outdir: Path) -> int:
             "analytic_separation": float(np.linalg.norm(d)),
         })
     write_json(outdir / "fig1_lobes.json", {"times": lobes})
-    (outdir / "fig1_plot.py").write_text(
-        _plot_stub(csv_names, "reduced Wigner function", "wigner"))
-    print(f"wrote {outdir / 'fig1_lobes.json'} and {outdir / 'fig1_plot.py'}")
+    print(f"wrote {outdir / 'fig1_lobes.json'}")
     return 0
 
 
@@ -541,16 +506,14 @@ def _reproduce_curves(args, outdir: Path, figure: str) -> int:
     meta = {"figure": figure, "nbar": nbar, "mbar": args.mbar,
             "M": args.mbar + 0.5,
             "quantity": "fgen" if figure == "fig2" else "fuj"}
-    name = f"{figure}_curves.csv"
-    write_csv(outdir / name, meta, {
+    out = outdir / f"{figure}_curves.csv"
+    write_csv(out, meta, {
         "g": np.concatenate(col_g),
         "kappa": np.concatenate(col_k),
         "t": np.concatenate(col_t),
         "value": np.concatenate(col_v),
     })
-    title = "generalized fidelity" if figure == "fig2" else "Uhlmann-Jozsa fidelity"
-    (outdir / f"{figure}_plot.py").write_text(_plot_stub([name], title, "curves"))
-    print(f"wrote {outdir / name} and {outdir / f'{figure}_plot.py'}")
+    print(f"wrote {out}")
     return 0
 
 

@@ -73,7 +73,11 @@ def read_csv(path):
     metadata = {}
     header = None
     rows = []
-    for raw in Path(path).read_text().splitlines():
+    try:
+        lines = Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read {path}: {err}") from err
+    for raw in lines:
         line = raw.strip()
         if not line:
             continue
@@ -89,7 +93,10 @@ def read_csv(path):
             continue
         if len(parts) != len(header):
             raise ConfigError(f"{path}: row width does not match header")
-        rows.append([float(p) for p in parts])
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError:
+            raise ConfigError(f"{path}: non-numeric cell in row {line!r}") from None
     if header is None:
         raise ConfigError(f"{path}: no column header found")
     data = np.array(rows, dtype=float).reshape(len(rows), len(header))

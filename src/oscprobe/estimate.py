@@ -311,16 +311,16 @@ def _fit_two_temperature(series_list: list[CoherenceSeries]) -> EstimateReport:
     def unpack(u):
         return float(_softplus(u[0])), float(_softplus(u[1]))
 
+    def physical_jacobian(g, k):
+        return np.column_stack([2.0 * g * _dsq(times, 1.0, k),
+                                g * g * _dsq_scaled_dkappa(times, k)])
+
     def residuals(u):
         g, k = unpack(u)
         return g * g * _dsq(times, 1.0, k) - d2
 
     def jacobian(u):
-        g, k = unpack(u)
-        dv = _dsq(times, 1.0, k)
-        jac = np.column_stack([2.0 * g * dv,
-                               g * g * _dsq_scaled_dkappa(times, k)])
-        return jac * _sigmoid(np.array([u[0], u[1]]))[None, :]
+        return physical_jacobian(*unpack(u)) * _sigmoid(np.asarray(u))[None, :]
 
     y_proxy = s1.M * np.maximum(d2, 1e-12)
     g0, k0, _ = _initial_guess(times, y_proxy, s1.M)
@@ -334,9 +334,7 @@ def _fit_two_temperature(series_list: list[CoherenceSeries]) -> EstimateReport:
         raise DegenerateInputError("record too short to expose the bath term")
     n = float(np.median(bath[mask] / (k * delta_hat[mask])))
     n = max(n, 1.0)
-    dv = _dsq(times, 1.0, k)
-    jac_phys = np.column_stack([2.0 * g * dv, g * g * _dsq_scaled_dkappa(times, k)])
-    std = _std_errors(jac_phys, sol.fun)
+    std = _std_errors(physical_jacobian(g, k), sol.fun)
     return EstimateReport(
         g=g, kappa=k, M=s1.M, N=n,
         residual_norm=float(np.linalg.norm(sol.fun)),

@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -186,7 +186,7 @@ def _check_leak(entries: np.ndarray, dim: int, stage: str) -> None:
 
 @dataclass(frozen=True)
 class OperatorSet:
-    """Sparse ladder/quadrature operators and block Hamiltonians at one dim.
+    """Sparse ladder operators and block Hamiltonians at one dim.
 
     The superoperator pieces every block shares (the dissipator and the
     left/right products with H+ and H-) are built on first use and kept.
@@ -196,8 +196,6 @@ class OperatorSet:
     params: SystemParams
     a: sp.csr_matrix
     adag: sp.csr_matrix
-    x: sp.csr_matrix
-    p: sp.csr_matrix
     h_plus: sp.csr_matrix
     h_minus: sp.csr_matrix
 
@@ -239,7 +237,7 @@ class OperatorSet:
 
 
 def build_operators(dim: int, params: SystemParams) -> OperatorSet:
-    """Ladder operators, quadratures, and the two displaced Hamiltonians."""
+    """Ladder operators and the two displaced Hamiltonians."""
     if dim < 2:
         raise ValidationError("dim must be >= 2")
     import scipy.sparse as sp
@@ -247,12 +245,11 @@ def build_operators(dim: int, params: SystemParams) -> OperatorSet:
     a = sp.diags(rootn, 1, format="csr")
     adag = sp.diags(rootn, -1, format="csr")
     x = ((a + adag) / math.sqrt(2.0)).tocsr()
-    p = (-1j * (a - adag) / math.sqrt(2.0)).tocsr()
     h_osc = (adag @ a + 0.5 * sp.identity(dim)).tocsr()
     h_plus = (h_osc + params.g * x).tocsr()
     h_minus = (h_osc - params.g * x).tocsr()
-    return OperatorSet(dim=dim, params=params, a=a, adag=adag, x=x, p=p,
-                       h_plus=h_plus, h_minus=h_minus)
+    return OperatorSet(dim=dim, params=params, a=a, adag=adag, h_plus=h_plus,
+                       h_minus=h_minus)
 
 
 def thermal_block(dim: int, mbar: float, block: str = "00") -> BlockDensityMatrix:
@@ -267,22 +264,6 @@ def thermal_block(dim: int, mbar: float, block: str = "00") -> BlockDensityMatri
         probs = ratio ** np.arange(dim)
         probs /= probs.sum()
     return BlockDensityMatrix(dim, np.diag(probs).astype(complex), block)
-
-
-def coherent_block(dim: int, q0: float, p0: float,
-                   block: str = "00") -> BlockDensityMatrix:
-    """Coherent initial block |alpha><alpha|, renormalized on the truncation."""
-    alpha = (q0 + 1j * p0) / math.sqrt(2.0)
-    n = np.arange(dim)
-    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, dim)))))
-    if alpha == 0:
-        amps = np.zeros(dim, dtype=complex)
-        amps[0] = 1.0
-    else:
-        amps = np.exp(n * np.log(complex(alpha)) - 0.5 * log_fact
-                      - 0.5 * abs(alpha) ** 2)
-    amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2)))
-    return BlockDensityMatrix(dim, np.outer(amps, amps.conj()), block)
 
 
 def displaced_thermal_block(dim: int, mbar: float, q0: float, p0: float,
@@ -544,8 +525,8 @@ def wigner_grid_from_matrix(rho, qs, ps) -> np.ndarray:
     return (kern @ phases).T.real * (h / math.pi)
 
 
-def _clamped_sqrt_eigs(mat: np.ndarray) -> np.ndarray:
-    vals = np.linalg.eigvalsh(mat)
+def _clamped_sqrt(vals: np.ndarray) -> np.ndarray:
+    """sqrt of eigenvalues clamped to zero down to EIG_CLAMP; lower is an error."""
     if vals.min() < EIG_CLAMP:
         raise ValidationError(
             f"matrix has eigenvalue {vals.min():.3g} below clamp {EIG_CLAMP:g}")
@@ -563,13 +544,10 @@ def uhlmann_fidelity(rho1, rho2) -> float:
     e1 = 0.5 * (e1 + e1.conj().T)
     e2 = 0.5 * (e2 + e2.conj().T)
     vals, vecs = np.linalg.eigh(e1)
-    if vals.min() < EIG_CLAMP:
-        raise ValidationError(
-            f"matrix has eigenvalue {vals.min():.3g} below clamp {EIG_CLAMP:g}")
-    sq1 = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+    sq1 = (vecs * _clamped_sqrt(vals)) @ vecs.conj().T
     inner = sq1 @ e2 @ sq1
     inner = 0.5 * (inner + inner.conj().T)
-    return float(np.sum(_clamped_sqrt_eigs(inner)) ** 2)
+    return float(np.sum(_clamped_sqrt(np.linalg.eigvalsh(inner))) ** 2)
 
 
 def reduced_quantities(blocks: dict, qubit: QubitInitState, qs=None, ps=None,
@@ -617,8 +595,7 @@ def evolve_thermal_blocks(params: SystemParams, config: OracleConfig,
     for _ in range(attempts):
         dims_tried.append(dim)
         try:
-            run_cfg = OracleConfig(dim=dim, rel_tol=config.rel_tol,
-                                   abs_tol=config.abs_tol)
+            run_cfg = replace(config, dim=dim)
             ops = build_operators(dim, params)
             out = {}
             for block in _BLOCKS:

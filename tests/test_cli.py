@@ -3,6 +3,7 @@
 import functools
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 
 import oscprobe
 from oscprobe import SystemParams, estimate, fidelity_uj_blocks
-from oscprobe.cli import main
+from oscprobe.cli import build_parser, main
 from oscprobe.datafiles import read_csv, write_csv
 
 
@@ -167,6 +168,14 @@ def test_wigner_writes_one_file_per_time(tmp_path):
     assert cols["p"][1] == cols["p"][0]
 
 
+def test_wigner_refuses_times_that_share_a_file_name(tmp_path, capsys):
+    for times in ("1.0000001,1.0000002", "0,0"):
+        assert run("wigner", "--times", times, "--bound", 1, "--step", 0.5,
+                   "--outdir", tmp_path) == 2
+        assert "repeat a file name" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_wigner_csv_bytes_match_the_generic_writer(tmp_path):
     assert run("wigner", "--g", 0.3, "--times", "1.5", "--bound", 1.2,
                "--step", 0.3, "--outdir", tmp_path) == 0
@@ -302,6 +311,54 @@ def test_cli_commands_start_without_scipy(tmp_path):
     assert "scipy.optimize" in loaded["after_estimate"]
 
 
+_RECORD = "#M=1.0\nt,fgen\n0,1.0\n1,0.9\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "--input", "{src}/missing.csv"], "cannot read"),
+    (["estimate", "--input", "{src}/bad_row.csv"], "non-numeric cell"),
+    (["estimate", "--input", "{src}/bad_m.csv"], "M='abc' is not a number"),
+    (["estimate", "--input", "{src}/bad_noise.csv"],
+     "noise='lots' is not a number"),
+    (["propagate", "--noise", "0.01", "--seed", "-1"], "--seed must be >= 0"),
+    (["propagate", "--config", "{src}/seed.json"], "--seed must be >= 0"),
+    (["oracle", "--points", "1", "--seed", "-3"], "--seed must be >= 0"),
+    (["fidelity", "--outdir", "{src}/good.csv"], "cannot use output directory"),
+], ids=("missing", "bad-cell", "bad-M", "bad-noise", "seed-flag",
+        "seed-config", "oracle-seed", "outdir-is-file"))
+def test_bad_outside_input_exits_2_without_output(tmp_path, capsys, argv,
+                                                  message):
+    src = tmp_path / "src"
+    src.mkdir()
+    inputs = {"good.csv": _RECORD,
+              "bad_row.csv": _RECORD.replace("1,0.9", "1,abc"),
+              "bad_m.csv": _RECORD.replace("#M=1.0", "#M=abc"),
+              "bad_noise.csv": "#noise=lots\n" + _RECORD,
+              "seed.json": json.dumps({"seed": -2})}
+    for name, text in inputs.items():
+        (src / name).write_text(text)
+    argv = [a.format(src=src) for a in argv]
+    if "--outdir" not in argv:
+        argv += ["--outdir", str(tmp_path / "out")]
+    assert run(*argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1 and message in out.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["src"]
+    assert {p.name: p.read_text() for p in src.iterdir()} == inputs
+
+
+def test_readme_cli_examples_parse():
+    readme = Path(__file__).parents[1] / "README.md"
+    text = readme.read_text().replace("\\\n", " ")
+    examples = [line for line in text.splitlines()
+                if line.startswith("oscprobe ")]
+    assert len(examples) >= 10
+    parser = build_parser()
+    for line in examples:
+        parser.parse_args(shlex.split(line)[1:])
+
+
 def test_estimate_requires_variance_label(tmp_path, capsys):
     src = tmp_path / "bare.csv"
     ts = np.arange(0.0, 10.0, 0.1)
@@ -321,8 +378,8 @@ def test_reproduce_fig1(tmp_path):
         assert (tmp_path / f"fig1_wigner_t{entry['t']:g}.csv").exists()
     late = lobes["times"][-1]
     assert late["separation"] == pytest.approx(4.9428, abs=0.05)
-    stub = tmp_path / "fig1_plot.py"
-    compile(stub.read_text(), str(stub), "exec")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["fig1_lobes.json"] + [f"fig1_wigner_t{t:g}.csv" for t in times])
 
 
 def test_reproduce_fig1_has_fixed_parameters(tmp_path, capsys):
@@ -338,14 +395,14 @@ def test_reproduce_curves_require_occupations(tmp_path, capsys):
 
 def test_reproduce_fig2_and_fig3(tmp_path):
     for fig in ("fig2", "fig3"):
+        out = tmp_path / fig
         assert run("reproduce", fig, "--nbar", 0.5, "--mbar", 0.5,
-                   "--t-max", 5, "--dt", 0.5, "--outdir", tmp_path) == 0
-        meta, cols = read_csv(tmp_path / f"{fig}_curves.csv")
+                   "--t-max", 5, "--dt", 0.5, "--outdir", out) == 0
+        assert [p.name for p in out.iterdir()] == [f"{fig}_curves.csv"]
+        meta, cols = read_csv(out / f"{fig}_curves.csv")
         assert meta["nbar"] == 0.5
         assert sorted(set(cols["g"])) == [0.05, 0.1, 0.2]
         assert sorted(set(cols["kappa"])) == [0.01, 0.1]
-        stub = tmp_path / f"{fig}_plot.py"
-        compile(stub.read_text(), str(stub), "exec")
-    _, c2 = read_csv(tmp_path / "fig2_curves.csv")
-    _, c3 = read_csv(tmp_path / "fig3_curves.csv")
+    _, c2 = read_csv(tmp_path / "fig2" / "fig2_curves.csv")
+    _, c3 = read_csv(tmp_path / "fig3" / "fig3_curves.csv")
     assert not np.array_equal(c2["value"], c3["value"])

@@ -86,3 +86,20 @@ def test_purities_stay_in_their_bounds(g, kappa, nbar, mbar, times, qubit):
     posc = purity_oscillator(ts, p, p.M, qubit)
     assert np.all(pq >= 0.5 - 1e-12) and np.all(pq <= 1.0 + 1e-12)
     assert np.all(posc > 0.0) and np.all(posc <= 1.0 + 1e-12)
+
+
+@CHEAP
+@given(G, st.floats(1e-12, 1e-6), OCC, OCC, TIMES)
+def test_generalized_fidelity_is_continuous_as_kappa_vanishes(g, kappa, nbar,
+                                                              mbar, times):
+    # at kappa = 0, -ln F = 8 g^2 M (1 - cos t) for a thermal start
+    ts = np.array(times)
+    init = GaussianState.thermal(mbar)
+    p = SystemParams(g=g, kappa=kappa, nbar=nbar, mbar=mbar)
+    unitary = np.exp(-8.0 * g ** 2 * p.M * (1.0 - np.cos(ts)))
+    closed = fidelity_generalized(
+        ts, SystemParams(g=g, kappa=0.0, nbar=nbar, mbar=mbar), init)
+    assert np.all(np.abs(closed - unitary) <= 1e-15)
+    damped = fidelity_generalized(ts, p, init)
+    bound = 1e-14 + 4.0 * kappa * g ** 2 * (p.M + p.N) * (1.0 + ts) ** 2
+    assert np.all(np.abs(damped - unitary) <= bound)
