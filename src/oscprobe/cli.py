@@ -35,13 +35,17 @@ from .errors import ConfigError, OscprobeError, TruncationLeakError
 from .estimate import CoherenceSeries, fit_parameters
 from .fidelity import (fidelity_generalized, fidelity_uj_blocks,
                        fidelity_uj_limit, purity_oscillator, purity_qubit)
-from .fock import OracleConfig, compare_point, sample_comparison_points
+from .fock import (MAX_DIM, OracleConfig, compare_point,
+                   sample_comparison_points)
 from .phase_space import (GaussianState, QubitInitState, SystemParams,
                           occupation_from_temperature)
 from .propagator import (coherence_trace, displacement_vector,
                          reduced_wigner_grid, wigner_lobe_centers)
 
 MAX_GRID_POINTS = 10_000_000
+# pass bound of the oracle report on each deviation
+ORACLE_TOLERANCES = {"dev_fgen": 1e-6, "dev_fuj": 1e-5, "dev_coherence": 1e-6,
+                     "dev_purity_qubit": 1e-6, "dev_purity_oscillator": 1e-6}
 
 def _add_param_flags(p: argparse.ArgumentParser, defaults: bool = True):
     p.add_argument("--g", type=float, default=0.1 if defaults else None)
@@ -120,11 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=None,
                    help="fixed number-basis size; by default each point is "
                         "sized from a closed-form bound on its tail and "
-                        "doubled (at most twice) if the leak guard trips")
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-10)
-    p.add_argument("--abs-tol", dest="abs_tol", type=float, default=1e-12)
-    p.add_argument("--tol-fgen", dest="tol_fgen", type=float, default=1e-6)
-    p.add_argument("--tol-fuj", dest="tol_fuj", type=float, default=1e-5)
+                        "doubled (at most twice) if the leak guard trips; "
+                        f"at most {MAX_DIM}")
     p.add_argument("--output", type=str, default="oracle_report.json")
     _add_common_flags(p)
 
@@ -303,8 +304,8 @@ def _parse_times(text: str) -> list[float]:
         raise ConfigError(f"cannot parse times {text!r}") from err
     if not times:
         raise ConfigError("no evaluation times given")
-    if any(t < 0.0 for t in times):
-        raise ConfigError("times must be >= 0")
+    if not all(math.isfinite(t) and t >= 0.0 for t in times):
+        raise ConfigError("times must be finite and >= 0")
     return times
 
 
@@ -366,24 +367,19 @@ def cmd_oracle(args) -> int:
     else:
         points = sample_comparison_points(args.points, args.seed,
                                           t_max=args.t_max, delta=args.delta)
-    config = OracleConfig(dim=args.dim, rel_tol=args.rel_tol,
-                          abs_tol=args.abs_tol)
+    config = OracleConfig(dim=args.dim)
     qubit = QubitInitState.balanced()
     results = []
     for params, t in points:
         row = compare_point(params, qubit, config, t)
         row.update(asdict(params))
         results.append(row)
-    tolerances = {"dev_fgen": args.tol_fgen, "dev_fuj": args.tol_fuj,
-                  "dev_coherence": args.tol_fgen,
-                  "dev_purity_qubit": args.tol_fgen,
-                  "dev_purity_oscillator": args.tol_fgen}
-    maxdev = {k: max(row[k] for row in results) for k in tolerances}
-    ok = all(maxdev[k] <= tolerances[k] for k in tolerances)
+    maxdev = {k: max(row[k] for row in results) for k in ORACLE_TOLERANCES}
+    ok = all(maxdev[k] <= bound for k, bound in ORACLE_TOLERANCES.items())
     report = {
         "points": results,
         "max_deviation": maxdev,
-        "tolerances": tolerances,
+        "tolerances": ORACLE_TOLERANCES,
         "seed": None if explicit else args.seed,
         "n_points": len(points),
         "pass": ok,
@@ -422,16 +418,10 @@ def cmd_estimate(args) -> int:
     report = fit_parameters(series if len(series) > 1 else series[0],
                             mode=args.mode)
     # undefined values are NaN in the report and null in the JSON
-    payload = {
-        "g": report.g, "kappa": report.kappa, "M": _nan_to_none(report.M),
-        "N": report.N, "nbar": report.nbar, "mbar": _nan_to_none(report.mbar),
-        "residual_norm": report.residual_norm,
-        "std_errors": {k: _nan_to_none(v) for k, v in report.std_errors.items()},
-        "method": report.method,
-        "converged": report.converged,
-        "nfev": report.nfev,
-        "inputs": names,
-    }
+    payload = {k: _nan_to_none(v) for k, v in asdict(report).items()}
+    payload["std_errors"] = {k: _nan_to_none(v) for k, v in report.std_errors.items()}
+    payload.update(nbar=_nan_to_none(report.nbar),
+                   mbar=_nan_to_none(report.mbar), inputs=names)
     out = _outdir(args) / args.output
     write_json(out, payload)
     if not report.converged:

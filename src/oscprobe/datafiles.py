@@ -32,6 +32,14 @@ def _header_lines(metadata: dict, names) -> list:
     return lines
 
 
+def _write_text(path, text: str) -> None:
+    """Write text to path; an OSError becomes a ConfigError naming the path."""
+    try:
+        Path(path).write_text(text)
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err}") from err
+
+
 def write_csv(path, metadata: dict, columns: dict) -> None:
     """Write named float columns of equal length with a metadata header."""
     cols = {key: np.asarray(val, dtype=float) for key, val in columns.items()}
@@ -43,7 +51,7 @@ def write_csv(path, metadata: dict, columns: dict) -> None:
     # format_float of each value
     row = ",".join(["%.17g"] * len(cols))
     lines.extend(map(row.__mod__, zip(*(col.tolist() for col in cols.values()))))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_grid_csv(path, metadata: dict, qs, ps, values) -> None:
@@ -65,7 +73,7 @@ def write_grid_csv(path, metadata: dict, qs, ps, values) -> None:
         # a formatted float holds no "%", so it can sit inside the template
         lines.extend(map(("%s" + format_float(p) + ",%.17g").__mod__,
                          zip(q_text, row)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_csv(path):
@@ -118,6 +126,6 @@ def write_json(path, obj) -> None:
     NaN and infinities are refused.
     """
     payload = {**obj, "oscprobe_version": __version__}
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True,
+                                 allow_nan=False) + "\n")
 

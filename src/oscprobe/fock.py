@@ -25,8 +25,9 @@ generator conjugated by I kron P, which preserves Hermiticity; rho_01(t) is
 then Y(t) P exp(-i delta t). A thermal start gives a Hermitian Y0; any other
 Y0 runs as its two Hermitian parts. The stage sums are compiled loops, not
 threaded-BLAS products, so the integration runs on one core and leaves no
-BLAS worker spinning between steps. One solver is built and cached per
-(rel_tol, abs_tol) pair; it is not re-entrant.
+BLAS worker spinning between steps. The tolerances are fixed (_REL_TOL,
+_ABS_TOL); the one solver is built once and cached, and it is not
+re-entrant. The basis never exceeds MAX_DIM levels.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -58,7 +59,10 @@ EIG_CLAMP = -1e-8  # integrator roundoff scale at dim ~100; real leakage is orde
 HERMITIAN_TOL = 1e-12
 _BLOCKS = ("00", "11", "01")
 _HERMITIAN_BLOCKS = ("00", "11")
-_MIN_REL_TOL = 100 * np.finfo(float).eps
+# the dense sizing basis and the sparse dim^2 generators stay bounded by this
+MAX_DIM = 512
+_REL_TOL = 1e-10
+_ABS_TOL = 1e-12
 _MAX_STEPS = 100_000  # Hairer's default NMAX
 # Hairer's stabilized step control (Solving ODEs I, II.4); at scipy's
 # default 0 about a quarter of the oracle's steps were rejected
@@ -67,28 +71,18 @@ _BETA = 0.08
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Oracle settings: basis size (None = automatic) and integrator tolerances.
+    """Oracle basis size: an integer in [2, MAX_DIM], or None to size each point.
 
     Blocks are integrated with Hairer's compiled DOP853 (scipy.integrate.ode,
-    stabilized step control) at (rel_tol, abs_tol), each as dim^2 reals: the
-    Hermitian 00 and 11 blocks directly, the 01 block as the Hermitian
-    rho_01 P with its delta phase applied at the end. One solver is cached
-    per tolerance pair; its stage sums call no threaded BLAS. Tolerances must
-    be finite and positive, and rel_tol at least 100 machine epsilons.
+    stabilized step control) at the fixed tolerances _REL_TOL and _ABS_TOL.
     """
 
     dim: int | None = None
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.dim is not None and (not isinstance(self.dim, int) or self.dim < 2):
-            raise ValidationError("dim must be an integer >= 2 or None")
-        if not (math.isfinite(self.rel_tol) and math.isfinite(self.abs_tol)
-                and self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValidationError("tolerances must be finite and positive")
-        if self.rel_tol < _MIN_REL_TOL:
-            raise ValidationError(f"rel_tol must be >= {_MIN_REL_TOL:.3g}")
+        if self.dim is not None and (not isinstance(self.dim, int)
+                                     or not 2 <= self.dim <= MAX_DIM):
+            raise ValidationError(f"dim must be an integer in [2, {MAX_DIM}] or None")
 
 
 @dataclass(frozen=True)
@@ -145,10 +139,14 @@ def default_dim(params: SystemParams) -> int:
     The bounding Gaussian (see _bounding_gaussian) is built in a basis at
     least twice as large as the answer; every level n >= dim - 1 has tail
     weight below SIZING_TOL in the leak guard's own measure. The bound holds
-    for all t; the guard still checks every evolved block.
+    for all t; the guard still checks every evolved block. Raises
+    ValidationError rather than build a basis above 2 * MAX_DIM.
     """
     big = 32
     while True:
+        if big > 2 * MAX_DIM:
+            raise ValidationError(
+                f"these parameters need a basis above MAX_DIM = {MAX_DIM}")
         rho = _bounding_gaussian(params, big)
         # the top half of the big basis carries its own truncation error
         over = [n for n in range(big // 2)
@@ -324,16 +322,15 @@ def _rhs(_t, v, gen):
     return gen.dot(v)
 
 
-# One solver per tolerance pair, with the generator passed through
-# set_f_params: scipy's _dop wrapper keeps a reference to the callback of
-# every run, so a fresh ode per evolution, whose callback holds that run's
-# generator and integrator, leaks them (~0.3 MB per solve at dim 30). The
-# cached solver is shared state and not re-entrant: no two evolutions may
-# run on it at once.
+# One solver, with the generator passed through set_f_params: scipy's _dop
+# wrapper keeps a reference to the callback of every run, so a fresh ode per
+# evolution, whose callback holds that run's generator and integrator, leaks
+# them (~0.3 MB per solve at dim 30). The cached solver is shared state and
+# not re-entrant: no two evolutions may run on it at once.
 @functools.cache
-def _dop853(rel_tol: float, abs_tol: float):
+def _dop853():
     from scipy.integrate import ode
-    return ode(_rhs).set_integrator("dop853", rtol=rel_tol, atol=abs_tol,
+    return ode(_rhs).set_integrator("dop853", rtol=_REL_TOL, atol=_ABS_TOL,
                                     nsteps=_MAX_STEPS, beta=_BETA)
 
 
@@ -352,15 +349,14 @@ class Integration:
         return self.status > 0
 
 
-def solve_ivp(gen, v0: np.ndarray, t: float, rel_tol: float,
-              abs_tol: float) -> Integration:
+def solve_ivp(gen, v0: np.ndarray, t: float) -> Integration:
     """Integrate dv/dt = gen v from the real v0 over [0, t] with DOP853.
 
-    Runs the cached compiled solver for (rel_tol, abs_tol), with stabilized
-    step control, and returns its own end state (no dense output) with
-    Hairer's counts of RHS evaluations (NFCN) and rejected steps (NREJCT).
+    Runs the cached compiled solver, with stabilized step control, and
+    returns its own end state (no dense output) with Hairer's counts of RHS
+    evaluations (NFCN) and rejected steps (NREJCT).
     """
-    solver = _dop853(rel_tol, abs_tol)
+    solver = _dop853()
     solver.set_initial_value(v0, 0.0).set_f_params(gen)
     with warnings.catch_warnings():
         # a failure is reported through the result, not as a warning
@@ -375,53 +371,46 @@ def solve_ivp(gen, v0: np.ndarray, t: float, rel_tol: float,
             status, f"unexpected return code {status}"))
 
 
-def evolve_block(init: BlockDensityMatrix, params: SystemParams,
-                 config: OracleConfig, t: float, *,
-                 ops: OperatorSet | None = None) -> BlockDensityMatrix:
-    """Propagate one block to time t >= 0 in the truncated basis.
+def evolve_block(init: BlockDensityMatrix, ops: OperatorSet,
+                 t: float) -> BlockDensityMatrix:
+    """Propagate one block to time t >= 0 under ops, built at init.dim.
 
     Integrates dim^2 reals under a real generator: the 00 and 11 blocks
     themselves, and for 01 the Hermitian Y = rho_01 P at delta = 0, turned by
     exp(-i delta t) at the end (a Y0 that is not Hermitian runs as its two
     Hermitian parts, skipping one that is exactly zero). The result carries
-    the solver's RHS evaluations and rejected steps. ops, the operators at
-    init.dim for params, is built here when None. Raises ValidationError when
-    a 00 or 11 start is not Hermitian to HERMITIAN_TOL, and
+    the solver's RHS evaluations and rejected steps. Raises ValidationError
+    when a 00 or 11 start is not Hermitian to HERMITIAN_TOL, and
     TruncationLeakError (with a suggested dim) when the initial or the
     evolved matrix puts more than LEAK_TOL relative weight on the top level.
     """
     if not (math.isfinite(t) and t >= 0.0):
         raise ValidationError("t must be finite and >= 0")
-    if config.dim is not None and config.dim != init.dim:
-        raise ValidationError(
-            f"config dim {config.dim} != initial matrix dim {init.dim}")
     dim = init.dim
-    if ops is not None and (ops.dim != dim or ops.params != params):
-        raise ValidationError("ops were built for another dim or params")
+    if ops.dim != dim:
+        raise ValidationError(f"ops dim {ops.dim} != initial matrix dim {dim}")
     hermitian = init.block in _HERMITIAN_BLOCKS
     if hermitian:
         _check_hermitian(init.entries, init.block)
     _check_leak(init.entries, dim, "initial state")
     if t == 0.0:
         return BlockDensityMatrix(dim, init.entries.copy(), init.block)
-    if ops is None:
-        ops = build_operators(dim, params)
+    delta = ops.params.delta
     liou, parts, phase = ops.liouvillian(init.block), [(1.0, init.entries)], 1.0
     if not hermitian:
         parity = (-1.0) ** np.arange(dim)
-        liou = _parity_generator(liou, params.delta, dim)
+        liou = _parity_generator(liou, delta, dim)
         # Y0 = A + iB with A, B Hermitian; a thermal start has B = 0
         y0 = init.entries * parity
         parts = [(1.0, 0.5 * (y0 + y0.conj().T)), (1j, -0.5j * (y0 - y0.conj().T))]
-        phase = np.exp(-1j * params.delta * t) * parity
+        phase = np.exp(-1j * delta * t) * parity
     gen = _hermitian_generator(liou, dim)
     out = np.zeros((dim, dim), dtype=complex)
     nfev = rejected = 0
     for weight, part in parts:
         if not part.any():
             continue
-        sol = solve_ivp(gen, _pack_hermitian(part), t, config.rel_tol,
-                        config.abs_tol)
+        sol = solve_ivp(gen, _pack_hermitian(part), t)
         if not sol.success:
             raise ValidationError(
                 f"integration failed (return code {sol.status}): {sol.message}")
@@ -550,20 +539,18 @@ def uhlmann_fidelity(rho1, rho2) -> float:
     return float(np.sum(_clamped_sqrt(np.linalg.eigvalsh(inner))) ** 2)
 
 
-def reduced_quantities(blocks: dict, qubit: QubitInitState, qs=None, ps=None,
-                       with_wigner: bool = True) -> dict:
+def reduced_quantities(blocks: dict, qubit: QubitInitState, qs=None,
+                       ps=None) -> dict:
     """Reduced-state observables from the three evolved blocks.
 
-    Returns purity_qubit, purity_oscillator, the grid axes, and (unless
-    with_wigner is False) the reduced Wigner grid of shape (len(ps), len(qs)).
+    Returns purity_qubit, purity_oscillator and, when both grid axes are
+    given, the reduced Wigner grid of shape (len(ps), len(qs)).
     """
     for key in _BLOCKS:
         if key not in blocks:
             raise ValidationError(f"missing block {key}")
-    if qs is None:
-        qs = np.arange(-8.0, 8.0 + 0.025, 0.05)
-    if ps is None:
-        ps = np.arange(-8.0, 8.0 + 0.025, 0.05)
+    if (qs is None) != (ps is None):
+        raise ValidationError("give both grid axes or neither")
     e00 = blocks["00"].entries
     e11 = blocks["11"].entries
     tr01 = blocks["01"].trace
@@ -572,9 +559,8 @@ def reduced_quantities(blocks: dict, qubit: QubitInitState, qs=None, ps=None,
     rho_osc = qubit.a00 * e00 + qubit.a11 * e11
     # Tr rho^2 = sum |rho_ij|^2 for the Hermitian rho_osc
     p_osc = float(np.vdot(rho_osc, rho_osc).real)
-    out = {"purity_qubit": float(p_q), "purity_oscillator": p_osc,
-           "qs": np.asarray(qs, dtype=float), "ps": np.asarray(ps, dtype=float)}
-    if with_wigner:
+    out = {"purity_qubit": float(p_q), "purity_oscillator": p_osc}
+    if qs is not None:
         out["wigner"] = wigner_grid_from_matrix(rho_osc, qs, ps)
     return out
 
@@ -584,30 +570,24 @@ def evolve_thermal_blocks(params: SystemParams, config: OracleConfig,
     """Evolve all three blocks from the thermal start given by params.mbar.
 
     With config.dim None, starts from default_dim and doubles it (at most
-    twice) whenever the truncation guard trips. Returns the blocks under
-    "00", "11" and "01", the dim that held under "dim", and every dim
-    attempted, in order, under "dims_tried".
+    twice, and never past MAX_DIM) whenever the truncation guard trips.
+    Returns the blocks under "00", "11" and "01", the dim that held under
+    "dim", and every dim attempted, in order, under "dims_tried".
     """
     dim = config.dim if config.dim is not None else default_dim(params)
-    attempts = 3 if config.dim is None else 1
     dims_tried = []
-    last_err: TruncationLeakError | None = None
-    for _ in range(attempts):
+    while True:
         dims_tried.append(dim)
         try:
-            run_cfg = replace(config, dim=dim)
             ops = build_operators(dim, params)
-            out = {}
-            for block in _BLOCKS:
-                init = thermal_block(dim, params.mbar, block)
-                out[block] = evolve_block(init, params, run_cfg, t, ops=ops)
-            out["dim"] = dim
-            out["dims_tried"] = dims_tried
-            return out
-        except TruncationLeakError as err:
-            last_err = err
+            out = {block: evolve_block(thermal_block(dim, params.mbar, block), ops, t)
+                   for block in _BLOCKS}
+            return {**out, "dim": dim, "dims_tried": dims_tried}
+        except TruncationLeakError:
+            if (config.dim is not None or len(dims_tried) == 3
+                    or 2 * dim > MAX_DIM):
+                raise
             dim *= 2
-    raise last_err
 
 
 def sample_comparison_points(n: int, seed: int, t_max: float = 20.0,
@@ -648,7 +628,7 @@ def compare_point(params: SystemParams, qubit: QubitInitState,
     coh_a = coherence_trace(t, params, init)
     fuj_o = uhlmann_fidelity(blocks["00"], blocks["11"])
     fuj_a = fidelity_uj_blocks(t, params, params.M)
-    red = reduced_quantities(blocks, qubit, with_wigner=False)
+    red = reduced_quantities(blocks, qubit)
     pq_a = purity_qubit(t, params, params.M, qubit)
     posc_a = purity_oscillator(t, params, params.M, qubit)
 

@@ -253,13 +253,14 @@ def _refine_peak(qs, ps, w, j: int, i: int) -> np.ndarray:
     return np.array([q, p])
 
 
-def wigner_lobe_centers(qs, ps, w, mid=(0.0, 0.0)) -> tuple[np.ndarray, np.ndarray]:
+def wigner_lobe_centers(qs, ps, w) -> tuple[np.ndarray, np.ndarray]:
     """Centers of the two mixture lobes of a reduced Wigner grid.
 
     The reduced state is a two-component Gaussian mixture whose centers sit
-    symmetrically around `mid` (the freely evolved initial center). Finds the
-    global peak, reflects it through mid, refines both by local quadratic
-    interpolation of ln w. For a merged single lobe both returns coincide.
+    symmetrically around the origin (the freely evolved center of a thermal
+    start). Finds the global peak, reflects it through the origin, refines
+    both by local quadratic interpolation of ln w. For a merged single lobe
+    both returns coincide.
     w is indexed as w[j, i] = W(qs[i], ps[j]).
     """
     qs = np.asarray(qs, dtype=float)
@@ -267,7 +268,7 @@ def wigner_lobe_centers(qs, ps, w, mid=(0.0, 0.0)) -> tuple[np.ndarray, np.ndarr
     w = np.asarray(w, dtype=float)
     j1, i1 = np.unravel_index(int(np.argmax(w)), w.shape)
     peak1 = _refine_peak(qs, ps, w, j1, i1)
-    guess = 2.0 * np.asarray(mid, dtype=float) - peak1
+    guess = -peak1
     # local search window of +-1 phase-space unit around the mirror point
     isel = np.where(np.abs(qs - guess[0]) <= 1.0)[0]
     jsel = np.where(np.abs(ps - guess[1]) <= 1.0)[0]

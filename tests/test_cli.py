@@ -87,7 +87,8 @@ def test_config_file_overrides_flags(tmp_path):
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     for command, entries in (("propagate", {"coupling": 0.1}),
-                             ("oracle", {"method": "rk"})):
+                             ("oracle", {"method": "rk"}),
+                             ("oracle", {"rel_tol": 1e-8})):
         cfg.write_text(json.dumps(entries))
         assert run(command, "--config", cfg, "--outdir", tmp_path) == 2
         assert "unknown config key" in capsys.readouterr().err
@@ -324,8 +325,16 @@ _RECORD = "#M=1.0\nt,fgen\n0,1.0\n1,0.9\n"
     (["propagate", "--config", "{src}/seed.json"], "--seed must be >= 0"),
     (["oracle", "--points", "1", "--seed", "-3"], "--seed must be >= 0"),
     (["fidelity", "--outdir", "{src}/good.csv"], "cannot use output directory"),
+    (["propagate", "--outdir", "{src}", "--output", "nodir/run.csv"],
+     "cannot write"),
+    (["oracle", "--g", "0.1", "--t", "0.5", "--outdir", "{src}",
+      "--output", "wigner_t0.csv"], "cannot write"),
+    (["wigner", "--outdir", "{src}"], "cannot write"),
+    (["wigner", "--times", "0,nan"], "times must be finite"),
+    (["oracle", "--dim", "100000"], "dim must be an integer in [2, 512]"),
 ], ids=("missing", "bad-cell", "bad-M", "bad-noise", "seed-flag",
-        "seed-config", "oracle-seed", "outdir-is-file"))
+        "seed-config", "oracle-seed", "outdir-is-file", "output-no-dir",
+        "output-is-dir", "grid-output-is-dir", "times-nan", "oracle-dim"))
 def test_bad_outside_input_exits_2_without_output(tmp_path, capsys, argv,
                                                   message):
     src = tmp_path / "src"
@@ -334,9 +343,13 @@ def test_bad_outside_input_exits_2_without_output(tmp_path, capsys, argv,
               "bad_row.csv": _RECORD.replace("1,0.9", "1,abc"),
               "bad_m.csv": _RECORD.replace("#M=1.0", "#M=abc"),
               "bad_noise.csv": "#noise=lots\n" + _RECORD,
-              "seed.json": json.dumps({"seed": -2})}
+              "seed.json": json.dumps({"seed": -2}),
+              "wigner_t0.csv": None}  # a directory where an output would go
     for name, text in inputs.items():
-        (src / name).write_text(text)
+        if text is None:
+            (src / name).mkdir()
+        else:
+            (src / name).write_text(text)
     argv = [a.format(src=src) for a in argv]
     if "--outdir" not in argv:
         argv += ["--outdir", str(tmp_path / "out")]
@@ -345,7 +358,8 @@ def test_bad_outside_input_exits_2_without_output(tmp_path, capsys, argv,
     assert out.out == ""
     assert len(out.err.splitlines()) == 1 and message in out.err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["src"]
-    assert {p.name: p.read_text() for p in src.iterdir()} == inputs
+    assert {p.name: p.read_text() if p.is_file() else None
+            for p in src.iterdir()} == inputs
 
 
 def test_readme_cli_examples_parse():

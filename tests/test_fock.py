@@ -55,7 +55,7 @@ def test_initial_blocks():
         0.7 + 1.25 / 2, abs=1e-8)
 
 
-def test_default_dim_is_the_smallest_clean_size():
+def test_default_dim_is_the_smallest_clean_size(monkeypatch):
     # one level fewer puts the bounding Gaussian's top level over the target
     for p in (SystemParams(g=0.1, kappa=0.1),
               SystemParams(g=0.05, kappa=0.1, nbar=0.0, mbar=2.0),
@@ -66,16 +66,21 @@ def test_default_dim_is_the_smallest_clean_size():
         assert _tail_weight(rho[:dim - 1, :dim - 1]) >= SIZING_TOL
         assert all(_tail_weight(rho[:n, :n]) < SIZING_TOL
                    for n in range(dim, 2 * dim))
+    # an answer above MAX_DIM is refused before the sizing basis grows past it
+    big = SystemParams(g=2.0, kappa=0.1)
+    monkeypatch.setattr(fock, "MAX_DIM", default_dim(big) - 1)
+    with pytest.raises(ValidationError, match="MAX_DIM"):
+        default_dim(big)
 
 
 def test_diag_evolution_preserves_trace_and_hermiticity():
     p = SystemParams(g=0.2, kappa=0.12, nbar=0.5, mbar=1.0)
-    cfg = OracleConfig(dim=45)
+    ops = build_operators(45, p)
     # coherent and displaced-thermal starts pass the start's Hermitian check
     for init in (thermal_block(45, 1.0),
                  displaced_thermal_block(45, 0.0, 0.8, -0.5, "11"),
                  displaced_thermal_block(45, 0.3, -0.4, 0.6)):
-        out = evolve_block(init, p, cfg, 6.0)
+        out = evolve_block(init, ops, 6.0)
         assert out.trace == pytest.approx(1.0, abs=1e-9)
         assert np.array_equal(out.entries, out.entries.conj().T)
         assert np.linalg.eigvalsh(out.entries).min() > -1e-10
@@ -83,17 +88,16 @@ def test_diag_evolution_preserves_trace_and_hermiticity():
 
 def test_matched_bath_is_stationary():
     p = SystemParams(g=0.0, kappa=0.15, nbar=0.8, mbar=0.8)
-    cfg = OracleConfig(dim=40)
     init = thermal_block(40, 0.8)
-    out = evolve_block(init, p, cfg, 5.0)
+    out = evolve_block(init, build_operators(40, p), 5.0)
     assert np.max(np.abs(out.entries - init.entries)) < 1e-10
 
 
 def test_occupation_relaxes_at_rate_two_kappa():
     p = SystemParams(g=0.0, kappa=0.15, nbar=0.2, mbar=1.0)
-    cfg = OracleConfig(dim=40)
+    ops = build_operators(40, p)
     for t in (0.5, 3.0):
-        out = evolve_block(thermal_block(40, 1.0), p, cfg, t)
+        out = evolve_block(thermal_block(40, 1.0), ops, t)
         want = 0.2 + 0.8 * np.exp(-2 * 0.15 * t)
         assert number_expectation(out) == pytest.approx(want, abs=1e-8)
 
@@ -107,7 +111,7 @@ def test_integrator_backends_agree():
     ops = build_operators(35, p)
     starts = [thermal_block(35, 0.6, block) for block in ("00", "11", "01")]
     for init in starts + [displaced_thermal_block(35, 0.6, 0.4, -0.3, "01")]:
-        rk = evolve_block(init, p, OracleConfig(dim=35), 4.0)
+        rk = evolve_block(init, ops, 4.0)
         ex = expm_multiply(ops.liouvillian(init.block) * 4.0,
                            init.entries.reshape(-1))
         assert np.max(np.abs(rk.entries - ex.reshape(35, 35))) < 1e-10
@@ -177,25 +181,18 @@ def test_non_hermitian_diagonal_start_is_refused():
     p = SystemParams(g=0.1, kappa=0.1)
     entries = thermal_block(12, 0.1).entries
     entries[0, 1] = 1e-9
+    ops = build_operators(12, p)
     for block in ("00", "11"):
         with pytest.raises(ValidationError, match="not Hermitian"):
-            evolve_block(BlockDensityMatrix(12, entries, block), p,
-                         OracleConfig(dim=12), 1.0)
+            evolve_block(BlockDensityMatrix(12, entries, block), ops, 1.0)
     # the off-diagonal block need not be Hermitian
-    evolve_block(BlockDensityMatrix(12, entries, "01"), p, OracleConfig(dim=12), 1.0)
+    evolve_block(BlockDensityMatrix(12, entries, "01"), ops, 1.0)
 
 
 def test_shared_operators_must_match_the_start():
     p = SystemParams(g=0.1, kappa=0.1)
-    init = thermal_block(12, 0.1)
-    with pytest.raises(ValidationError, match="another dim or params"):
-        evolve_block(init, p, OracleConfig(dim=12), 1.0, ops=build_operators(14, p))
-    other = SystemParams(g=0.2, kappa=0.1)
-    with pytest.raises(ValidationError, match="another dim or params"):
-        evolve_block(init, p, OracleConfig(dim=12), 1.0, ops=build_operators(12, other))
-    shared = evolve_block(init, p, OracleConfig(dim=12), 1.0, ops=build_operators(12, p))
-    own = evolve_block(init, p, OracleConfig(dim=12), 1.0)
-    assert np.array_equal(shared.entries, own.entries)
+    with pytest.raises(ValidationError, match="ops dim 14 != initial matrix dim 12"):
+        evolve_block(thermal_block(12, 0.1), build_operators(14, p), 1.0)
 
 
 def test_rk_matches_scipy_dop853_reference():
@@ -208,7 +205,7 @@ def test_rk_matches_scipy_dop853_reference():
         v0 = packed_start(thermal_block(35, 0.6, block))
         ref = solve_ivp(lambda _t, v: gen.dot(v), (0.0, 6.0), v0,
                         method="DOP853", rtol=1e-10, atol=1e-12, t_eval=(6.0,))
-        sol = fock.solve_ivp(gen, v0, 6.0, 1e-10, 1e-12)
+        sol = fock.solve_ivp(gen, v0, 6.0)
         assert sol.success and sol.nfev > 0
         assert np.max(np.abs(sol.y - ref.y[:, -1])) <= 1e-9
 
@@ -225,18 +222,18 @@ def test_non_finite_generator_fails_with_its_return_code(monkeypatch):
 
     sol = fock.solve_ivp(
         fock._hermitian_generator(poisoned(build_operators(8, p), "00"), 8),
-        packed_start(init), 1.0, 1e-10, 1e-12)
+        packed_start(init), 1.0)
     assert not sol.success and sol.status < 0
     monkeypatch.setattr(fock.OperatorSet, "liouvillian", poisoned)
     with pytest.raises(ValidationError, match=f"return code {sol.status}"):
-        evolve_block(init, p, OracleConfig(dim=8), 1.0)
+        evolve_block(init, build_operators(8, p), 1.0)
 
 
 def test_repeated_evolutions_keep_memory_flat():
     # each call builds a new generator; none of them may stay referenced
     def run(i):
         p = SystemParams(g=0.1 + 0.002 * i, kappa=0.07, nbar=0.3, mbar=0.6)
-        evolve_block(thermal_block(30, 0.6), p, OracleConfig(dim=30), 1.0)
+        evolve_block(thermal_block(30, 0.6), build_operators(30, p), 1.0)
 
     run(0)
     gc.collect()
@@ -255,7 +252,7 @@ def test_repeated_evolutions_keep_memory_flat():
 def test_truncation_guard():
     p = SystemParams(g=0.1, kappa=0.1, nbar=0.0, mbar=2.0)
     with pytest.raises(TruncationLeakError) as exc:
-        evolve_block(thermal_block(10, 2.0), p, OracleConfig(dim=10), 1.0)
+        evolve_block(thermal_block(10, 2.0), build_operators(10, p), 1.0)
     assert exc.value.suggested_dim == 20
 
 
@@ -279,6 +276,10 @@ def test_auto_doubling_picks_a_clean_dim(monkeypatch):
     assert rep["leak_retries"] == 1
     assert rep["dim"] == 2 * small
     assert rep["dev_fgen"] < 1e-8
+    # a retry that would pass MAX_DIM re-raises the leak instead
+    monkeypatch.setattr(fock, "MAX_DIM", 2 * small - 1)
+    with pytest.raises(TruncationLeakError):
+        compare_point(p, QubitInitState.balanced(), OracleConfig(), 2.0)
 
 
 def test_chord_of_vacuum():
@@ -368,17 +369,14 @@ def test_offdiag_detuning_phase_is_reported():
 
 
 def test_validation_errors():
-    for bad in ({"rel_tol": -1.0}, {"rel_tol": math.inf},
-                {"rel_tol": math.nan}, {"abs_tol": math.inf},
-                {"abs_tol": math.nan}, {"rel_tol": 1e-15}):
+    for bad in (1, 2.0, fock.MAX_DIM + 1):
         with pytest.raises(ValidationError):
-            OracleConfig(**bad)
+            OracleConfig(dim=bad)
+    assert OracleConfig(dim=fock.MAX_DIM).dim == fock.MAX_DIM
     with pytest.raises(ValidationError):
         BlockDensityMatrix(3, np.zeros((3, 4)), "00")
     with pytest.raises(ValidationError):
         BlockDensityMatrix(3, np.zeros((3, 3)), "10")
     p = SystemParams(g=0.1, kappa=0.1)
     with pytest.raises(ValidationError):
-        evolve_block(thermal_block(20, 0.0), p, OracleConfig(dim=30), 1.0)
-    with pytest.raises(ValidationError):
-        evolve_block(thermal_block(20, 0.0), p, OracleConfig(dim=20), -1.0)
+        evolve_block(thermal_block(20, 0.0), build_operators(20, p), -1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oscprobe import (GaussianState, OracleConfig, QubitInitState,
-                      SystemParams, chord_block_diag, chord_block_offdiag,
+                      SystemParams, build_operators, chord_block_diag, chord_block_offdiag,
                       chord_from_matrix, compare_point, displacement_vector,
                       evolve_block, evolve_thermal_blocks, fundamental_matrix,
                       reduced_wigner_grid, sample_comparison_points,
@@ -46,11 +46,11 @@ def test_chord_functions_match_pointwise():
 def test_flipping_the_qubit_flips_the_coupling():
     p = SystemParams(g=0.3, kappa=0.1, nbar=0.4, mbar=0.4)
     flipped = SystemParams(g=-0.3, kappa=0.1, nbar=0.4, mbar=0.4)
-    cfg = OracleConfig(dim=40)
+    ops = build_operators(40, p)
     init = thermal_block(40, 0.4)
-    up = evolve_block(init, p, cfg, 4.0)
-    down = evolve_block(thermal_block(40, 0.4, "11"), p, cfg, 4.0)
-    up_flipped = evolve_block(init, flipped, cfg, 4.0)
+    up = evolve_block(init, ops, 4.0)
+    down = evolve_block(thermal_block(40, 0.4, "11"), ops, 4.0)
+    up_flipped = evolve_block(init, build_operators(40, flipped), 4.0)
     assert np.max(np.abs(down.entries - up_flipped.entries)) < 1e-10
     # for a parity-symmetric start the two conditional states are parity images
     parity = np.diag((-1.0) ** np.arange(40))
@@ -68,6 +68,9 @@ def test_wigner_grids_match():
     analytic = reduced_wigner_grid(qs, ps, t, p, init, QUBIT)
     assert red["wigner"].shape == analytic.shape
     assert np.max(np.abs(red["wigner"] - analytic)) < 1e-6
+    # without axes the same purities come back and no grid is computed
+    assert reduced_quantities(blocks, QUBIT) == {
+        k: red[k] for k in ("purity_qubit", "purity_oscillator")}
 
 
 def test_asymmetric_qubit_weights_the_lobes():
