@@ -263,8 +263,8 @@ def cmd_propagate(args) -> int:
     init = _build_init(args, params)
     times = _time_grid(args.t_max, args.dt)
     coh = coherence_trace(times, params, init)
-    # the evolved blocks keep a scalar covariance for both supported inits
-    m_label = params.M if args.init == "thermal" else 0.5
+    # both supported starts are isotropic, so s11 is the start's variance M
+    m_label = init.cov.s11
     cols = _curve_columns(times, params, init, m_label, qubit)
     if args.noise > 0.0:
         fgen = cols["fgen"]

@@ -12,14 +12,12 @@ are fit. Two series at distinct known M additionally allow a closed-form
 split of the record into |d|^2 and the bath term kappa*N*delta before any
 fitting ("two-temperature" mode).
 
-Fits run on log-space residuals with an analytic Jacobian; positivity
-constraints (kappa > 0, g > 0, N > 1) are built into softplus
-reparametrizations instead of clipping. A residual evaluation computes the
-model alone; the analytic Jacobian, with its kappa-derivative kernels, is
-evaluated only when least_squares asks for it. The tolerances stay at
-xtol = ftol = gtol = 1e-14, where the stopping point depends on the last bits
-of the model, so the residual and the Jacobian path share one expression for
--ln F (`_scaled_model`).
+Both modes run one least-squares solve (`_solve`) over x = floor + softplus(u),
+which keeps g, kappa > 0 and N > 1; its analytic Jacobian is evaluated only
+when least_squares asks for it. The direct fit evaluates -ln F once over all
+records, with one M label per sample. At xtol = ftol = gtol = 1e-14 the
+stopping point depends on the last bits of the model, so the fit, its Jacobian
+and `neg_log_fidelity_model` share one expression for -ln F (`_scaled_model`).
 """
 
 from __future__ import annotations
@@ -109,9 +107,9 @@ def log_derivative_model(t, g: float, kappa: float, M: float, N: float):
     return M * _dsq_prime(t, g, kappa) + kappa * N * _dsq(t, g, kappa)
 
 
-def neg_log_fidelity_model(t, g: float, kappa: float, M: float, N: float):
-    """-ln F(t) for a thermal start with variance M."""
-    return M * _dsq(t, g, kappa) + kappa * N * _delta(t, g, kappa)
+def neg_log_fidelity_model(t, g: float, kappa: float, M, N: float):
+    """-ln F(t) for a thermal start with variance M (a scalar or one per t)."""
+    return g * g * _scaled_model(t, kappa, M, N)[0]
 
 
 def _check_pair(series1: CoherenceSeries, series2: CoherenceSeries):
@@ -199,20 +197,15 @@ def _sigmoid(u):
     return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(u, dtype=float)))
 
 
-def _scaled_model(t, kappa: float, N: float, M: float):
+def _scaled_model(t, kappa: float, M, N: float):
     """(-ln F) / g^2 = M D + kappa N E, and the bath kernel E it used."""
     ev = _delta(t, 1.0, kappa)
     return M * _dsq(t, 1.0, kappa) + kappa * N * ev, ev
 
 
-def _model(t, g: float, kappa: float, N: float, M: float):
-    """-ln F at the physical (g, kappa, N) for a record of variance M."""
-    return g * g * _scaled_model(t, kappa, N, M)[0]
-
-
-def _model_and_jacobian(t, g: float, kappa: float, N: float, M: float):
+def _model_and_jacobian(t, g: float, kappa: float, M, N: float):
     """-ln F and its Jacobian columns wrt the physical (g, kappa, N)."""
-    core, ev = _scaled_model(t, kappa, N, M)
+    core, ev = _scaled_model(t, kappa, M, N)
     ddk = _dsq_scaled_dkappa(t, kappa)
     dek = _delta_scaled_dkappa(t, kappa)
     jg = 2.0 * g * core
@@ -241,63 +234,60 @@ def _initial_guess(times: np.ndarray, y: np.ndarray, M: float):
     return max(g0, 1e-4), kappa0, 1.5
 
 
-def _fit_direct(series_list: list[CoherenceSeries]) -> EstimateReport:
-    for s in series_list:
-        if s.M is None:
-            raise DegenerateInputError(
-                "every series needs a known M label: a single record is "
-                "invariant under (g, M, N) -> (c g, M/c^2, N/c^2)")
-    times = np.concatenate([s.times for s in series_list])
-    y = np.concatenate([-np.log(s.fgen) for s in series_list])
-    m_labels = np.concatenate([np.full(s.times.shape, s.M) for s in series_list])
-    m0 = series_list[0].M
-    # one (selector, times, M) per distinct label; records sharing an M need
-    # not be adjacent, so the selectors are masks
-    groups = []
-    for m in np.unique(m_labels):
-        sel = m_labels == m
-        groups.append((sel, times[sel], m))
+def _solve(residuals, physical_jacobian, x0, floors):
+    """Fit x = floors + softplus(u) from x0; residuals and the Jacobian take x.
 
-    def unpack(u):
-        return (float(_softplus(u[0])), float(_softplus(u[1])),
-                1.0 + float(_softplus(u[2])))
+    Returns x at the solution, the solver result and the standard errors of x.
+    """
 
-    def physical_jacobian(g, k, n):
-        jac = np.empty((y.size, 3))
-        for sel, ts, m in groups:
-            jac[sel] = np.column_stack(_model_and_jacobian(ts, g, k, n, m)[1:])
-        return jac
-
-    def residuals(u):
-        g, k, n = unpack(u)
-        out = np.empty_like(y)
-        for sel, ts, m in groups:
-            out[sel] = _model(ts, g, k, n, m) - y[sel]
-        return out
+    def physical(u):
+        return _softplus(u) + floors
 
     def jacobian(u):
-        return physical_jacobian(*unpack(u)) * _sigmoid(np.asarray(u))[None, :]
+        return physical_jacobian(*physical(u)) * _sigmoid(u)[None, :]
 
-    g0, k0, n0 = _initial_guess(series_list[0].times,
-                                -np.log(series_list[0].fgen), m0)
-    u0 = np.array([_softplus_inv(g0), _softplus_inv(k0), _softplus_inv(n0 - 1.0)])
-    sol = least_squares(residuals, u0, jac=jacobian, xtol=1e-14, ftol=1e-14,
-                        gtol=1e-14)
-    g, k, n = unpack(sol.x)
-    std = _std_errors(physical_jacobian(g, k, n), sol.fun)
-    report_m = m0 if len({s.M for s in series_list}) == 1 else float("nan")
-    return EstimateReport(
-        g=g, kappa=k, M=report_m, N=n,
-        residual_norm=float(np.linalg.norm(sol.fun)),
-        std_errors={"g": std[0], "kappa": std[1], "N": std[2], "M": 0.0},
-        method="direct-fit", converged=sol.status > 0, nfev=sol.nfev)
+    u0 = np.array([_softplus_inv(v - f) for v, f in zip(x0, floors)])
+    sol = least_squares(lambda u: residuals(*physical(u)), u0, jac=jacobian,
+                        xtol=1e-14, ftol=1e-14, gtol=1e-14)
+    x = [float(v) for v in physical(sol.x)]
+    return x, sol, _std_errors(physical_jacobian(*x), sol.fun)
 
 
 def _std_errors(jac: np.ndarray, resid: np.ndarray) -> np.ndarray:
     dof = max(resid.size - jac.shape[1], 1)
-    s2 = float(resid @ resid) / dof
-    cov = np.linalg.pinv(jac.T @ jac) * s2
+    cov = np.linalg.pinv(jac.T @ jac) * (float(resid @ resid) / dof)
     return np.sqrt(np.clip(np.diag(cov), 0.0, None))
+
+
+def _report(series_list, method: str, sol, g, kappa, N, std) -> EstimateReport:
+    """The fit report; M is the label the records share, else NaN."""
+    labels = {s.M for s in series_list}
+    return EstimateReport(
+        g=g, kappa=kappa, M=labels.pop() if len(labels) == 1 else float("nan"),
+        N=N, residual_norm=float(np.linalg.norm(sol.fun)),
+        std_errors={"g": std[0], "kappa": std[1], "N": std[2], "M": 0.0},
+        method=method, converged=sol.status > 0, nfev=sol.nfev)
+
+
+def _fit_direct(series_list: list[CoherenceSeries]) -> EstimateReport:
+    if any(s.M is None for s in series_list):
+        raise DegenerateInputError(
+            "every series needs a known M label: a single record is "
+            "invariant under (g, M, N) -> (c g, M/c^2, N/c^2)")
+    ys = [-np.log(s.fgen) for s in series_list]
+    y = np.concatenate(ys)
+    times = np.concatenate([s.times for s in series_list])
+    m_labels = np.concatenate([np.full(s.times.shape, s.M) for s in series_list])
+
+    def residuals(g, k, n):
+        return neg_log_fidelity_model(times, g, k, m_labels, n) - y
+
+    def physical_jacobian(g, k, n):
+        return np.column_stack(_model_and_jacobian(times, g, k, m_labels, n)[1:])
+
+    x0 = _initial_guess(series_list[0].times, ys[0], series_list[0].M)
+    (g, k, n), sol, std = _solve(residuals, physical_jacobian, x0, (0.0, 0.0, 1.0))
+    return _report(series_list, "direct-fit", sol, g, k, n, std)
 
 
 def _fit_two_temperature(series_list: list[CoherenceSeries]) -> EstimateReport:
@@ -308,38 +298,22 @@ def _fit_two_temperature(series_list: list[CoherenceSeries]) -> EstimateReport:
     bath = extract_bath_term(s1, s2)
     times = s1.times
 
-    def unpack(u):
-        return float(_softplus(u[0])), float(_softplus(u[1]))
+    def residuals(g, k):
+        return g * g * _dsq(times, 1.0, k) - d2
 
     def physical_jacobian(g, k):
         return np.column_stack([2.0 * g * _dsq(times, 1.0, k),
                                 g * g * _dsq_scaled_dkappa(times, k)])
 
-    def residuals(u):
-        g, k = unpack(u)
-        return g * g * _dsq(times, 1.0, k) - d2
-
-    def jacobian(u):
-        return physical_jacobian(*unpack(u)) * _sigmoid(np.asarray(u))[None, :]
-
-    y_proxy = s1.M * np.maximum(d2, 1e-12)
-    g0, k0, _ = _initial_guess(times, y_proxy, s1.M)
-    u0 = np.array([_softplus_inv(g0), _softplus_inv(k0)])
-    sol = least_squares(residuals, u0, jac=jacobian, xtol=1e-14, ftol=1e-14,
-                        gtol=1e-14)
-    g, k = unpack(sol.x)
+    x0 = _initial_guess(times, s1.M * np.maximum(d2, 1e-12), s1.M)[:2]
+    (g, k), sol, std = _solve(residuals, physical_jacobian, x0, (0.0, 0.0))
     delta_hat = g * g * _delta(times, 1.0, k)
     mask = delta_hat > 1e-3 * float(np.max(delta_hat))
     if not np.any(mask):
         raise DegenerateInputError("record too short to expose the bath term")
     n = float(np.median(bath[mask] / (k * delta_hat[mask])))
-    n = max(n, 1.0)
-    std = _std_errors(physical_jacobian(g, k), sol.fun)
-    return EstimateReport(
-        g=g, kappa=k, M=s1.M, N=n,
-        residual_norm=float(np.linalg.norm(sol.fun)),
-        std_errors={"g": std[0], "kappa": std[1], "N": float("nan"), "M": 0.0},
-        method="two-temperature", converged=sol.status > 0, nfev=sol.nfev)
+    return _report(series_list, "two-temperature", sol, g, k, max(n, 1.0),
+                   (*std, float("nan")))
 
 
 def fit_parameters(series, mode: str = "direct-fit") -> EstimateReport:

@@ -261,7 +261,8 @@ def test_estimate_writes_strict_json(tmp_path):
     assert direct["M"] is None and direct["mbar"] is None
     assert direct["N"] == pytest.approx(2.0, rel=1e-6)
     assert two["std_errors"]["N"] is None
-    assert two["M"] == 0.5
+    # the two records carry different labels, so M is undefined in both modes
+    assert two["M"] is None and two["mbar"] is None
 
 
 def test_estimate_warns_when_the_fit_does_not_converge(tmp_path, monkeypatch,
