@@ -124,21 +124,22 @@ def _check_pair(series1: CoherenceSeries, series2: CoherenceSeries):
         raise DegenerateInputError("series must share the same time grid")
 
 
+def _split(series1: CoherenceSeries, series2: CoherenceSeries):
+    """|d(t)|^2 and kappa * N * delta(t); checks the pair and takes each log once."""
+    _check_pair(series1, series2)
+    y1, y2, m1, m2 = np.log(series1.fgen), np.log(series2.fgen), series1.M, series2.M
+    return (y1 - y2) / (m2 - m1), (m2 * y1 - m1 * y2) / (m1 - m2)
+
+
 def extract_d2(series1: CoherenceSeries, series2: CoherenceSeries) -> np.ndarray:
     """|d(t)|^2 from two records at distinct known M (model-free elimination)."""
-    _check_pair(series1, series2)
-    y1 = np.log(series1.fgen)
-    y2 = np.log(series2.fgen)
-    return (y1 - y2) / (series2.M - series1.M)
+    return _split(series1, series2)[0]
 
 
 def extract_bath_term(series1: CoherenceSeries,
                       series2: CoherenceSeries) -> np.ndarray:
     """kappa * N * delta(t) from two records at distinct known M."""
-    _check_pair(series1, series2)
-    y1 = np.log(series1.fgen)
-    y2 = np.log(series2.fgen)
-    return (series2.M * y1 - series1.M * y2) / (series1.M - series2.M)
+    return _split(series1, series2)[1]
 
 
 # --- kappa-derivatives of the scaled kernels (g = 1), for the Jacobian ---
@@ -294,8 +295,7 @@ def _fit_two_temperature(series_list: list[CoherenceSeries]) -> EstimateReport:
     if len(series_list) != 2:
         raise DegenerateInputError("two-temperature mode needs exactly two series")
     s1, s2 = series_list
-    d2 = extract_d2(s1, s2)
-    bath = extract_bath_term(s1, s2)
+    d2, bath = _split(s1, s2)
     times = s1.times
 
     def residuals(g, k):

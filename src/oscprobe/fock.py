@@ -25,9 +25,12 @@ generator conjugated by I kron P, which preserves Hermiticity; rho_01(t) is
 then Y(t) P exp(-i delta t). A thermal start gives a Hermitian Y0; any other
 Y0 runs as its two Hermitian parts. The stage sums are compiled loops, not
 threaded-BLAS products, so the integration runs on one core and leaves no
-BLAS worker spinning between steps. The tolerances are fixed (_REL_TOL,
-_ABS_TOL); the one solver is built once and cached, and it is not
-re-entrant. The basis never exceeds MAX_DIM levels.
+BLAS worker spinning between steps. Neither does the rest of a point: the
+basis sizing builds its bounding Gaussian by an exact row recurrence, and
+the Uhlmann readout takes the factor form (sum sigma_i(X1^dag X2))^2 with an
+einsum product, so no eigenvector solve or matmul runs. The tolerances are
+fixed (_REL_TOL, _ABS_TOL); the one solver is built once and cached, and it
+is not re-entrant. The basis never exceeds MAX_DIM levels.
 """
 
 from __future__ import annotations
@@ -126,11 +129,26 @@ def _bounding_gaussian(params: SystemParams, dim: int) -> np.ndarray:
 
     At every t each evolved block is a Gaussian of occupation at most
     max(mbar, nbar) about a center at most 2g/sqrt(1 + kappa^2) from the
-    origin.
+    origin. Its number-basis elements (Cahill & Glauber 1969) come from an
+    exact row recurrence, with r = occ/(1 + occ) and the real alpha, the
+    center over sqrt(2):
+    rho[0, n] = (1-r) exp(-(1-r) alpha^2) ((1-r) alpha)^n / sqrt(n!), and
+    sqrt(m+1) rho[m+1, n] = r sqrt(n) rho[m, n-1] + alpha (1-r) rho[m, n].
+    Every term is >= 0, so nothing cancels, and no LAPACK or BLAS call runs.
     """
-    shift = 2.0 * abs(params.g) / math.sqrt(1.0 + params.kappa ** 2)
+    alpha = math.sqrt(2.0) * abs(params.g) / math.sqrt(1.0 + params.kappa ** 2)
     occ = max(params.mbar, params.nbar)
-    return displaced_thermal_block(dim, occ, shift, 0.0).entries
+    r = occ / (1.0 + occ)
+    rootn = np.sqrt(np.arange(dim))
+    rho = np.empty((dim, dim))
+    rho[0, 0] = (1.0 - r) * math.exp(-(1.0 - r) * alpha * alpha)
+    rho[0, 1:] = (1.0 - r) * alpha / rootn[1:]
+    rho[0] = np.cumprod(rho[0])
+    for m in range(dim - 1):
+        rho[m + 1] = alpha * (1.0 - r) * rho[m]
+        rho[m + 1, 1:] += r * rootn[1:] * rho[m, :-1]
+        rho[m + 1] /= rootn[m + 1]
+    return rho
 
 
 def default_dim(params: SystemParams) -> int:
@@ -148,7 +166,8 @@ def default_dim(params: SystemParams) -> int:
             raise ValidationError(
                 f"these parameters need a basis above MAX_DIM = {MAX_DIM}")
         rho = _bounding_gaussian(params, big)
-        # the top half of the big basis carries its own truncation error
+        # the recurrence is exact at every index; the lower-half scan and
+        # the doubling stay because they leave every chosen dim unchanged
         over = [n for n in range(big // 2)
                 if _tail_weight(rho[:n + 1, :n + 1]) >= SIZING_TOL]
         dim = over[-1] + 2
@@ -514,29 +533,30 @@ def wigner_grid_from_matrix(rho, qs, ps) -> np.ndarray:
     return (kern @ phases).T.real * (h / math.pi)
 
 
-def _clamped_sqrt(vals: np.ndarray) -> np.ndarray:
-    """sqrt of eigenvalues clamped to zero down to EIG_CLAMP; lower is an error."""
-    if vals.min() < EIG_CLAMP:
-        raise ValidationError(
-            f"matrix has eigenvalue {vals.min():.3g} below clamp {EIG_CLAMP:g}")
-    return np.sqrt(np.clip(vals, 0.0, None))
-
-
 def uhlmann_fidelity(rho1, rho2) -> float:
     """(Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2 from raw density matrices.
 
-    Eigenvalues are clamped to zero down to EIG_CLAMP; anything lower is an
-    error. Inputs are symmetrized to remove integrator roundoff.
+    Inputs are symmetrized to remove integrator roundoff. Either input with
+    an eigenvalue below EIG_CLAMP is an error; smaller negative ones count
+    at their magnitude. With rho_k = X_k X_k^dag and X_k = V_k sqrt(S_k) from
+    the SVD of rho_k, the fidelity is (sum of singular values of X1^dag X2)^2
+    (Uhlmann 1976; Jozsa 1994). The product is an einsum, not a BLAS call,
+    and no eigenvector solve runs, so the readout leaves numpy's BLAS pool
+    idle.
     """
-    e1 = rho1.entries if isinstance(rho1, BlockDensityMatrix) else np.asarray(rho1)
-    e2 = rho2.entries if isinstance(rho2, BlockDensityMatrix) else np.asarray(rho2)
-    e1 = 0.5 * (e1 + e1.conj().T)
-    e2 = 0.5 * (e2 + e2.conj().T)
-    vals, vecs = np.linalg.eigh(e1)
-    sq1 = (vecs * _clamped_sqrt(vals)) @ vecs.conj().T
-    inner = sq1 @ e2 @ sq1
-    inner = 0.5 * (inner + inner.conj().T)
-    return float(np.sum(_clamped_sqrt(np.linalg.eigvalsh(inner))) ** 2)
+    factors = []
+    for rho in (rho1, rho2):
+        e = rho.entries if isinstance(rho, BlockDensityMatrix) else np.asarray(rho)
+        e = 0.5 * (e + e.conj().T)
+        low = float(np.linalg.eigvalsh(e)[0])
+        if low < EIG_CLAMP:
+            raise ValidationError(
+                f"matrix has eigenvalue {low:.3g} below clamp {EIG_CLAMP:g}")
+        _, s, vh = np.linalg.svd(e)
+        factors.append(vh.conj().T * np.sqrt(s))
+    x1, x2 = factors
+    overlap = np.einsum("ji,jk->ik", x1.conj(), x2)
+    return float(np.sum(np.linalg.svd(overlap, compute_uv=False)) ** 2)
 
 
 def reduced_quantities(blocks: dict, qubit: QubitInitState, qs=None,

@@ -73,6 +73,22 @@ def test_default_dim_is_the_smallest_clean_size(monkeypatch):
         default_dim(big)
 
 
+def test_bounding_gaussian_matches_the_displaced_thermal_state():
+    # thermal_block renormalizes on its truncated basis; times (1 - r^big)
+    # that undoes it, leaving the reference's truncated-displacement error,
+    # which stays in its top half
+    for occ in (0.0, 0.7, 2.0):
+        for shift in (0.0, 0.6):
+            p = SystemParams(g=shift / 2, kappa=0.0, nbar=occ)
+            r = occ / (1.0 + occ)
+            for big in (64, 128):
+                want = displaced_thermal_block(big, occ, shift, 0.0).entries
+                got = _bounding_gaussian(p, big)
+                half = big // 2
+                assert np.max(np.abs(got[:half, :half] - (1.0 - r ** big)
+                                     * want[:half, :half])) <= 1e-12
+
+
 def test_diag_evolution_preserves_trace_and_hermiticity():
     p = SystemParams(g=0.2, kappa=0.12, nbar=0.5, mbar=1.0)
     ops = build_operators(45, p)
@@ -351,6 +367,39 @@ def test_uhlmann_thermal_pair_matches_gaussian_formula():
         GaussianState.thermal(0.5),
         GaussianState(PhaseVector(0.9, -0.4), Covariance2.isotropic(1.6)))
     assert uhlmann_fidelity(r1, r2) == pytest.approx(want, abs=1e-8)
+
+
+def test_uhlmann_fidelity_is_symmetric():
+    r1 = thermal_block(50, 0.4)
+    r2 = displaced_thermal_block(50, 1.1, 0.9, -0.4)
+    r3 = displaced_thermal_block(50, 0.2, -0.5, 1.2)
+    for a, b in ((r1, r2), (r2, r3), (r1, r3)):
+        assert abs(uhlmann_fidelity(a, b) - uhlmann_fidelity(b, a)) <= 1e-12
+
+
+def test_uhlmann_refuses_a_negative_eigenvalue_in_either_input():
+    vacuum = thermal_block(3, 0.0).entries
+    # negative only where the vacuum has no weight: sqrt(rho1) hides it
+    bad = np.diag([0.5, 0.5 + 1e-6, -1e-6]).astype(complex)
+    for args in ((vacuum, bad), (bad, vacuum)):
+        with pytest.raises(ValidationError, match="clamp"):
+            uhlmann_fidelity(*args)
+    # roundoff above EIG_CLAMP is accepted
+    ok = np.diag([0.5, 0.5 + 1e-10, -1e-10]).astype(complex)
+    assert uhlmann_fidelity(vacuum, ok) == pytest.approx(0.5, abs=1e-9)
+
+
+def test_oracle_point_runs_without_an_eigenvector_solve(monkeypatch):
+    # the sizing and the Uhlmann readout must not reach a dense eigh, whose
+    # threaded LAPACK leaves BLAS workers spinning through the next solve
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    p = SystemParams(g=0.3, kappa=0.1, nbar=1.5, mbar=0.5)
+    rep = compare_point(p, QubitInitState.balanced(), OracleConfig(), 0.5)
+    assert rep["dim"] > 41
+    assert max(v for k, v in rep.items() if k.startswith("dev_")) < 1e-9
 
 
 def test_offdiag_detuning_phase_is_reported():
