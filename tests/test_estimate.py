@@ -9,7 +9,6 @@ from oscprobe import (CoherenceSeries, DegenerateInputError, SystemParams,
                       ValidationError, estimate, extract_bath_term,
                       extract_d2, fit_parameters, log_derivative_model,
                       neg_log_fidelity_model, synthesize_series)
-from oscprobe.estimate import _model_and_jacobian
 from oscprobe.propagator import _delta, _dsq
 
 TRUE = SystemParams(g=0.1, kappa=0.05, nbar=0.3, mbar=0.5)  # M=1, N=1.6
@@ -52,7 +51,9 @@ def test_two_temperature_elimination_is_exact():
 def test_jacobian_matches_finite_differences():
     ts = np.linspace(0.5, 28.0, 40)
     g, k, n, m = 0.13, 0.07, 1.8, 1.2
-    y, jg, jk, jn = _model_and_jacobian(ts, g, k, m, n)
+    kern = estimate._Kernel(ts)
+    jg, jk, jn = kern.jacobian(g, k, m, n).T
+    y = g * g * kern.model(k, m, n)[0]
     assert np.allclose(y, neg_log_fidelity_model(ts, g, k, m, n), atol=1e-14)
     h = 1e-7
     fd_g = (neg_log_fidelity_model(ts, g + h, k, m, n)
@@ -218,15 +219,33 @@ def _capture_solver(monkeypatch):
     return calls
 
 
+class _TrigCounter:
+    """numpy for the estimate module, recording each cos and sin call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        if name not in ("cos", "sin"):
+            return getattr(np, name)
+
+        def counted(x):
+            self.calls.append((name, np.shape(x)))
+            return getattr(np, name)(x)
+        return counted
+
+
 def test_residual_evaluations_run_no_jacobian_kernel(monkeypatch):
     kernel_calls = []
-    kernel = estimate._delta_scaled_dkappa
+    kernel = estimate._delta_dkappa
 
     def counted(*args):
         kernel_calls.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(estimate, "_delta_scaled_dkappa", counted)
+    monkeypatch.setattr(estimate, "_delta_dkappa", counted)
+    trig = _TrigCounter()
+    monkeypatch.setattr(estimate, "np", trig)
     solver_calls = _capture_solver(monkeypatch)
     fit_parameters([make_series(M=1.0), make_series(M=2.0)])
     (call,) = solver_calls
@@ -235,6 +254,36 @@ def test_residual_evaluations_run_no_jacobian_kernel(monkeypatch):
     # one kernel call over all records for each solver Jacobian and for the
     # post-fit standard errors; residual evaluations add none
     assert len(kernel_calls) == sol.njev + 1
+    # cos t and sin t are taken once per fit, over all records
+    assert trig.calls == [("cos", (2 * GRID.size,)), ("sin", (2 * GRID.size,))]
+    trig.calls.clear()
+    fit_parameters([make_series(M=1.0), make_series(M=2.0)], mode="two-temperature")
+    assert trig.calls == [("cos", GRID.shape), ("sin", GRID.shape)]
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1e-12, 0.05, 0.2, 3.0])
+def test_kernel_is_bitwise_the_propagator_closed_form(kappa):
+    for t in (GRID, 7.3):
+        d, ev = estimate._Kernel(t)(kappa)
+        assert np.array_equal(d, _dsq(t, 1.0, kappa))
+        assert np.array_equal(ev, _delta(t, 1.0, kappa))
+        assert np.shape(d) == np.shape(ev) == np.shape(t)
+
+
+def test_kernel_memo_gives_what_a_fresh_kernel_gives():
+    def evaluate(kern, kappa):
+        # derivatives first: each must bring the memo to its own kappa
+        return (estimate._delta_dkappa(kern, kappa), *kern(kappa),
+                estimate._dsq_dkappa(kern, kappa))
+
+    kern = estimate._Kernel(GRID)
+    for kappa in (0.05, 0.2, 0.05):
+        got = evaluate(kern, kappa)
+        want = evaluate(estimate._Kernel(GRID), kappa)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    value = neg_log_fidelity_model(7.3, 0.1, 0.05, 1.0, 1.6)
+    assert np.ndim(value) == 0
+    assert value == neg_log_fidelity_model(np.array([7.3]), 0.1, 0.05, 1.0, 1.6)[0]
 
 
 def test_split_residual_and_jacobian_agree(monkeypatch):
@@ -262,7 +311,7 @@ def test_split_residual_and_jacobian_agree(monkeypatch):
         n = 1.0 + float(estimate._softplus(u[2]))
         for m in (1.0, 2.0):
             sel = m_labels == m
-            want = _model_and_jacobian(times[sel], g, k, m, n)[0] - y[sel]
+            want = neg_log_fidelity_model(times[sel], g, k, m, n) - y[sel]
             assert np.array_equal(r[sel], want)
     grouped = fit_parameters([s, s_other, s2])
     for name in ("g", "kappa", "N"):

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscprobe import (GaussianState, QubitInitState, SystemParams, default_dim,
-                      fidelity_generalized, purity_oscillator, purity_qubit)
+                      estimate, fidelity_generalized, purity_oscillator,
+                      purity_qubit)
+from oscprobe.propagator import _delta, _dsq
 
 # the box sample_comparison_points draws from
 G = st.floats(1e-3, 0.3)
@@ -103,3 +105,13 @@ def test_generalized_fidelity_is_continuous_as_kappa_vanishes(g, kappa, nbar,
     damped = fidelity_generalized(ts, p, init)
     bound = 1e-14 + 4.0 * kappa * g ** 2 * (p.M + p.N) * (1.0 + ts) ** 2
     assert np.all(np.abs(damped - unitary) <= bound)
+
+
+@CHEAP
+@given(st.floats(0.0, 5.0), TIMES)
+def test_fit_kernel_is_bitwise_the_closed_form(kappa, times):
+    # the fits' per-grid kernel repeats _dsq and _delta term by term
+    ts = np.array(times)
+    d, ev = estimate._Kernel(ts)(kappa)
+    assert np.array_equal(d, _dsq(ts, 1.0, kappa))
+    assert np.array_equal(ev, _delta(ts, 1.0, kappa))
