@@ -14,13 +14,11 @@ fitting ("two-temperature" mode).
 
 Both modes run one least-squares solve (`_solve`) over x = floor + softplus(u),
 which keeps g, kappa > 0 and N > 1. The direct fit evaluates -ln F once over
-all records, with one M label per sample. Each fit builds one `_Kernel` on its
-time grid: cos t and sin t are taken once per fit, the terms D, E and their
-kappa-derivatives share are memoized for the last kappa, and the derivatives
-run only when least_squares asks for the Jacobian. At xtol = ftol = gtol =
-1e-14 the stopping point depends on the last bits of the model, so the kernel
-keeps the operation order of `propagator._dsq` and `_delta`, and the fit, its
-Jacobian and `neg_log_fidelity_model` share one expression for -ln F.
+all records, with one M label per sample. Each fit reads D and E off one
+`propagator._Kernel` on its time grid: two-temperature residuals read D alone,
+and the kappa-derivatives run only for the Jacobian. At xtol = ftol = gtol =
+1e-14 the stopping point depends on the last bits of the model, so D and E
+keep the prefactor order of `_dsq(t, 1.0, kappa)` and `_delta(t, 1.0, kappa)`.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ import numpy as np
 from .errors import DegenerateInputError, ValidationError
 from .fidelity import fidelity_generalized
 from .phase_space import GaussianState, SystemParams
-from .propagator import _dsq, _dsq_prime, _exprel
+from .propagator import _dsq, _dsq_prime, _Kernel
 
 
 @dataclass(frozen=True)
@@ -112,7 +110,7 @@ def log_derivative_model(t, g: float, kappa: float, M: float, N: float):
 
 def neg_log_fidelity_model(t, g: float, kappa: float, M, N: float):
     """-ln F(t) for a thermal start with variance M (a scalar or one per t)."""
-    return g * g * _Kernel(t).model(kappa, M, N)[0]
+    return g * g * _model(_Kernel(t), kappa, M, N)[0]
 
 
 def _check_pair(series1: CoherenceSeries, series2: CoherenceSeries):
@@ -145,47 +143,28 @@ def extract_bath_term(series1: CoherenceSeries,
     return _split(series1, series2)[1]
 
 
-# --- the scaled kernels D = |d|^2 / g^2 and E = delta / g^2 on one grid ---
+def _dsq_unit(kern: _Kernel, kappa: float):
+    """D(t; kappa) on the kernel's grid."""
+    return 4.0 / (1.0 + kappa * kappa) * kern(kappa).b
 
 
-class _Kernel:
-    """D(t; kappa) and E(t; kappa) on a fixed time grid, for one fit.
+def _delta_unit(kern: _Kernel, kappa: float):
+    """E(t; kappa) on the kernel's grid."""
+    return 4.0 / (1.0 + kappa * kappa) * kern(kappa).bracket()
 
-    cos t and sin t are taken once; the terms D, E and their kappa-derivatives
-    share are kept for the last kappa only. D and E are bitwise those of
-    `propagator._dsq(t, 1.0, kappa)` and `_delta(t, 1.0, kappa)`.
-    """
 
-    def __init__(self, t):
-        self.t = np.asarray(t, dtype=float)
-        self.cos, self.sin = np.cos(self.t), np.sin(self.t)
-        self.kappa = None
+def _model(kern: _Kernel, kappa: float, M, N: float):
+    """(-ln F) / g^2 = M D + kappa N E, and the E it used."""
+    ev = _delta_unit(kern, kappa)
+    return M * _dsq_unit(kern, kappa) + kappa * N * ev, ev
 
-    def __call__(self, kappa: float):
-        """(D, E) at kappa."""
-        if kappa != self.kappa:
-            t, e = self.t, np.exp(-kappa * self.t)
-            self.e, self.s = e, self.sin - kappa * self.cos
-            self.b = e * e - 2.0 * e * self.cos + 1.0
-            self.cterm = kappa + e * self.s
-            # t * exprel(-2kt) = (1 - e^{-2kt}) / (2k)
-            self.core = (t * _exprel(-2.0 * kappa * t)
-                         - 2.0 * self.cterm / (1.0 + kappa * kappa) + t)
-            self.kappa = kappa
-        scale = 4.0 / (1.0 + kappa * kappa)
-        return scale * self.b, scale * self.core
 
-    def model(self, kappa: float, M, N: float):
-        """(-ln F) / g^2 = M D + kappa N E, and the E it used."""
-        d, ev = self(kappa)
-        return M * d + kappa * N * ev, ev
-
-    def jacobian(self, g: float, kappa: float, M, N: float):
-        """Columns d(-ln F)/d(g, kappa, N); the derivatives run only here."""
-        core, ev = self.model(kappa, M, N)
-        jk = (M * _dsq_dkappa(self, kappa) + N * ev
-              + kappa * N * _delta_dkappa(self, kappa))
-        return np.column_stack([2.0 * g * core, g * g * jk, g * g * kappa * ev])
+def _jacobian(kern: _Kernel, g: float, kappa: float, M, N: float):
+    """Columns d(-ln F)/d(g, kappa, N); the derivatives run only here."""
+    core, ev = _model(kern, kappa, M, N)
+    jk = (M * _dsq_dkappa(kern, kappa) + N * ev
+          + kappa * N * _delta_dkappa(kern, kappa))
+    return np.column_stack([2.0 * g * core, g * g * jk, g * g * kappa * ev])
 
 
 def _phi_prime(u):
@@ -202,20 +181,18 @@ def _phi_prime(u):
 
 def _dsq_dkappa(kern: _Kernel, kappa: float):
     """d/dkappa of D on the kernel's grid."""
-    kern(kappa)
-    t, e, u1 = kern.t, kern.e, 1.0 + kappa * kappa
+    t, e, u1 = kern.t, kern(kappa).e, 1.0 + kappa * kappa
     db = -2.0 * t * e * e + 2.0 * t * e * kern.cos
     return 4.0 * (db * u1 - 2.0 * kappa * kern.b) / (u1 * u1)
 
 
 def _delta_dkappa(kern: _Kernel, kappa: float):
     """d/dkappa of E on the kernel's grid."""
-    kern(kappa)
-    t, e, u1 = kern.t, kern.e, 1.0 + kappa * kappa
+    t, e, u1 = kern.t, kern(kappa).e, 1.0 + kappa * kappa
     da1 = 2.0 * t * t * _phi_prime(2.0 * kappa * t)
     dc = 1.0 - t * e * kern.s - e * kern.cos
     dcore = da1 - 2.0 * dc / u1 + 4.0 * kappa * kern.cterm / (u1 * u1)
-    return -8.0 * kappa * kern.core / (u1 * u1) + 4.0 * dcore / u1
+    return -8.0 * kappa * kern.bracket() / (u1 * u1) + 4.0 * dcore / u1
 
 
 def _softplus(u):
@@ -301,10 +278,10 @@ def _fit_direct(series_list: list[CoherenceSeries]) -> EstimateReport:
     kern = _Kernel(times)
 
     def residuals(g, k, n):
-        return g * g * kern.model(k, m_labels, n)[0] - y
+        return g * g * _model(kern, k, m_labels, n)[0] - y
 
     def physical_jacobian(g, k, n):
-        return kern.jacobian(g, k, m_labels, n)
+        return _jacobian(kern, g, k, m_labels, n)
 
     x0 = _initial_guess(series_list[0].times, ys[0], series_list[0].M)
     (g, k, n), sol, std = _solve(residuals, physical_jacobian, x0, (0.0, 0.0, 1.0))
@@ -319,14 +296,15 @@ def _fit_two_temperature(series_list: list[CoherenceSeries]) -> EstimateReport:
     kern = _Kernel(s1.times)
 
     def residuals(g, k):
-        return g * g * kern(k)[0] - d2
+        return g * g * _dsq_unit(kern, k) - d2
 
     def physical_jacobian(g, k):
-        return np.column_stack([2.0 * g * kern(k)[0], g * g * _dsq_dkappa(kern, k)])
+        return np.column_stack([2.0 * g * _dsq_unit(kern, k),
+                                g * g * _dsq_dkappa(kern, k)])
 
     x0 = _initial_guess(s1.times, s1.M * np.maximum(d2, 1e-12), s1.M)[:2]
     (g, k), sol, std = _solve(residuals, physical_jacobian, x0, (0.0, 0.0))
-    delta_hat = g * g * kern(k)[1]
+    delta_hat = g * g * _delta_unit(kern, k)
     mask = delta_hat > 1e-3 * float(np.max(delta_hat))
     if not np.any(mask):
         raise DegenerateInputError("record too short to expose the bath term")

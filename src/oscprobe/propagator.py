@@ -15,9 +15,10 @@ dependence reduces to these kernels:
     Gamma(t) = 2 int_0^t R^T(-t') eta(t') dt'
 
 Every kernel is elementwise in t, so each observable is read over a whole
-array of times at once. The chord blocks take chord points r of shape
-(..., 2) at one t and, like chord_eval, return an array of shape (...), or a
-complex for a single point of shape (2,).
+array of times at once; d, |d|^2, delta, Gamma and the fits in `estimate` read
+the terms they share off one `_Kernel`. The chord blocks take chord points r
+of shape (..., 2) at one t and, like chord_eval, return an array of shape
+(...), or a complex for a single point of shape (2,).
 
 The qubit has splitting delta, the detuning (H_q = (delta/2) sigma_z; not the
 integral delta(t) above), which gives the coherence the phase factor
@@ -61,20 +62,47 @@ def _require_nonneg_time(t) -> np.ndarray:
     return ta
 
 
+class _Kernel:
+    """The terms d, |d|^2, delta and Gamma share, on one array of times.
+
+    cos t and sin t are taken once. e = e^{-kappa t}, b = e^2 - 2 e cos t + 1,
+    s = sin t - kappa cos t and cterm = kappa + e s are kept for the last kappa
+    only, and the delta bracket is built on first request.
+    """
+
+    def __init__(self, t):
+        self.t = np.asarray(t, dtype=float)
+        self.cos, self.sin = np.cos(self.t), np.sin(self.t)
+        self.kappa = None
+
+    def __call__(self, kappa: float) -> _Kernel:
+        if kappa != self.kappa:
+            e = np.exp(-kappa * self.t)
+            self.e, self.s = e, self.sin - kappa * self.cos
+            self.b = e * e - 2.0 * e * self.cos + 1.0
+            self.cterm = kappa + e * self.s
+            self.kappa, self._bracket = kappa, None
+        return self
+
+    def bracket(self):
+        """(1 + k^2) delta / (4 g^2); t exprel(-2kt) = (1 - e^{-2kt}) / (2k)."""
+        if self._bracket is None:
+            t, k = self.t, self.kappa
+            self._bracket = (t * _exprel(-2.0 * k * t)
+                             - 2.0 * self.cterm / (1.0 + k * k) + t)
+        return self._bracket
+
+
 def _d_components(t, g: float, kappa: float):
     """Components (d1, d2) of the Gaussian center separation d(t)."""
     c = 2.0 * g / (1.0 + kappa * kappa)
-    e = np.exp(-kappa * t)
-    d1 = c * (1.0 - e * (np.cos(t) + kappa * np.sin(t)))
-    d2 = c * (kappa + e * (np.sin(t) - kappa * np.cos(t)))
-    return d1, d2
+    kern = _Kernel(t)(kappa)
+    return c * (1.0 - kern.e * (kern.cos + kappa * kern.sin)), c * kern.cterm
 
 
 def _dsq(t, g: float, kappa: float):
     """|d(t)|^2 in closed form."""
-    e = np.exp(-kappa * t)
-    b = e * e - 2.0 * e * np.cos(t) + 1.0
-    return 4.0 * g * g / (1.0 + kappa * kappa) * b
+    return 4.0 * g * g / (1.0 + kappa * kappa) * _Kernel(t)(kappa).b
 
 
 def _dsq_prime(t, g: float, kappa: float):
@@ -103,22 +131,16 @@ def _alpha(t, kappa: float, nbar: float):
 
 def _delta(t, g: float, kappa: float):
     """delta(t) = int_0^t |d(t')|^2 dt' in closed form."""
-    u1 = 1.0 + kappa * kappa
-    ta = np.asarray(t, dtype=float)
-    a1 = ta * _exprel(-2.0 * kappa * ta)  # (1 - e^{-2kt}) / (2k)
-    e = np.exp(-kappa * ta)
-    cterm = kappa + e * (np.sin(ta) - kappa * np.cos(ta))
-    return 4.0 * g * g / u1 * (a1 - 2.0 * cterm / u1 + ta)
+    return 4.0 * g * g / (1.0 + kappa * kappa) * _Kernel(t)(kappa).bracket()
 
 
 def _gamma_components(t, g: float, kappa: float):
     """Components of Gamma(t) = 2 int_0^t R^T(-t') eta(t') dt' in closed form."""
     c = 2.0 * g / (1.0 + kappa * kappa)
-    ta = np.asarray(t, dtype=float)
-    e = np.exp(-kappa * ta)
-    g1 = -c * (1.0 - 2.0 * e * np.cos(ta) + e * e)
-    g2 = c * (2.0 * ta * _exprel(-2.0 * kappa * ta) - 2.0 * e * np.sin(ta))
-    return g1, g2
+    kern = _Kernel(t)(kappa)
+    ta, e = kern.t, kern.e
+    return (-c * (1.0 - 2.0 * e * kern.cos + e * e),
+            c * (2.0 * ta * _exprel(-2.0 * kappa * ta) - 2.0 * e * kern.sin))
 
 
 def _eta_components(t, g: float, kappa: float):

@@ -9,7 +9,8 @@ from oscprobe import (CoherenceSeries, DegenerateInputError, SystemParams,
                       ValidationError, estimate, extract_bath_term,
                       extract_d2, fit_parameters, log_derivative_model,
                       neg_log_fidelity_model, synthesize_series)
-from oscprobe.propagator import _delta, _dsq
+from oscprobe import propagator
+from oscprobe.propagator import _d_components, _delta, _dsq, _Kernel
 
 TRUE = SystemParams(g=0.1, kappa=0.05, nbar=0.3, mbar=0.5)  # M=1, N=1.6
 GRID = np.arange(0.0, 30.0 + 0.025, 0.05)
@@ -51,9 +52,9 @@ def test_two_temperature_elimination_is_exact():
 def test_jacobian_matches_finite_differences():
     ts = np.linspace(0.5, 28.0, 40)
     g, k, n, m = 0.13, 0.07, 1.8, 1.2
-    kern = estimate._Kernel(ts)
-    jg, jk, jn = kern.jacobian(g, k, m, n).T
-    y = g * g * kern.model(k, m, n)[0]
+    kern = _Kernel(ts)
+    jg, jk, jn = estimate._jacobian(kern, g, k, m, n).T
+    y = g * g * estimate._model(kern, k, m, n)[0]
     assert np.allclose(y, neg_log_fidelity_model(ts, g, k, m, n), atol=1e-14)
     h = 1e-7
     fd_g = (neg_log_fidelity_model(ts, g + h, k, m, n)
@@ -220,7 +221,7 @@ def _capture_solver(monkeypatch):
 
 
 class _TrigCounter:
-    """numpy for the estimate module, recording each cos and sin call."""
+    """numpy for the propagator module, recording each cos and sin call."""
 
     def __init__(self):
         self.calls = []
@@ -243,11 +244,12 @@ def test_residual_evaluations_run_no_jacobian_kernel(monkeypatch):
         kernel_calls.append(args)
         return kernel(*args)
 
+    pair = [make_series(M=1.0), make_series(M=2.0)]
     monkeypatch.setattr(estimate, "_delta_dkappa", counted)
     trig = _TrigCounter()
-    monkeypatch.setattr(estimate, "np", trig)
+    monkeypatch.setattr(propagator, "np", trig)
     solver_calls = _capture_solver(monkeypatch)
-    fit_parameters([make_series(M=1.0), make_series(M=2.0)])
+    fit_parameters(pair)
     (call,) = solver_calls
     sol = call["sol"]
     assert sol.nfev > 1
@@ -257,30 +259,58 @@ def test_residual_evaluations_run_no_jacobian_kernel(monkeypatch):
     # cos t and sin t are taken once per fit, over all records
     assert trig.calls == [("cos", (2 * GRID.size,)), ("sin", (2 * GRID.size,))]
     trig.calls.clear()
-    fit_parameters([make_series(M=1.0), make_series(M=2.0)], mode="two-temperature")
+    fit_parameters(pair, mode="two-temperature")
     assert trig.calls == [("cos", GRID.shape), ("sin", GRID.shape)]
+
+
+def test_two_temperature_fit_builds_the_bath_bracket_once(monkeypatch):
+    calls = []
+    exprel = propagator._exprel
+
+    def counted(x):
+        calls.append(np.shape(x))
+        return exprel(x)
+
+    pair = [make_series(M=1.0), make_series(M=2.0)]
+    monkeypatch.setattr(propagator, "_exprel", counted)
+    solver_calls = _capture_solver(monkeypatch)
+    fit_parameters(pair, mode="two-temperature")
+    assert solver_calls[0]["sol"].nfev > 1
+    # residuals and Jacobians read D alone; only delta_hat needs the bracket
+    assert calls == [GRID.shape]
 
 
 @pytest.mark.parametrize("kappa", [0.0, 1e-12, 0.05, 0.2, 3.0])
 def test_kernel_is_bitwise_the_propagator_closed_form(kappa):
+    # the fits' D and E keep the prefactor order of the closed forms
     for t in (GRID, 7.3):
-        d, ev = estimate._Kernel(t)(kappa)
+        kern = _Kernel(t)
+        d, ev = estimate._dsq_unit(kern, kappa), estimate._delta_unit(kern, kappa)
         assert np.array_equal(d, _dsq(t, 1.0, kappa))
         assert np.array_equal(ev, _delta(t, 1.0, kappa))
         assert np.shape(d) == np.shape(ev) == np.shape(t)
 
 
-def test_kernel_memo_gives_what_a_fresh_kernel_gives():
-    def evaluate(kern, kappa):
-        # derivatives first: each must bring the memo to its own kappa
-        return (estimate._delta_dkappa(kern, kappa), *kern(kappa),
-                estimate._dsq_dkappa(kern, kappa))
+def _readouts(t, kern, kappa):
+    # derivatives first: each must bring the memo to its own kappa
+    return (estimate._delta_dkappa(kern, kappa), estimate._dsq_dkappa(kern, kappa),
+            estimate._dsq_unit(kern, kappa), estimate._delta_unit(kern, kappa),
+            _dsq(t, 0.1, kappa), _delta(t, 0.1, kappa),
+            *_d_components(t, 0.1, kappa))
 
-    kern = estimate._Kernel(GRID)
-    for kappa in (0.05, 0.2, 0.05):
-        got = evaluate(kern, kappa)
-        want = evaluate(estimate._Kernel(GRID), kappa)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+def test_kernel_memo_gives_what_a_fresh_kernel_gives(monkeypatch):
+    kappas = (0.05, 0.2, 0.05, 0.0, 1e-12)
+    for t in (GRID, 7.3):
+        want = [_readouts(t, _Kernel(t), kappa) for kappa in kappas]
+        kern = _Kernel(t)
+        # the closed forms read this one kernel too, reused across kappa
+        monkeypatch.setattr(propagator, "_Kernel", lambda _: kern)
+        for kappa, fresh in zip(kappas, want):
+            got = _readouts(t, kern, kappa)
+            assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
+            assert all(np.shape(a) == np.shape(t) for a in got)
+        monkeypatch.undo()
     value = neg_log_fidelity_model(7.3, 0.1, 0.05, 1.0, 1.6)
     assert np.ndim(value) == 0
     assert value == neg_log_fidelity_model(np.array([7.3]), 0.1, 0.05, 1.0, 1.6)[0]
