@@ -425,8 +425,9 @@ def cmd_estimate(args) -> int:
     out = _outdir(args) / args.output
     write_json(out, payload)
     if not report.converged:
-        print(f"warning: the {report.method} fit did not converge "
-              f"after {report.nfev} evaluations", file=sys.stderr)
+        print(f"warning: the {report.method} fit did not converge after "
+              f"{report.nfev} residual and {report.njev} Jacobian evaluations",
+              file=sys.stderr)
     print(f"estimate ({report.method}): g={report.g:.6g} kappa={report.kappa:.6g} "
           f"M={report.M:.6g} N={report.N:.6g} (report: {out})")
     return 0

@@ -12,13 +12,20 @@ are fit. Two series at distinct known M additionally allow a closed-form
 split of the record into |d|^2 and the bath term kappa*N*delta before any
 fitting ("two-temperature" mode).
 
-Both modes run one least-squares solve (`_solve`) over x = floor + softplus(u),
+Both modes run one least-squares solve (`_solve`), MINPACK's
+Levenberg-Marquardt with its own column scaling, over x = floor + softplus(u),
 which keeps g, kappa > 0 and N > 1. The direct fit evaluates -ln F once over
 all records, with one M label per sample. Each fit reads D and E off one
 `propagator._Kernel` on its time grid: two-temperature residuals read D alone,
-and the kappa-derivatives run only for the Jacobian. At xtol = ftol = gtol =
-1e-14 the stopping point depends on the last bits of the model, so D and E
-keep the prefactor order of `_dsq(t, 1.0, kappa)` and `_delta(t, 1.0, kappa)`.
+and the kappa-derivatives run only for the Jacobian. D and E keep the
+prefactor order of `_dsq(t, 1.0, kappa)` and `_delta(t, 1.0, kappa)`, so the
+fitted model is the closed form bit for bit. At xtol = ftol = gtol = 1e-14
+the stopping point still depends on the solver's path at the ~1e-7 relative
+level, far below the standard errors of a noisy record. A change to the fit
+path is therefore judged by a statistical equivalence test against scipy's
+trust-region reflective solve at its former settings
+(tests/test_estimate.py::test_fit_path_is_equivalent_to_the_trf_reference),
+not by bitwise equal estimates.
 """
 
 from __future__ import annotations
@@ -75,7 +82,8 @@ class EstimateReport:
     """Fit result: parameter values, uncertainties, and the method used.
 
     converged is True when least_squares stopped on one of its tolerances
-    (status > 0); nfev counts its residual evaluations.
+    (status > 0); nfev and njev count the residual and Jacobian evaluations
+    the solver reports.
     """
 
     g: float
@@ -87,6 +95,7 @@ class EstimateReport:
     method: str
     converged: bool
     nfev: int
+    njev: int
 
     @property
     def nbar(self) -> float:
@@ -98,9 +107,14 @@ class EstimateReport:
 
 
 def least_squares(*args, **kwargs):
-    """scipy.optimize.least_squares, imported on the first fit."""
+    """scipy.optimize.least_squares with MINPACK's Levenberg-Marquardt.
+
+    x_scale="jac" is MINPACK's own column scaling; it is passed because
+    scipy's default for `lm` was unit scaling before 1.16. scipy is imported
+    on the first fit.
+    """
     from scipy.optimize import least_squares as solve
-    return solve(*args, **kwargs)
+    return solve(*args, method="lm", x_scale="jac", **kwargs)
 
 
 def log_derivative_model(t, g: float, kappa: float, M: float, N: float):
@@ -263,7 +277,8 @@ def _report(series_list, method: str, sol, g, kappa, N, std) -> EstimateReport:
         g=g, kappa=kappa, M=labels.pop() if len(labels) == 1 else float("nan"),
         N=N, residual_norm=float(np.linalg.norm(sol.fun)),
         std_errors={"g": std[0], "kappa": std[1], "N": std[2], "M": 0.0},
-        method=method, converged=sol.status > 0, nfev=sol.nfev)
+        method=method, converged=sol.status > 0, nfev=sol.nfev,
+        njev=sol.njev)
 
 
 def _fit_direct(series_list: list[CoherenceSeries]) -> EstimateReport:
@@ -274,6 +289,9 @@ def _fit_direct(series_list: list[CoherenceSeries]) -> EstimateReport:
     ys = [-np.log(s.fgen) for s in series_list]
     y = np.concatenate(ys)
     times = np.concatenate([s.times for s in series_list])
+    if times.size < 3:
+        raise DegenerateInputError("a direct fit of (g, kappa, N) needs at least "
+                                   "three samples")
     m_labels = np.concatenate([np.full(s.times.shape, s.M) for s in series_list])
     kern = _Kernel(times)
 

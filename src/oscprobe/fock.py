@@ -26,7 +26,7 @@ then Y(t) P exp(-i delta t). A thermal start gives a Hermitian Y0; any other
 Y0 runs as its two Hermitian parts. The stage sums are compiled loops, not
 threaded-BLAS products, so the integration runs on one core and leaves no
 BLAS worker spinning between steps. Neither does the rest of a point: the
-basis sizing builds its bounding Gaussian by an exact row recurrence, and
+basis sizing builds its bounding Gaussians by an exact row recurrence, and
 the Uhlmann readout takes the factor form (sum sigma_i(X1^dag X2))^2 with an
 einsum product, so no eigenvector solve or matmul runs. The tolerances are
 fixed (_REL_TOL, _ABS_TOL); the one solver is built once and cached, and it
@@ -124,11 +124,11 @@ def _expi_hermitian(gen: np.ndarray) -> np.ndarray:
     return (vecs * np.exp(1j * lam)) @ vecs.conj().T
 
 
-def _bounding_gaussian(params: SystemParams, dim: int) -> np.ndarray:
-    """Thermal state at max(mbar, nbar) displaced by the drift bound.
+def _bounding_gaussian(params: SystemParams, dim: int, occ: float) -> np.ndarray:
+    """Thermal state at occupation occ displaced by the drift bound.
 
-    At every t each evolved block is a Gaussian of occupation at most
-    max(mbar, nbar) about a center at most 2g/sqrt(1 + kappa^2) from the
+    At every t each evolved block is a Gaussian whose occupation lies between
+    mbar and nbar, about a center at most 2g/sqrt(1 + kappa^2) from the
     origin. Its number-basis elements (Cahill & Glauber 1969) come from an
     exact row recurrence, with r = occ/(1 + occ) and the real alpha, the
     center over sqrt(2):
@@ -137,7 +137,6 @@ def _bounding_gaussian(params: SystemParams, dim: int) -> np.ndarray:
     Every term is >= 0, so nothing cancels, and no LAPACK or BLAS call runs.
     """
     alpha = math.sqrt(2.0) * abs(params.g) / math.sqrt(1.0 + params.kappa ** 2)
-    occ = max(params.mbar, params.nbar)
     r = occ / (1.0 + occ)
     rootn = np.sqrt(np.arange(dim))
     rho = np.empty((dim, dim))
@@ -152,26 +151,39 @@ def _bounding_gaussian(params: SystemParams, dim: int) -> np.ndarray:
 
 
 def default_dim(params: SystemParams) -> int:
-    """Smallest basis at which the bounding Gaussian's tail stays below SIZING_TOL.
+    """Smallest basis at which the bounding Gaussians' tails stay below SIZING_TOL.
 
-    The bounding Gaussian (see _bounding_gaussian) is built in a basis at
-    least twice as large as the answer; every level n >= dim - 1 has tail
-    weight below SIZING_TOL in the leak guard's own measure. The bound holds
-    for all t; the guard still checks every evolved block. Raises
-    ValidationError rather than build a basis above 2 * MAX_DIM.
+    The evolved blocks' occupations lie between mbar and nbar. In the leak
+    guard's measure a near-pure Gaussian has larger top-row coherences than
+    a slightly mixed one, so the size one occupation needs falls just above
+    0 before it grows, and max(mbar, nbar) alone can undersize. The sizing
+    takes the worse of the bounding Gaussians (see _bounding_gaussian) at
+    occupations 0 and max(mbar, nbar), which covers every occupation in
+    between and grows with mbar, nbar and g. The guard still checks every
+    evolved block. Raises ValidationError rather than build a basis above
+    2 * MAX_DIM.
+    """
+    return max(_sized_dim(params, occ)
+               for occ in (0.0, max(params.mbar, params.nbar)))
+
+
+def _sized_dim(params: SystemParams, occ: float) -> int:
+    """Smallest clean basis for the bounding Gaussian at occupation occ.
+
+    The Gaussian is built in a basis at least twice as large as the answer;
+    every level n >= dim - 1 has tail weight below SIZING_TOL.
     """
     big = 32
     while True:
         if big > 2 * MAX_DIM:
             raise ValidationError(
                 f"these parameters need a basis above MAX_DIM = {MAX_DIM}")
-        rho = _bounding_gaussian(params, big)
+        half = big // 2
         # the recurrence is exact at every index; the lower-half scan and
         # the doubling stay because they leave every chosen dim unchanged
-        over = [n for n in range(big // 2)
-                if _tail_weight(rho[:n + 1, :n + 1]) >= SIZING_TOL]
-        dim = over[-1] + 2
-        if dim <= big // 2:
+        weights = _tail_weights(_bounding_gaussian(params, big, occ)[:half, :half])
+        dim = int(np.flatnonzero(weights >= SIZING_TOL)[-1]) + 2
+        if dim <= half:
             return dim
         big *= 2
 
@@ -182,6 +194,16 @@ def _tail_weight(entries: np.ndarray) -> float:
     tail = max(float(np.max(np.abs(entries[-1, :]))),
                float(np.max(np.abs(entries[:, -1]))))
     return tail / scale
+
+
+def _tail_weights(entries: np.ndarray) -> np.ndarray:
+    """_tail_weight of every leading block entries[:n + 1, :n + 1], in one pass."""
+    mag = np.abs(entries)
+    # the top row and column of block n, up to the diagonal; zeros lose a max
+    tail = np.maximum(np.tril(mag).max(axis=1), np.triu(mag).max(axis=0))
+    scale = np.maximum(np.abs(np.cumsum(np.diagonal(entries))),
+                       np.maximum.accumulate(tail))
+    return tail / np.maximum(scale, 1e-300)
 
 
 def _check_hermitian(entries: np.ndarray, block: str) -> None:

@@ -56,16 +56,20 @@ def test_initial_blocks():
 
 
 def test_default_dim_is_the_smallest_clean_size(monkeypatch):
-    # one level fewer puts the bounding Gaussian's top level over the target
+    # one level fewer puts a bounding Gaussian's top level over the target;
+    # in the last case the pure one (occupation 0) sets the size
     for p in (SystemParams(g=0.1, kappa=0.1),
               SystemParams(g=0.05, kappa=0.1, nbar=0.0, mbar=2.0),
               SystemParams(g=0.3, kappa=0.01, nbar=2.0, mbar=0.5),
-              SystemParams(g=1.5, kappa=0.05, nbar=0.2)):
+              SystemParams(g=1.5, kappa=0.05, nbar=0.2),
+              SystemParams(g=0.103515625, kappa=0.0625, nbar=0.015625)):
         dim = default_dim(p)
-        rho = _bounding_gaussian(p, 4 * dim)
-        assert _tail_weight(rho[:dim - 1, :dim - 1]) >= SIZING_TOL
+        rhos = [_bounding_gaussian(p, 4 * dim, occ)
+                for occ in (0.0, max(p.mbar, p.nbar))]
+        assert max(_tail_weight(rho[:dim - 1, :dim - 1])
+                   for rho in rhos) >= SIZING_TOL
         assert all(_tail_weight(rho[:n, :n]) < SIZING_TOL
-                   for n in range(dim, 2 * dim))
+                   for rho in rhos for n in range(dim, 2 * dim))
     # an answer above MAX_DIM is refused before the sizing basis grows past it
     big = SystemParams(g=2.0, kappa=0.1)
     monkeypatch.setattr(fock, "MAX_DIM", default_dim(big) - 1)
@@ -83,7 +87,7 @@ def test_bounding_gaussian_matches_the_displaced_thermal_state():
             r = occ / (1.0 + occ)
             for big in (64, 128):
                 want = displaced_thermal_block(big, occ, shift, 0.0).entries
-                got = _bounding_gaussian(p, big)
+                got = _bounding_gaussian(p, big, occ)
                 half = big // 2
                 assert np.max(np.abs(got[:half, :half] - (1.0 - r ** big)
                                      * want[:half, :half])) <= 1e-12
