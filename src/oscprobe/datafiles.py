@@ -78,9 +78,7 @@ def write_grid_csv(path, metadata: dict, qs, ps, values) -> None:
 
 def read_csv(path):
     """Read a metadata CSV back into (metadata dict, dict of column arrays)."""
-    metadata = {}
-    header = None
-    rows = []
+    metadata, header, rows = {}, None, []
     try:
         lines = Path(path).read_text().splitlines()
     except (OSError, UnicodeDecodeError) as err:
@@ -94,20 +92,28 @@ def read_csv(path):
             if not sep:
                 raise ConfigError(f"{path}: malformed metadata line {line!r}")
             metadata[key] = _parse_scalar(value)
-            continue
-        parts = line.split(",")
-        if header is None:
-            header = parts
-            continue
-        if len(parts) != len(header):
-            raise ConfigError(f"{path}: row width does not match header")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            raise ConfigError(f"{path}: non-numeric cell in row {line!r}") from None
+        elif header is None:
+            header = line.split(",")
+        else:
+            rows.append(line)
     if header is None:
         raise ConfigError(f"{path}: no column header found")
-    data = np.array(rows, dtype=float).reshape(len(rows), len(header))
+    try:
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2) if rows else None
+    except ValueError:
+        data = None
+    if data is None or data.shape[1] != len(header):
+        # row by row: names the row at fault, or reads what only float() reads
+        data = []
+        for line in rows:
+            parts = line.split(",")
+            if len(parts) != len(header):
+                raise ConfigError(f"{path}: row width does not match header")
+            try:
+                data.append([float(p) for p in parts])
+            except ValueError:
+                raise ConfigError(f"{path}: non-numeric cell in row {line!r}") from None
+        data = np.array(data, dtype=float).reshape(len(rows), len(header))
     return metadata, {name: data[:, i] for i, name in enumerate(header)}
 
 

@@ -12,18 +12,14 @@ are fit. Two series at distinct known M additionally allow a closed-form
 split of the record into |d|^2 and the bath term kappa*N*delta before any
 fitting ("two-temperature" mode).
 
-Both modes run one least-squares solve (`_solve`), MINPACK's
-Levenberg-Marquardt with its own column scaling, over x = floor + softplus(u),
-which keeps g, kappa > 0 and N > 1. The direct fit evaluates -ln F once over
-all records, with one M label per sample. Each fit reads D and E off one
-`propagator._Kernel` on its time grid: two-temperature residuals read D alone,
-and the kappa-derivatives run only for the Jacobian. D and E keep the
-prefactor order of `_dsq(t, 1.0, kappa)` and `_delta(t, 1.0, kappa)`, so the
-fitted model is the closed form bit for bit. At xtol = ftol = gtol = 1e-14
-the stopping point still depends on the solver's path at the ~1e-7 relative
-level, far below the standard errors of a noisy record. A change to the fit
-path is therefore judged by a statistical equivalence test against scipy's
-trust-region reflective solve at its former settings
+Both modes fit by variable projection (Golub & Pereyra, SIAM J. Numer. Anal.
+10, 413 (1973)): at fixed kappa the model is linear in g^2 and g^2 N, so
+`least_squares` searches kappa alone, on numpy. Each fit reads D and E off
+one `propagator._Kernel` in the prefactor order of `_dsq(t, 1.0, kappa)` and
+`_delta(t, 1.0, kappa)`, so the residual is the closed form bit for bit. The
+stopping point depends on the solver's path at ~1e-7 relative, far below a
+noisy record's standard errors, so a change to the fit path is judged against
+the former full (g, kappa, N) solve by scipy's trust-region reflective method
 (tests/test_estimate.py::test_fit_path_is_equivalent_to_the_trf_reference),
 not by bitwise equal estimates.
 """
@@ -32,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -82,8 +79,8 @@ class EstimateReport:
     """Fit result: parameter values, uncertainties, and the method used.
 
     converged is True when least_squares stopped on one of its tolerances
-    (status > 0); nfev and njev count the residual and Jacobian evaluations
-    the solver reports.
+    (status > 0); nfev and njev count its evaluations of the reduced residual
+    and of its derivative in kappa.
     """
 
     g: float
@@ -106,15 +103,38 @@ class EstimateReport:
         return self.M - 0.5
 
 
-def least_squares(*args, **kwargs):
-    """scipy.optimize.least_squares with MINPACK's Levenberg-Marquardt.
+def least_squares(problem, kappa: float, max_nfev: int = 200) -> SimpleNamespace:
+    """Minimize |r(kappa)|^2 over kappa > 0 by one-parameter Levenberg-Marquardt.
 
-    x_scale="jac" is MINPACK's own column scaling; it is passed because
-    scipy's default for `lm` was unit scaling before 1.16. scipy is imported
-    on the first fit.
-    """
-    from scipy.optimize import least_squares as solve
-    return solve(*args, method="lm", x_scale="jac", **kwargs)
+    Trust-region Gauss-Newton steps on problem's exact derivative, with MINPACK's
+    radius updates and stopping tests at xtol = ftol = gtol = 1e-14. status:
+    1 gtol, 2 ftol, 3 xtol, 0 when nfev reaches max_nfev."""
+    point, tol, jac, status = problem.evaluate(kappa), 1e-14, None, 0
+    if point is None:
+        raise DegenerateInputError("the records fix no positive g^2")
+    cost, radius, nfev, njev = _dot(point.resid, point.resid), 100.0 * kappa, 1, 0
+    while not status:
+        if jac is None:
+            jac, njev = problem.jacobian(point), njev + 1
+            grad, curv = _dot(jac, point.resid), _dot(jac, jac)
+            status = int(abs(grad) <= tol * math.sqrt(curv * cost))
+        if status or nfev >= max_nfev:
+            break
+        # the Gauss-Newton step, inside the radius and keeping kappa > 0
+        step = min(max(-grad / curv, -radius, -0.5 * point.kappa), radius)
+        trial, nfev = problem.evaluate(point.kappa + step), nfev + 1
+        new = math.inf if trial is None else _dot(trial.resid, trial.resid)
+        pred = -step * (2.0 * grad + curv * step)
+        ratio = (cost - new) / pred
+        if not ratio >= 0.25:
+            radius = 0.5 * abs(step)
+        elif ratio > 0.75 or abs(step) < radius:
+            radius = 2.0 * abs(step)
+        ftol = abs(cost - new) <= tol * cost and pred <= tol * cost and ratio <= 2.0
+        if ratio >= 1e-4:
+            point, cost, jac = trial, new, None
+        status = 2 if ftol else 3 if radius <= tol * point.kappa else 0
+    return SimpleNamespace(point=point, nfev=nfev, njev=njev, status=status)
 
 
 def log_derivative_model(t, g: float, kappa: float, M: float, N: float):
@@ -209,76 +229,80 @@ def _delta_dkappa(kern: _Kernel, kappa: float):
     return -8.0 * kappa * kern.bracket() / (u1 * u1) + 4.0 * dcore / u1
 
 
-def _softplus(u):
-    return np.logaddexp(0.0, u)
+def _dot(a, b) -> float:
+    """a . b by numpy's own loop: BLAS would wake its thread pool on long a."""
+    return float(np.einsum("n,n->", a, b))
 
 
-def _softplus_inv(x: float) -> float:
-    if x <= 0.0:
-        raise ValidationError("softplus inverse needs a positive argument")
-    if x > 30.0:
-        return x + math.log1p(-math.exp(-x))
-    return math.log(math.expm1(x))
-
-
-def _sigmoid(u):
-    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(u, dtype=float)))
-
-
-def _initial_guess(times: np.ndarray, y: np.ndarray, M: float):
-    """Starting point (g0, kappa0, N0) from the shape of y = -ln F."""
-    # depth of the first oscillation maximum: y(pi) ~ 16 M g^2 for small kappa
-    idx = int(np.argmin(np.abs(times - math.pi)))
-    y_pi = max(float(y[idx]), 1e-12)
-    g0 = math.sqrt(y_pi / (16.0 * M))
-    kappa0 = 0.1
-    design = np.column_stack([np.ones_like(times), times])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = np.abs(y - design @ coef)
-    # strict interior local maxima of the detrended record
+def _initial_kappa(times: np.ndarray, y: np.ndarray) -> float:
+    """Starting kappa from the decay of the detrended record's strict local maxima."""
+    resid = np.abs(y - np.polyval(np.polyfit(times, y, 1), times))
     peaks = 1 + np.flatnonzero((resid[1:-1] > resid[:-2]) & (resid[1:-1] > resid[2:]))
-    if peaks.size >= 2:
-        tp = times[peaks]
-        rp = np.log(np.maximum(resid[peaks], 1e-300))
-        slope = np.polyfit(tp, rp, 1)[0]
-        kappa0 = min(max(-slope, 1e-3), 1.0)
-    return max(g0, 1e-4), kappa0, 1.5
+    if peaks.size < 2:
+        return 0.1
+    rp = np.log(np.maximum(resid[peaks], 1e-300))
+    return min(max(-np.polyfit(times[peaks], rp, 1)[0], 1e-3), 1.0)
 
 
-def _solve(residuals, physical_jacobian, x0, floors):
-    """Fit x = floors + softplus(u) from x0; residuals and the Jacobian take x.
+class _Reduced:
+    """The fit as a problem in kappa alone, the model being linear at each kappa.
 
-    Returns x at the solution, the solver result and the standard errors of x.
+    The direct fit (m_labels given) has columns [M D, kappa E], coefficients
+    (g^2, g^2 N), and refits M D + kappa E alone (N = 1) where N < 1. The
+    two-temperature fit has [D] and g^2. The residual is the closed form minus y.
     """
 
-    def physical(u):
-        return _softplus(u) + floors
+    def __init__(self, kern: _Kernel, y: np.ndarray, m_labels=None):
+        self.kern, self.y, self.m = kern, y, m_labels
 
-    def jacobian(u):
-        return physical_jacobian(*physical(u)) * _sigmoid(u)[None, :]
+    def evaluate(self, kappa: float) -> SimpleNamespace | None:
+        """The point at kappa, or None where no g^2 > 0 fits."""
+        d = _dsq_unit(self.kern, kappa)
+        ev = None if self.m is None else _delta_unit(self.kern, kappa)
+        cols = d[None] if ev is None else np.stack([self.m * d, kappa * ev])
+        while True:
+            gram = np.einsum("in,jn->ij", cols, cols)
+            coef = np.linalg.solve(gram, np.einsum("in,n->i", cols, self.y))
+            if coef.size == 1 or coef[1] >= coef[0]:
+                break
+            cols = cols.sum(axis=0, keepdims=True)  # N >= 1 is active: N = 1
+        if not coef[0] > 0.0:
+            return None
+        g, n = math.sqrt(coef[0]), float(coef[-1] / coef[0])  # n = 1 at the floor
+        model = d if ev is None else self.m * d + kappa * n * ev
+        return SimpleNamespace(kappa=kappa, g=g, N=n, resid=g * g * model - self.y,
+                               cols=cols, coef=coef, gram=gram)
 
-    u0 = np.array([_softplus_inv(v - f) for v, f in zip(x0, floors)])
-    sol = least_squares(lambda u: residuals(*physical(u)), u0, jac=jacobian,
-                        xtol=1e-14, ftol=1e-14, gtol=1e-14)
-    x = [float(v) for v in physical(sol.x)]
-    return x, sol, _std_errors(physical_jacobian(*x), sol.fun)
+    def jacobian(self, p: SimpleNamespace) -> np.ndarray:
+        """dr/dkappa of p's column set (Golub & Pereyra 1973)."""
+        k, dd = p.kappa, _dsq_dkappa(self.kern, p.kappa)
+        dcols = dd[None] if self.m is None else np.stack(
+            [self.m * dd, _delta_unit(self.kern, k) + k * _delta_dkappa(self.kern, k)])
+        if dcols.shape[0] > p.coef.size:
+            dcols = dcols.sum(axis=0, keepdims=True)
+        # r = P y - y, so dr = (1 - P) dPhi c - Phi G^-1 dPhi^T r
+        v = np.einsum("i,in->n", p.coef, dcols)
+        w = np.linalg.solve(p.gram, np.einsum("in,n->i", p.cols, v)
+                            + np.einsum("in,n->i", dcols, p.resid))
+        return v - np.einsum("i,in->n", w, p.cols)
 
 
 def _std_errors(jac: np.ndarray, resid: np.ndarray) -> np.ndarray:
     dof = max(resid.size - jac.shape[1], 1)
-    cov = np.linalg.pinv(jac.T @ jac) * (float(resid @ resid) / dof)
+    cov = np.linalg.pinv(np.einsum("ni,nj->ij", jac, jac)) * (_dot(resid, resid) / dof)
     return np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
 
-def _report(series_list, method: str, sol, g, kappa, N, std) -> EstimateReport:
-    """The fit report; M is the label the records share, else NaN."""
-    labels = {s.M for s in series_list}
+def _report(series_list, method: str, sol, N: float, jac: np.ndarray) -> EstimateReport:
+    """The fit report, with standard errors from the physical Jacobian at the
+    solution (NaN for N without a column); M is the shared label, else NaN."""
+    labels, p = {s.M for s in series_list}, sol.point
+    std = [*_std_errors(jac, p.resid), float("nan")]
     return EstimateReport(
-        g=g, kappa=kappa, M=labels.pop() if len(labels) == 1 else float("nan"),
-        N=N, residual_norm=float(np.linalg.norm(sol.fun)),
+        g=p.g, kappa=p.kappa, M=labels.pop() if len(labels) == 1 else float("nan"),
+        N=N, residual_norm=math.sqrt(_dot(p.resid, p.resid)),
         std_errors={"g": std[0], "kappa": std[1], "N": std[2], "M": 0.0},
-        method=method, converged=sol.status > 0, nfev=sol.nfev,
-        njev=sol.njev)
+        method=method, converged=sol.status > 0, nfev=sol.nfev, njev=sol.njev)
 
 
 def _fit_direct(series_list: list[CoherenceSeries]) -> EstimateReport:
@@ -294,41 +318,32 @@ def _fit_direct(series_list: list[CoherenceSeries]) -> EstimateReport:
                                    "three samples")
     m_labels = np.concatenate([np.full(s.times.shape, s.M) for s in series_list])
     kern = _Kernel(times)
+    sol = least_squares(_Reduced(kern, y, m_labels),
+                        _initial_kappa(series_list[0].times, ys[0]))
+    p = sol.point
+    return _report(series_list, "direct-fit", sol, p.N,
+                   _jacobian(kern, p.g, p.kappa, m_labels, p.N))
 
-    def residuals(g, k, n):
-        return g * g * _model(kern, k, m_labels, n)[0] - y
 
-    def physical_jacobian(g, k, n):
-        return _jacobian(kern, g, k, m_labels, n)
-
-    x0 = _initial_guess(series_list[0].times, ys[0], series_list[0].M)
-    (g, k, n), sol, std = _solve(residuals, physical_jacobian, x0, (0.0, 0.0, 1.0))
-    return _report(series_list, "direct-fit", sol, g, k, n, std)
+def _bath_occupation(kern: _Kernel, bath: np.ndarray, g: float, k: float) -> float:
+    """N read off the bath term kappa N delta(t) at the fitted (g, kappa)."""
+    delta_hat = g * g * _delta_unit(kern, k)
+    mask = delta_hat > 1e-3 * float(np.max(delta_hat))
+    if not np.any(mask):
+        raise DegenerateInputError("record too short to expose the bath term")
+    return max(float(np.median(bath[mask] / (k * delta_hat[mask]))), 1.0)
 
 
 def _fit_two_temperature(series_list: list[CoherenceSeries]) -> EstimateReport:
     if len(series_list) != 2:
         raise DegenerateInputError("two-temperature mode needs exactly two series")
-    s1, s2 = series_list
-    d2, bath = _split(s1, s2)
-    kern = _Kernel(s1.times)
-
-    def residuals(g, k):
-        return g * g * _dsq_unit(kern, k) - d2
-
-    def physical_jacobian(g, k):
-        return np.column_stack([2.0 * g * _dsq_unit(kern, k),
-                                g * g * _dsq_dkappa(kern, k)])
-
-    x0 = _initial_guess(s1.times, s1.M * np.maximum(d2, 1e-12), s1.M)[:2]
-    (g, k), sol, std = _solve(residuals, physical_jacobian, x0, (0.0, 0.0))
-    delta_hat = g * g * _delta_unit(kern, k)
-    mask = delta_hat > 1e-3 * float(np.max(delta_hat))
-    if not np.any(mask):
-        raise DegenerateInputError("record too short to expose the bath term")
-    n = float(np.median(bath[mask] / (k * delta_hat[mask])))
-    return _report(series_list, "two-temperature", sol, g, k, max(n, 1.0),
-                   (*std, float("nan")))
+    d2, bath = _split(*series_list)
+    kern = _Kernel(series_list[0].times)
+    sol = least_squares(_Reduced(kern, d2), _initial_kappa(kern.t, np.maximum(d2, 1e-12)))
+    g, k = sol.point.g, sol.point.kappa
+    jac = [2.0 * g * _dsq_unit(kern, k), g * g * _dsq_dkappa(kern, k)]
+    return _report(series_list, "two-temperature", sol,
+                   _bath_occupation(kern, bath, g, k), np.column_stack(jac))
 
 
 def fit_parameters(series, mode: str = "direct-fit") -> EstimateReport:
