@@ -16,8 +16,8 @@ from .fidelity import (fidelity_gen_asymptotic_rate, fidelity_generalized,
                        fidelity_uj_blocks, fidelity_uj_gaussian,
                        fidelity_uj_limit, purity_oscillator, purity_qubit)
 from .fock import (BlockDensityMatrix, OracleConfig, build_operators,
-                   chord_from_matrix, chord_grid_from_matrix, compare_point,
-                   default_dim, displaced_thermal_block, evolve_block,
+                   chord_from_matrix, compare_point, default_dim,
+                   displaced_thermal_block, evolve_block,
                    evolve_thermal_blocks, reduced_quantities,
                    sample_comparison_points, thermal_block, uhlmann_fidelity,
                    wigner_grid_from_matrix)
@@ -35,10 +35,9 @@ __all__ = [
     "OscprobeError", "PhaseVector", "QubitInitState", "SystemParams",
     "TruncationLeakError", "ValidationError", "build_operators",
     "chord_block_diag", "chord_block_offdiag", "chord_eval",
-    "chord_from_matrix", "chord_grid_from_matrix", "coherence_trace",
-    "compare_point", "default_dim", "diag_block_gaussians",
-    "displaced_thermal_block", "displacement_vector", "evolve_block",
-    "evolve_thermal_blocks", "extract_bath_term", "extract_d2",
+    "chord_from_matrix", "coherence_trace", "compare_point", "default_dim",
+    "diag_block_gaussians", "displaced_thermal_block", "displacement_vector",
+    "evolve_block", "evolve_thermal_blocks", "extract_bath_term", "extract_d2",
     "fidelity_gen_asymptotic_rate", "fidelity_generalized",
     "fidelity_uj_blocks", "fidelity_uj_gaussian", "fidelity_uj_limit",
     "fit_parameters", "fundamental_matrix",

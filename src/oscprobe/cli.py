@@ -436,11 +436,12 @@ def cmd_estimate(args) -> int:
 _FIG1_TIMES = (0.0, 3.0, 10.0, 50.0)
 
 
-def _reproduce_fig1(args, outdir: Path) -> int:
+def _reproduce_fig1(args) -> int:
     if args.nbar is not None or args.temperature is not None or args.mbar is not None:
         raise ConfigError("fig1 parameters are fixed; omit --nbar/--temperature/--mbar")
     params = SystemParams(g=2.5, kappa=0.1, delta=0.0,
                           nbar=occupation_from_temperature(1.0), mbar=0.0)
+    outdir = _outdir(args)
     qubit = QubitInitState.balanced()
     init = GaussianState.thermal(params.mbar)
     qs = _axis(args.bound, args.step)
@@ -472,7 +473,7 @@ def _reproduce_fig1(args, outdir: Path) -> int:
     return 0
 
 
-def _reproduce_curves(args, outdir: Path, figure: str) -> int:
+def _reproduce_curves(args, figure: str) -> int:
     if args.mbar is None or (args.nbar is None and args.temperature is None):
         raise ConfigError(
             f"{figure} needs --mbar and --nbar (or --temperature): the panel "
@@ -497,7 +498,7 @@ def _reproduce_curves(args, outdir: Path, figure: str) -> int:
     meta = {"figure": figure, "nbar": nbar, "mbar": args.mbar,
             "M": args.mbar + 0.5,
             "quantity": "fgen" if figure == "fig2" else "fuj"}
-    out = outdir / f"{figure}_curves.csv"
+    out = _outdir(args) / f"{figure}_curves.csv"
     write_csv(out, meta, {
         "g": np.concatenate(col_g),
         "kappa": np.concatenate(col_k),
@@ -509,10 +510,10 @@ def _reproduce_curves(args, outdir: Path, figure: str) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    outdir = _outdir(args)
+    # each figure checks its inputs before it makes the output directory
     if args.figure == "fig1":
-        return _reproduce_fig1(args, outdir)
-    return _reproduce_curves(args, outdir, args.figure)
+        return _reproduce_fig1(args)
+    return _reproduce_curves(args, args.figure)
 
 
 _COMMANDS = {

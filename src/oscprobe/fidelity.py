@@ -49,7 +49,7 @@ def fidelity_gen_asymptotic_rate(params: SystemParams) -> float:
     Zero for kappa = 0 (the undamped limit decays only quasi-periodically).
     """
     k = params.kappa
-    return 4.0 * params.g ** 2 * k * params.N / (1.0 + k * k)
+    return 4.0 * params.g * params.g * k * params.N / (1.0 + k * k)
 
 
 def fidelity_uj_gaussian(state1: GaussianState, state2: GaussianState) -> float:
@@ -97,7 +97,7 @@ def fidelity_uj_blocks(t, params: SystemParams, M: float):
 
 def fidelity_uj_limit(params: SystemParams) -> float:
     """t -> infinity value of fidelity_uj_blocks (independent of M)."""
-    dsq_inf = 4.0 * params.g ** 2 / (1.0 + params.kappa ** 2)
+    dsq_inf = 4.0 * params.g * params.g / (1.0 + params.kappa * params.kappa)
     return math.exp(-dsq_inf / (2.0 * params.N))
 
 

@@ -25,16 +25,18 @@ generator conjugated by I kron P, which preserves Hermiticity; rho_01(t) is
 then Y(t) P exp(-i delta t). A thermal start gives a Hermitian Y0; any other
 Y0 runs as its two Hermitian parts. The stage sums are compiled loops, not
 threaded-BLAS products, so the integration runs on one core and leaves no
-BLAS worker spinning between steps. Neither does the rest of a point: the
-basis sizing builds its bounding Gaussians by an exact row recurrence, and
-the Uhlmann readout takes the factor form (sum sigma_i(X1^dag X2))^2 with an
-einsum product, so no eigenvector solve or matmul runs. The tolerances are
+BLAS worker spinning between steps. Neither does the rest of a point: one
+exact row recurrence builds every displaced thermal state, the basis
+sizing's bounding Gaussians and the displaced starts alike, and the Uhlmann
+readout takes the factor form (sum sigma_i(X1^dag X2))^2 with an einsum
+product, so no eigenvector solve or matmul runs. The tolerances are
 fixed (_REL_TOL, _ABS_TOL); the one solver is built once and cached, and it
 is not re-entrant. The basis never exceeds MAX_DIM levels.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import warnings
@@ -118,25 +120,17 @@ class BlockDensityMatrix:
         return complex(np.trace(self.entries))
 
 
-def _expi_hermitian(gen: np.ndarray) -> np.ndarray:
-    """exp(i gen) for a dense Hermitian gen, as V e^{i lambda} V^dag."""
-    lam, vecs = np.linalg.eigh(gen)
-    return (vecs * np.exp(1j * lam)) @ vecs.conj().T
+def _displaced_thermal(dim: int, occ: float, alpha: float) -> np.ndarray:
+    """Thermal state at occupation occ displaced by the real alpha >= 0.
 
-
-def _bounding_gaussian(params: SystemParams, dim: int, occ: float) -> np.ndarray:
-    """Thermal state at occupation occ displaced by the drift bound.
-
-    At every t each evolved block is a Gaussian whose occupation lies between
-    mbar and nbar, about a center at most 2g/sqrt(1 + kappa^2) from the
-    origin. Its number-basis elements (Cahill & Glauber 1969) come from an
-    exact row recurrence, with r = occ/(1 + occ) and the real alpha, the
-    center over sqrt(2):
+    Its number-basis elements (Cahill & Glauber 1969) come from an exact row
+    recurrence, with r = occ/(1 + occ):
     rho[0, n] = (1-r) exp(-(1-r) alpha^2) ((1-r) alpha)^n / sqrt(n!), and
     sqrt(m+1) rho[m+1, n] = r sqrt(n) rho[m, n-1] + alpha (1-r) rho[m, n].
     Every term is >= 0, so nothing cancels, and no LAPACK or BLAS call runs.
+    Every entry is exact, so a smaller dim gives a leading block of a larger
+    one, bit for bit; the truncated trace is not renormalized.
     """
-    alpha = math.sqrt(2.0) * abs(params.g) / math.sqrt(1.0 + params.kappa ** 2)
     r = occ / (1.0 + occ)
     rootn = np.sqrt(np.arange(dim))
     rho = np.empty((dim, dim))
@@ -153,39 +147,37 @@ def _bounding_gaussian(params: SystemParams, dim: int, occ: float) -> np.ndarray
 def default_dim(params: SystemParams) -> int:
     """Smallest basis at which the bounding Gaussians' tails stay below SIZING_TOL.
 
-    The evolved blocks' occupations lie between mbar and nbar. In the leak
-    guard's measure a near-pure Gaussian has larger top-row coherences than
-    a slightly mixed one, so the size one occupation needs falls just above
-    0 before it grows, and max(mbar, nbar) alone can undersize. The sizing
-    takes the worse of the bounding Gaussians (see _bounding_gaussian) at
-    occupations 0 and max(mbar, nbar), which covers every occupation in
+    At every t each evolved block is a Gaussian whose occupation lies between
+    mbar and nbar, about a center at most 2g/sqrt(1 + kappa^2) (alpha times
+    sqrt(2)) from the origin. In the leak guard's measure a near-pure Gaussian
+    has larger top-row coherences than a slightly mixed one, so the size one
+    occupation needs falls just above 0 before it grows, and max(mbar, nbar)
+    alone can undersize. The sizing takes the worse of the bounding Gaussians
+    at occupations 0 and max(mbar, nbar), which covers every occupation in
     between and grows with mbar, nbar and g. The guard still checks every
     evolved block. Raises ValidationError rather than build a basis above
-    2 * MAX_DIM.
+    MAX_DIM.
     """
-    return max(_sized_dim(params, occ)
+    kappa = params.kappa
+    alpha = math.sqrt(2.0) * abs(params.g) / math.sqrt(1.0 + kappa * kappa)
+    return max(_sized_dim(occ, alpha)
                for occ in (0.0, max(params.mbar, params.nbar)))
 
 
-def _sized_dim(params: SystemParams, occ: float) -> int:
-    """Smallest clean basis for the bounding Gaussian at occupation occ.
+def _sized_dim(occ: float, alpha: float) -> int:
+    """Smallest dim whose levels n >= dim - 1 have tail weights below SIZING_TOL.
 
-    The Gaussian is built in a basis at least twice as large as the answer;
-    every level n >= dim - 1 has tail weight below SIZING_TOL.
+    Scans sizes 16, 32, ... up to MAX_DIM; a size at which some level still
+    reaches SIZING_TOL, or none does (the recurrence underflowed), is doubled.
     """
-    big = 32
-    while True:
-        if big > 2 * MAX_DIM:
-            raise ValidationError(
-                f"these parameters need a basis above MAX_DIM = {MAX_DIM}")
-        half = big // 2
-        # the recurrence is exact at every index; the lower-half scan and
-        # the doubling stay because they leave every chosen dim unchanged
-        weights = _tail_weights(_bounding_gaussian(params, big, occ)[:half, :half])
-        dim = int(np.flatnonzero(weights >= SIZING_TOL)[-1]) + 2
-        if dim <= half:
-            return dim
-        big *= 2
+    size = 16
+    while size <= MAX_DIM:
+        heavy = np.flatnonzero(_tail_weights(_displaced_thermal(size, occ, alpha))
+                               >= SIZING_TOL)
+        if heavy.size and heavy[-1] + 2 <= size:
+            return int(heavy[-1]) + 2
+        size *= 2
+    raise ValidationError(f"these parameters need a basis above MAX_DIM = {MAX_DIM}")
 
 
 def _tail_weight(entries: np.ndarray) -> float:
@@ -307,14 +299,17 @@ def thermal_block(dim: int, mbar: float, block: str = "00") -> BlockDensityMatri
 
 def displaced_thermal_block(dim: int, mbar: float, q0: float, p0: float,
                             block: str = "00") -> BlockDensityMatrix:
-    """Displaced thermal initial block D(alpha) rho_th D(alpha)^dag."""
-    alpha = (q0 + 1j * p0) / math.sqrt(2.0)
-    rootn = np.sqrt(np.arange(1, dim))
-    a = np.diag(rootn, 1)
-    # D(alpha) = exp(alpha a^dag - alpha^* a) = exp(i gen), gen Hermitian
-    disp = _expi_hermitian(-1j * (alpha * a.conj().T - np.conj(alpha) * a))
-    rho = thermal_block(dim, mbar, block).entries
-    return BlockDensityMatrix(dim, disp @ rho @ disp.conj().T, block)
+    """D(alpha) rho_th D(alpha)^dag at alpha = (q0 + i p0)/sqrt(2).
+
+    D(alpha) = R D(|alpha|) R^dag with R = exp(i arg(alpha) a^dag a), so entry
+    (m, n) is _displaced_thermal's at |alpha| times exp(i (m - n) arg(alpha)).
+    """
+    if mbar < 0.0:
+        raise ValidationError("mbar must be >= 0")
+    radius, arg = cmath.polar(complex(q0, p0) / math.sqrt(2.0))
+    turn = np.exp(1j * arg * np.arange(dim))
+    rho = _displaced_thermal(dim, mbar, radius)
+    return BlockDensityMatrix(dim, turn[:, None] * rho * turn.conj(), block)
 
 
 def _pack_hermitian(entries: np.ndarray) -> np.ndarray:
@@ -473,34 +468,9 @@ def chord_from_matrix(rho, r) -> complex:
     a = np.diag(rootn, 1)
     x = (a + a.conj().T) / math.sqrt(2.0)
     p = -1j * (a - a.conj().T) / math.sqrt(2.0)
-    u = _expi_hermitian(rv[0] * x + rv[1] * p)
+    lam, vecs = np.linalg.eigh(rv[0] * x + rv[1] * p)
+    u = (vecs * np.exp(1j * lam)) @ vecs.conj().T
     return complex(np.einsum("ij,ji->", entries, u))
-
-
-def chord_grid_from_matrix(rho, ks, ss) -> np.ndarray:
-    """Chord values on a (k, s) grid; returns shape (len(ks), len(ss)).
-
-    Uses exp(i(k x + s p)) = exp(ikx) exp(isp) exp(iks/2) through the
-    eigenbases of x and p, so a full grid costs two dense matmuls. Values
-    are faithful only while the implied displacement fits the truncated
-    basis (|r|^2/2 well below dim); keep the grid radius modest.
-    """
-    entries = rho.entries if isinstance(rho, BlockDensityMatrix) else np.asarray(rho)
-    dim = entries.shape[0]
-    ks = np.asarray(ks, dtype=float)
-    ss = np.asarray(ss, dtype=float)
-    rootn = np.sqrt(np.arange(1, dim))
-    a = np.diag(rootn, 1)
-    x = (a + a.conj().T) / math.sqrt(2.0)
-    p = -1j * (a - a.conj().T) / math.sqrt(2.0)
-    lam_x, vx = np.linalg.eigh(x)
-    lam_p, vp = np.linalg.eigh(p)
-    pm = vx.T @ vp
-    qm = vp.conj().T @ entries @ vx
-    cm = pm * qm.T
-    ek = np.exp(1j * ks[:, None] * lam_x[None, :])
-    es = np.exp(1j * ss[:, None] * lam_p[None, :])
-    return np.exp(0.5j * ks[:, None] * ss[None, :]) * (ek @ cm @ es.T)
 
 
 def _eigenfunction_matrix(dim: int, x) -> np.ndarray:

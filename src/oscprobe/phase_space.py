@@ -166,6 +166,11 @@ class SystemParams:
             raise ValidationError("kappa must be >= 0")
         if self.nbar < 0.0 or self.mbar < 0.0:
             raise ValidationError("occupations must be >= 0")
+        # Python float products give inf on overflow instead of raising
+        g, kappa, n = float(self.g), float(self.kappa), 2.0 * float(self.nbar) + 1.0
+        scales = (4.0 * g * g / (1.0 + kappa * kappa), n, kappa * n)
+        if not all(map(math.isfinite, scales)):
+            raise ValidationError("4 g^2/(1 + kappa^2), N and kappa N must be finite")
 
     @property
     def N(self) -> float:

@@ -74,6 +74,14 @@ def test_fidelity_metadata_has_limit(tmp_path):
                          "purity_oscillator"}
 
 
+def test_fidelity_at_overdamping_writes_finite_curves(tmp_path):
+    # kappa^2 overflows a float; the drift bound 4 g^2/(1 + kappa^2) is 0
+    assert run("fidelity", "--kappa", "1e200", "--outdir", tmp_path) == 0
+    meta, cols = read_csv(tmp_path / "fidelity.csv")
+    assert meta["fuj_limit"] == 1.0
+    assert all(np.all(np.isfinite(col)) for col in cols.values())
+
+
 def test_config_file_overrides_flags(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"g": 0.27, "t_max": 3.0, "dt": 0.5}))
@@ -335,9 +343,25 @@ _RECORD = "#M=1.0\nt,fgen\n0,1.0\n1,0.9\n"
     (["wigner", "--outdir", "{src}"], "cannot write"),
     (["wigner", "--times", "0,nan"], "times must be finite"),
     (["oracle", "--dim", "100000"], "dim must be an integer in [2, 512]"),
+    # parameters whose scales overflow a float, refused before any arithmetic
+    (["propagate", "--g", "1e154"], "N and kappa N must be finite"),
+    (["fidelity", "--g", "1e154"], "N and kappa N must be finite"),
+    (["fidelity", "--nbar", "1e308"], "N and kappa N must be finite"),
+    (["reproduce", "fig2", "--mbar", "0", "--temperature", "1e308"],
+     "N and kappa N must be finite"),
+    (["reproduce", "fig3", "--mbar", "0", "--nbar", "1e308"],
+     "N and kappa N must be finite"),
+    (["oracle", "--kappa", "1e200", "--t", "1"], "integration failed"),
+    # sizing bounds that underflow or need more than 512 levels
+    (["oracle", "--g", "20", "--t", "1"], "basis above MAX_DIM = 512"),
+    (["oracle", "--g", "1e100", "--t", "1"], "basis above MAX_DIM = 512"),
+    (["oracle", "--nbar", "1e300", "--t", "1"], "basis above MAX_DIM = 512"),
 ], ids=("missing", "bad-cell", "bad-M", "bad-noise", "seed-flag",
         "seed-config", "oracle-seed", "outdir-is-file", "output-no-dir",
-        "output-is-dir", "grid-output-is-dir", "times-nan", "oracle-dim"))
+        "output-is-dir", "grid-output-is-dir", "times-nan", "oracle-dim",
+        "propagate-huge-g", "fidelity-huge-g", "fidelity-huge-nbar",
+        "fig2-huge-temperature", "fig3-huge-nbar", "oracle-huge-kappa",
+        "oracle-g-20", "oracle-huge-g", "oracle-huge-nbar"))
 def test_bad_outside_input_exits_2_without_output(tmp_path, capsys, argv,
                                                   message):
     src = tmp_path / "src"

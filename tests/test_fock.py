@@ -10,14 +10,13 @@ import pytest
 from oscprobe import (BlockDensityMatrix, GaussianState, OracleConfig,
                       PhaseVector, SystemParams, TruncationLeakError,
                       ValidationError, build_operators, chord_eval,
-                      chord_from_matrix, chord_grid_from_matrix,
-                      coherence_trace, compare_point, default_dim,
-                      displaced_thermal_block, evolve_block,
+                      chord_from_matrix, coherence_trace, compare_point,
+                      default_dim, displaced_thermal_block, evolve_block,
                       evolve_thermal_blocks, fidelity_uj_gaussian,
-                      thermal_block, uhlmann_fidelity,
-                      wigner_grid_from_matrix)
+                      sample_comparison_points, thermal_block,
+                      uhlmann_fidelity, wigner_grid_from_matrix)
 from oscprobe import fock
-from oscprobe.fock import SIZING_TOL, _bounding_gaussian, _tail_weight
+from oscprobe.fock import SIZING_TOL, _displaced_thermal, _tail_weight
 from oscprobe.phase_space import Covariance2, QubitInitState
 
 
@@ -64,33 +63,56 @@ def test_default_dim_is_the_smallest_clean_size(monkeypatch):
               SystemParams(g=1.5, kappa=0.05, nbar=0.2),
               SystemParams(g=0.103515625, kappa=0.0625, nbar=0.015625)):
         dim = default_dim(p)
-        rhos = [_bounding_gaussian(p, 4 * dim, occ)
+        drift = math.sqrt(2.0) * p.g / math.sqrt(1.0 + p.kappa ** 2)
+        rhos = [_displaced_thermal(4 * dim, occ, drift)
                 for occ in (0.0, max(p.mbar, p.nbar))]
         assert max(_tail_weight(rho[:dim - 1, :dim - 1])
                    for rho in rhos) >= SIZING_TOL
         assert all(_tail_weight(rho[:n, :n]) < SIZING_TOL
                    for rho in rhos for n in range(dim, 2 * dim))
-    # an answer above MAX_DIM is refused before the sizing basis grows past it
+    # an answer above MAX_DIM is refused before the sizing basis grows past
+    # it, also at g = 20, where the recurrence underflows and no level
+    # reaches SIZING_TOL
+    with pytest.raises(ValidationError, match="MAX_DIM"):
+        default_dim(SystemParams(g=20.0, kappa=0.1))
     big = SystemParams(g=2.0, kappa=0.1)
     monkeypatch.setattr(fock, "MAX_DIM", default_dim(big) - 1)
     with pytest.raises(ValidationError, match="MAX_DIM"):
         default_dim(big)
 
 
-def test_bounding_gaussian_matches_the_displaced_thermal_state():
-    # thermal_block renormalizes on its truncated basis; times (1 - r^big)
-    # that undoes it, leaving the reference's truncated-displacement error,
-    # which stays in its top half
+def test_displaced_thermal_is_exact_at_every_size():
+    # the sizing scans growing bases and relies on each being a prefix
     for occ in (0.0, 0.7, 2.0):
-        for shift in (0.0, 0.6):
-            p = SystemParams(g=shift / 2, kappa=0.0, nbar=occ)
-            r = occ / (1.0 + occ)
-            for big in (64, 128):
-                want = displaced_thermal_block(big, occ, shift, 0.0).entries
-                got = _bounding_gaussian(p, big, occ)
-                half = big // 2
-                assert np.max(np.abs(got[:half, :half] - (1.0 - r ** big)
-                                     * want[:half, :half])) <= 1e-12
+        for alpha in (0.0, 0.6, 3.0):
+            assert np.array_equal(_displaced_thermal(128, occ, alpha)[:64, :64],
+                                  _displaced_thermal(64, occ, alpha))
+
+
+def test_displaced_thermal_block_matches_the_eigh_displacement():
+    # D(alpha) = exp(alpha a^dag - alpha^* a) from an eigh of its Hermitian
+    # generator; the truncated exponential is off only near the top levels
+    for dim, mbar, q0, p0 in ((40, 0.0, 1.0, -0.5), (50, 0.7, 1.0, -0.5),
+                              (45, 0.3, -0.4, 0.6), (60, 1.1, 0.9, -0.4),
+                              (60, 0.0, -0.3, 0.2), (128, 2.0, -2.0, 1.5)):
+        alpha = (q0 + 1j * p0) / math.sqrt(2.0)
+        a = np.diag(np.sqrt(np.arange(1, dim)), 1)
+        lam, vecs = np.linalg.eigh(-1j * (alpha * a.T - np.conj(alpha) * a))
+        disp = (vecs * np.exp(1j * lam)) @ vecs.conj().T
+        want = disp @ thermal_block(dim, mbar).entries @ disp.conj().T
+        got = displaced_thermal_block(dim, mbar, q0, p0)
+        half = dim // 2
+        assert np.max(np.abs(got.entries - want)[:half, :half]) <= 1e-14
+        assert got.trace == pytest.approx(1.0, abs=1e-12)
+
+
+def test_default_dim_of_the_oracle_sweep_points():
+    # the 20 criterion-1 points and the 4 detuned benchmark points
+    points = (sample_comparison_points(20, seed=20260819, t_max=20.0)
+              + sample_comparison_points(4, seed=1, t_max=20.0, delta=0.3))
+    assert [default_dim(p) for p, _ in points] == [
+        42, 49, 40, 44, 47, 44, 27, 44, 39, 21, 29, 33,
+        48, 30, 47, 48, 50, 46, 37, 26, 49, 33, 42, 27]
 
 
 def test_diag_evolution_preserves_trace_and_hermiticity():
@@ -325,18 +347,6 @@ def test_chord_matches_gaussian_states():
             chord_eval(g_dt, r), abs=1e-10)
 
 
-def test_chord_grid_matches_pointwise():
-    rho = displaced_thermal_block(40, 0.4, 0.8, 0.3)
-    ks = np.linspace(-2.0, 2.0, 7)
-    ss = np.linspace(-1.0, 3.0, 5)
-    grid = chord_grid_from_matrix(rho, ks, ss)
-    assert grid.shape == (7, 5)
-    for i, k in enumerate(ks):
-        for j, s in enumerate(ss):
-            assert grid[i, j] == pytest.approx(
-                chord_from_matrix(rho, (k, s)), abs=1e-12)
-
-
 def test_wigner_grid_of_vacuum():
     vac = displaced_thermal_block(30, 0.0, 0.0, 0.0)
     qs = np.arange(-5.0, 5.0 + 0.05, 0.1)
@@ -394,13 +404,16 @@ def test_uhlmann_refuses_a_negative_eigenvalue_in_either_input():
 
 
 def test_oracle_point_runs_without_an_eigenvector_solve(monkeypatch):
-    # the sizing and the Uhlmann readout must not reach a dense eigh, whose
-    # threaded LAPACK leaves BLAS workers spinning through the next solve
+    # the sizing, a displaced start and the Uhlmann readout must not reach a
+    # dense eigh, whose threaded LAPACK leaves BLAS workers spinning through
+    # the next solve
     def refuse(*args, **kwargs):
         raise AssertionError("numpy.linalg.eigh called")
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     p = SystemParams(g=0.3, kappa=0.1, nbar=1.5, mbar=0.5)
+    assert displaced_thermal_block(60, 0.7, 1.0, -0.5).trace == pytest.approx(1.0)
+    assert default_dim(p) > 41
     rep = compare_point(p, QubitInitState.balanced(), OracleConfig(), 0.5)
     assert rep["dim"] > 41
     assert max(v for k, v in rep.items() if k.startswith("dev_")) < 1e-9
