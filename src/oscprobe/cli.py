@@ -32,7 +32,7 @@ import numpy as np
 
 from .datafiles import read_csv, write_csv, write_grid_csv, write_json
 from .errors import ConfigError, OscprobeError, TruncationLeakError
-from .estimate import CoherenceSeries, fit_parameters
+from .estimate import CoherenceSeries, fit_parameters, synthesize_series
 from .fidelity import (fidelity_generalized, fidelity_uj_blocks,
                        fidelity_uj_limit, purity_oscillator, purity_qubit)
 from .fock import (MAX_DIM, OracleConfig, compare_point,
@@ -47,14 +47,14 @@ MAX_GRID_POINTS = 10_000_000
 ORACLE_TOLERANCES = {"dev_fgen": 1e-6, "dev_fuj": 1e-5, "dev_coherence": 1e-6,
                      "dev_purity_qubit": 1e-6, "dev_purity_oscillator": 1e-6}
 
-def _add_param_flags(p: argparse.ArgumentParser, defaults: bool = True):
-    p.add_argument("--g", type=float, default=0.1 if defaults else None)
-    p.add_argument("--kappa", type=float, default=0.1 if defaults else None)
+def _add_param_flags(p: argparse.ArgumentParser):
+    p.add_argument("--g", type=float, default=None)
+    p.add_argument("--kappa", type=float, default=None)
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--nbar", type=float, default=None)
     p.add_argument("--temperature", type=float, default=None,
                    help="bath temperature, converted to nbar; exclusive with --nbar")
-    p.add_argument("--mbar", type=float, default=0.0 if defaults else None)
+    p.add_argument("--mbar", type=float, default=None)
 
 
 def _add_qubit_flags(p: argparse.ArgumentParser):
@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
 
     p = sub.add_parser("oracle", help="truncated-basis cross-check -> JSON")
-    _add_param_flags(p, defaults=False)
+    _add_param_flags(p)
     p.add_argument("--points", type=int, default=4,
                    help="number of random comparison points")
     p.add_argument("--seed", type=int, default=0)
@@ -206,8 +206,11 @@ def _resolve_nbar(args) -> float:
 
 
 def _build_params(args) -> SystemParams:
-    return SystemParams(g=args.g, kappa=args.kappa, delta=args.delta,
-                        nbar=_resolve_nbar(args), mbar=args.mbar)
+    """The model flags, with g = kappa = 0.1 and mbar = 0 where not given."""
+    g, kappa, mbar = (default if value is None else value for value, default in
+                      ((args.g, 0.1), (args.kappa, 0.1), (args.mbar, 0.0)))
+    return SystemParams(g=g, kappa=kappa, delta=args.delta,
+                        nbar=_resolve_nbar(args), mbar=mbar)
 
 
 def _build_qubit(args) -> QubitInitState:
@@ -244,9 +247,10 @@ def _qubit_metadata(qubit: QubitInitState) -> dict:
     return {"a00": qubit.a00, "a01_re": qubit.a01.real, "a01_im": qubit.a01.imag}
 
 
-def _curve_columns(times, params: SystemParams, init: GaussianState, M: float,
+def _curve_columns(times, params: SystemParams, init: GaussianState,
                    qubit: QubitInitState) -> dict:
     """The fgen, fuj and purity columns of `propagate` and `fidelity`."""
+    M = init.cov.s11  # both supported starts are isotropic with variance M
     return {"fgen": fidelity_generalized(times, params, init),
             "fuj": fidelity_uj_blocks(times, params, M),
             "purity_qubit": purity_qubit(times, params, M, qubit),
@@ -256,25 +260,20 @@ def _curve_columns(times, params: SystemParams, init: GaussianState, M: float,
 def cmd_propagate(args) -> int:
     if not (math.isfinite(args.noise) and args.noise >= 0.0):
         raise ConfigError("--noise must be finite and >= 0")
-    if args.seed < 0:
-        raise ConfigError("--seed must be >= 0")
     params = _build_params(args)
     qubit = _build_qubit(args)
     init = _build_init(args, params)
     times = _time_grid(args.t_max, args.dt)
     coh = coherence_trace(times, params, init)
-    # both supported starts are isotropic, so s11 is the start's variance M
-    m_label = init.cov.s11
-    cols = _curve_columns(times, params, init, m_label, qubit)
+    cols = _curve_columns(times, params, init, qubit)
     if args.noise > 0.0:
-        fgen = cols["fgen"]
-        rng = np.random.default_rng(args.seed)
-        noisy = fgen * (1.0 + args.noise * rng.standard_normal(fgen.shape))
-        noisy = np.clip(noisy, 1e-300, 1.0)
+        # the center enters only the phase, so F is that of a thermal start
+        noisy = synthesize_series(params, init.cov.s11, times, args.noise,
+                                  np.random.default_rng(args.seed)).fgen
         # keep |coherence|^2 == fgen exact in the emitted record
-        coh = coh * np.sqrt(noisy / fgen)
+        coh = coh * np.sqrt(noisy / cols["fgen"])
         cols["fgen"] = noisy
-    meta = {**asdict(params), "M": m_label, **_qubit_metadata(qubit),
+    meta = {**asdict(params), "M": init.cov.s11, **_qubit_metadata(qubit),
             "init": args.init, "q0": args.q0, "p0": args.p0,
             "noise": args.noise, "seed": args.seed}
     out = _outdir(args) / args.output
@@ -290,9 +289,9 @@ def cmd_fidelity(args) -> int:
     times = _time_grid(args.t_max, args.dt)
     meta = {**asdict(params), "M": params.M, **_qubit_metadata(qubit),
             "fuj_limit": fidelity_uj_limit(params)}
+    cols = _curve_columns(times, params, GaussianState.thermal(params.mbar), qubit)
     out = _outdir(args) / args.output
-    write_csv(out, meta, {"t": times, **_curve_columns(
-        times, params, GaussianState.thermal(params.mbar), params.M, qubit)})
+    write_csv(out, meta, {"t": times, **cols})
     print(f"wrote {out}")
     return 0
 
@@ -352,18 +351,10 @@ def cmd_wigner(args) -> int:
 def cmd_oracle(args) -> int:
     if args.points < 1:
         raise ConfigError("--points must be >= 1")
-    if args.seed < 0:
-        raise ConfigError("--seed must be >= 0")
     explicit = any(getattr(args, key) is not None
                    for key in ("g", "kappa", "nbar", "temperature", "mbar"))
     if explicit:
-        params = SystemParams(
-            g=args.g if args.g is not None else 0.1,
-            kappa=args.kappa if args.kappa is not None else 0.1,
-            delta=args.delta,
-            nbar=_resolve_nbar(args),
-            mbar=args.mbar if args.mbar is not None else 0.0)
-        points = [(params, args.t)]
+        points = [(_build_params(args), args.t)]
     else:
         points = sample_comparison_points(args.points, args.seed,
                                           t_max=args.t_max, delta=args.delta)
@@ -405,7 +396,6 @@ def _header_float(value, key: str, source: str) -> float | None:
 
 def cmd_estimate(args) -> int:
     series = []
-    names = []
     for name in args.input:
         meta, cols = read_csv(name)
         if "t" not in cols or "fgen" not in cols:
@@ -414,14 +404,13 @@ def cmd_estimate(args) -> int:
             times=cols["t"], fgen=np.minimum(cols["fgen"], 1.0),
             M=_header_float(meta.get("M"), "M", name),
             noise=_header_float(meta.get("noise") or None, "noise", name)))
-        names.append(Path(name).name)
-    report = fit_parameters(series if len(series) > 1 else series[0],
-                            mode=args.mode)
+    report = fit_parameters(series, mode=args.mode)
     # undefined values are NaN in the report and null in the JSON
     payload = {k: _nan_to_none(v) for k, v in asdict(report).items()}
     payload["std_errors"] = {k: _nan_to_none(v) for k, v in report.std_errors.items()}
     payload.update(nbar=_nan_to_none(report.nbar),
-                   mbar=_nan_to_none(report.mbar), inputs=names)
+                   mbar=_nan_to_none(report.mbar),
+                   inputs=[Path(name).name for name in args.input])
     out = _outdir(args) / args.output
     write_json(out, payload)
     if not report.converged:
@@ -480,31 +469,24 @@ def _reproduce_curves(args, figure: str) -> int:
             "temperatures are required inputs")
     nbar = _resolve_nbar(args)
     times = _time_grid(args.t_max, args.dt)
-    gs, kappas = (0.05, 0.1, 0.2), (0.01, 0.1)
-    col_g, col_k, col_t, col_v = [], [], [], []
-    for g in gs:
-        for kappa in kappas:
-            params = SystemParams(g=g, kappa=kappa, delta=0.0,
-                                  nbar=nbar, mbar=args.mbar)
-            if figure == "fig2":
-                vals = np.asarray(fidelity_generalized(
-                    times, params, GaussianState.thermal(args.mbar)))
-            else:
-                vals = fidelity_uj_blocks(times, params, params.M)
-            col_g.append(np.full(times.shape, g))
-            col_k.append(np.full(times.shape, kappa))
-            col_t.append(times)
-            col_v.append(vals)
+    panels = [(g, kappa) for g in (0.05, 0.1, 0.2) for kappa in (0.01, 0.1)]
+    values = []
+    for g, kappa in panels:
+        params = SystemParams(g=g, kappa=kappa, delta=0.0, nbar=nbar,
+                              mbar=args.mbar)
+        if figure == "fig2":
+            values.append(fidelity_generalized(
+                times, params, GaussianState.thermal(args.mbar)))
+        else:
+            values.append(fidelity_uj_blocks(times, params, params.M))
+    col_g, col_k = np.repeat(panels, times.size, axis=0).T
     meta = {"figure": figure, "nbar": nbar, "mbar": args.mbar,
             "M": args.mbar + 0.5,
             "quantity": "fgen" if figure == "fig2" else "fuj"}
     out = _outdir(args) / f"{figure}_curves.csv"
-    write_csv(out, meta, {
-        "g": np.concatenate(col_g),
-        "kappa": np.concatenate(col_k),
-        "t": np.concatenate(col_t),
-        "value": np.concatenate(col_v),
-    })
+    write_csv(out, meta, {"g": col_g, "kappa": col_k,
+                          "t": np.tile(times, len(panels)),
+                          "value": np.concatenate(values)})
     print(f"wrote {out}")
     return 0
 
@@ -531,6 +513,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config(args, parser)
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError("--seed must be >= 0")
         return _COMMANDS[args.command](args)
     except TruncationLeakError as err:
         print(f"error: {err} (suggested dim: {err.suggested_dim})",

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DegenerateInputError, ValidationError
 from .fidelity import fidelity_generalized
 from .phase_space import GaussianState, SystemParams
-from .propagator import _dsq, _dsq_prime, _Kernel
+from .propagator import _dsq, _dsq_prime, _float_guard, _Kernel
 
 
 @dataclass(frozen=True)
@@ -367,14 +367,14 @@ def fit_parameters(series, mode: str = "direct-fit") -> EstimateReport:
 def synthesize_series(params: SystemParams, M: float, times,
                       noise: float | None = None,
                       rng: np.random.Generator | None = None) -> CoherenceSeries:
-    """Generate a coherence record from the closed-form model, optionally noisy."""
+    """A closed-form record, optionally noisy: F (1 + noise z) for standard
+    normal z, clipped to [1e-300, 1]; a draw that overflows is refused."""
     t = np.asarray(times, dtype=float)
     f = fidelity_generalized(t, params, GaussianState.thermal(M - 0.5))
     f = np.asarray(f, dtype=float)
     if noise is not None:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        f = f * (1.0 + noise * rng.standard_normal(f.shape))
-        f = np.maximum(f, 1e-300)
+        rng = np.random.default_rng(0) if rng is None else rng
+        with _float_guard("the noise draw"):
+            f = np.maximum(f * (1.0 + noise * rng.standard_normal(f.shape)), 1e-300)
     f = np.minimum(f, 1.0)
     return CoherenceSeries(times=t, fgen=f, M=M, noise=noise)

@@ -29,8 +29,8 @@ import numpy as np
 from .errors import ValidationError
 from .phase_space import (Covariance2, GaussianState, QubitInitState,
                           SystemParams)
-from .propagator import (_dsq, _evolved_covariance, _log_coherence,
-                         _require_nonneg_time)
+from .propagator import (_dsq, _evolved_covariance, _float_guard,
+                         _log_coherence, _require_nonneg_time)
 
 
 def fidelity_generalized(t, params: SystemParams, init: GaussianState):
@@ -76,6 +76,7 @@ def _check_m(M: float) -> float:
     return float(M)
 
 
+@_float_guard("the block fidelity")
 def _thermal_blocks(t, params: SystemParams, M: float):
     """sigma_s(t) and F_UJ(t) of the two evolved blocks for a thermal start."""
     M = _check_m(M)

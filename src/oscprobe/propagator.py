@@ -26,10 +26,12 @@ exp(-i delta t).
 
 All kappa -> 0 limits go through exprel-stable forms, (e^x - 1)/x computed
 with numpy's expm1 (`_exprel`); no formula branching on kappa == 0.
+`_float_guard` makes an overflow or 0 * inf raise ValidationError, not NaN.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -51,6 +53,16 @@ def fundamental_matrix(t: float, kappa: float) -> np.ndarray:
             f"e^(kappa t) overflows at kappa t = {kappa * t:.6g}") from err
     c, s = math.cos(t), math.sin(t)
     return scale * np.array([[c, s], [-s, c]])
+
+
+@contextlib.contextmanager
+def _float_guard(what: str):
+    """Raise ValidationError for a numpy overflow or invalid value; also a decorator."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as err:
+        raise ValidationError(f"{what} overflows a float ({err})") from err
 
 
 def _require_nonneg_time(t) -> np.ndarray:
@@ -170,6 +182,7 @@ def _evolved_covariance(t, params: SystemParams, sigma0: Covariance2):
             a + e * (s11 * s * s - 2.0 * s12 * c * s + s22 * c * c))
 
 
+@_float_guard("the coherence")
 def _log_coherence(t, params: SystemParams, init: GaussianState):
     """ln Tr rho_01(t), elementwise in t; the real part is ln F_gen(t) / 2.
 
@@ -246,6 +259,7 @@ def diag_block_gaussians(t: float, params: SystemParams,
     return up, down
 
 
+@_float_guard("the Wigner grid")
 def reduced_wigner_grid(qs, ps, t: float, params: SystemParams,
                         init: GaussianState, qubit: QubitInitState) -> np.ndarray:
     """Reduced Wigner function on a rectangular grid.

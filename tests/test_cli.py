@@ -177,6 +177,15 @@ def test_wigner_writes_one_file_per_time(tmp_path):
     assert cols["p"][1] == cols["p"][0]
 
 
+def test_wigner_refuses_a_grid_that_overflows(tmp_path, capsys):
+    assert run("wigner", "--g", "6e153", "--times", 3,
+               "--outdir", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "error: the Wigner grid overflows a float" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_wigner_refuses_times_that_share_a_file_name(tmp_path, capsys):
     for times in ("1.0000001,1.0000002", "0,0"):
         assert run("wigner", "--times", times, "--bound", 1, "--step", 0.5,
@@ -234,6 +243,36 @@ def test_oracle_explicit_point(tmp_path):
     assert report["n_points"] == 1
     pt = report["points"][0]
     assert pt["g"] == 0.15 and pt["t"] == 2.5
+
+
+def test_oracle_point_fills_in_the_model_defaults(tmp_path):
+    assert run("oracle", "--kappa", 0.15, "--t", 3, "--outdir", tmp_path) == 0
+    report = json.loads((tmp_path / "oracle_report.json").read_text())
+    assert report["n_points"] == 1 and report["seed"] is None
+    pt = report["points"][0]
+    assert (pt["kappa"], pt["t"]) == (0.15, 3.0)
+    # the defaults every other command writes for the flags not given
+    assert run("propagate", "--kappa", 0.15, "--t-max", 1, "--dt", 0.5,
+               "--outdir", tmp_path) == 0
+    meta, _ = read_csv(tmp_path / "propagate.csv")
+    assert {k: pt[k] for k in ("g", "nbar", "mbar", "delta")} == \
+        {k: meta[k] for k in ("g", "nbar", "mbar", "delta")} == \
+        {"g": 0.1, "nbar": 0.0, "mbar": 0.0, "delta": 0.0}
+
+
+@pytest.mark.parametrize("flags, noise, seed", [
+    (["--mbar", 0.3, "--delta", 0.3], 0.02, 3),
+    (["--init", "coherent", "--q0", 0.4, "--p0", -0.7], 0.01, 5),
+], ids=("thermal", "coherent"))
+def test_noisy_record_is_drawn_by_synthesize_series(tmp_path, flags, noise, seed):
+    assert run("propagate", *flags, "--noise", noise, "--seed", seed,
+               "--outdir", tmp_path) == 0
+    meta, cols = read_csv(tmp_path / "propagate.csv")
+    params = SystemParams(g=meta["g"], kappa=meta["kappa"], delta=meta["delta"],
+                          nbar=meta["nbar"], mbar=meta["mbar"])
+    series = estimate.synthesize_series(params, meta["M"], cols["t"], noise,
+                                        np.random.default_rng(seed))
+    assert np.array_equal(cols["fgen"], series.fgen)
 
 
 def test_estimate_recovers_from_propagate_output(tmp_path):
@@ -356,12 +395,26 @@ _RECORD = "#M=1.0\nt,fgen\n0,1.0\n1,0.9\n"
     (["oracle", "--g", "20", "--t", "1"], "basis above MAX_DIM = 512"),
     (["oracle", "--g", "1e100", "--t", "1"], "basis above MAX_DIM = 512"),
     (["oracle", "--nbar", "1e300", "--t", "1"], "basis above MAX_DIM = 512"),
+    # accepted parameters whose closed form or noise draw overflows on the grid
+    (["fidelity", "--g", "1e153"], "the coherence overflows a float"),
+    (["fidelity", "--g", "1e153", "--kappa", "0"],
+     "the coherence overflows a float"),
+    (["propagate", "--g", "1e153", "--kappa", "0"],
+     "the coherence overflows a float"),
+    (["propagate", "--g", "6e153", "--kappa", "0.1"],
+     "the coherence overflows a float"),
+    (["reproduce", "fig3", "--mbar", "0", "--nbar", "1e307"],
+     "the block fidelity overflows a float"),
+    (["propagate", "--noise", "1e308"], "the noise draw overflows a float"),
 ], ids=("missing", "bad-cell", "bad-M", "bad-noise", "seed-flag",
         "seed-config", "oracle-seed", "outdir-is-file", "output-no-dir",
         "output-is-dir", "grid-output-is-dir", "times-nan", "oracle-dim",
         "propagate-huge-g", "fidelity-huge-g", "fidelity-huge-nbar",
         "fig2-huge-temperature", "fig3-huge-nbar", "oracle-huge-kappa",
-        "oracle-g-20", "oracle-huge-g", "oracle-huge-nbar"))
+        "oracle-g-20", "oracle-huge-g", "oracle-huge-nbar",
+        "fidelity-overflow", "fidelity-overflow-undamped",
+        "propagate-overflow-undamped", "propagate-overflow",
+        "fig3-overflow", "propagate-noise-overflow"))
 def test_bad_outside_input_exits_2_without_output(tmp_path, capsys, argv,
                                                   message):
     src = tmp_path / "src"

@@ -34,6 +34,31 @@ def test_decay_rate_is_time_derivative():
     assert np.max(np.abs(wrong)) > 1e-4
 
 
+def _short_time_series(t, g, kappa, M, N, terms=4):
+    """The t^2 ... t^5 terms of -ln F; `terms` keeps the first few."""
+    k = kappa
+    coeffs = (4.0 * M, -4.0 / 3.0 * k * (3.0 * M - N),
+              (7.0 * M * k * k - M - 3.0 * N * k * k) / 3.0,
+              -k * (15.0 * M * k * k - 5.0 * M - 7.0 * N * k * k + N) / 15.0)
+    return g * g * sum(c * t ** (n + 2) for n, c in enumerate(coeffs[:terms]))
+
+
+@pytest.mark.parametrize("g, kappa, M, N", [
+    (0.1, 0.05, 1.5, 1.6), (0.3, 0.3, 0.5, 3.0), (0.05, 0.0, 0.5, 1.0),
+    (0.2, 1.2, 2.0, 1.0)])
+def test_short_time_series_of_the_closed_form(g, kappa, M, N):
+    # below t ~ 0.005 roundoff in -ln F swamps the t^6 remainder
+    ts = np.array([0.01, 0.03, 0.1])
+    y = neg_log_fidelity_model(ts, g, kappa, M, N)
+    r6 = (y - _short_time_series(ts, g, kappa, M, N)) / ts ** 6
+    assert np.all(r6 > 0) or np.all(r6 < 0)
+    assert np.max(np.abs(r6)) <= 1.03 * np.min(np.abs(r6))
+    if kappa > 0:
+        # without the t^5 term the remainder grows as t^5
+        r5 = np.abs(y - _short_time_series(ts, g, kappa, M, N, terms=3))
+        assert np.log10(r5[2] / r5[0]) == pytest.approx(5.0, abs=0.1)
+
+
 def test_two_temperature_elimination_is_exact():
     p1 = SystemParams(g=0.12, kappa=0.06, nbar=0.3, mbar=0.0)   # M = 0.5
     p2 = SystemParams(g=0.12, kappa=0.06, nbar=0.3, mbar=1.0)   # M = 1.5
@@ -160,6 +185,9 @@ def test_series_validation():
             make_series(noise=noise)
     assert CoherenceSeries(np.array([0.0, 1.0]), np.array([1.0, 0.4]),
                            noise=0.0).noise == 0.0
+    with pytest.raises(ValidationError, match="noise draw overflows a float"):
+        synthesize_series(SystemParams(0.1, 0.1), 0.5, np.arange(0, 5, 0.1),
+                          noise=1e308)
     with pytest.raises(DegenerateInputError):
         extract_d2(make_series(), make_series())  # identical M labels
 

@@ -144,3 +144,12 @@ def test_uj_validation():
         purity_oscillator(1.0, SystemParams(g=0.1, kappa=0.1), 0.3,
                           QubitInitState.balanced())
 
+
+def test_closed_form_overflow_is_refused():
+    # SystemParams accepts g = 1e153, but delta(t) overflows on the way to
+    # -ln F, and at kappa = 0 the bath term would be 0 * inf
+    p = SystemParams(g=1e153, kappa=0.0)
+    with pytest.raises(ValidationError, match="overflows a float"):
+        fidelity_generalized(50.0, p, GaussianState.thermal(0.0))
+    with pytest.raises(ValidationError, match="overflows a float"):
+        fidelity_uj_blocks(100.0, SystemParams(g=0.1, kappa=0.1, nbar=1e307), 0.5)
