@@ -470,6 +470,8 @@ def _reproduce_curves(args, figure: str) -> int:
     nbar = _resolve_nbar(args)
     times = _time_grid(args.t_max, args.dt)
     panels = [(g, kappa) for g in (0.05, 0.1, 0.2) for kappa in (0.01, 0.1)]
+    if len(panels) * times.size > MAX_GRID_POINTS:
+        raise ConfigError(f"{figure} rows exceed the {MAX_GRID_POINTS}-point limit")
     values = []
     for g, kappa in panels:
         params = SystemParams(g=g, kappa=kappa, delta=0.0, nbar=nbar,
@@ -480,8 +482,7 @@ def _reproduce_curves(args, figure: str) -> int:
         else:
             values.append(fidelity_uj_blocks(times, params, params.M))
     col_g, col_k = np.repeat(panels, times.size, axis=0).T
-    meta = {"figure": figure, "nbar": nbar, "mbar": args.mbar,
-            "M": args.mbar + 0.5,
+    meta = {"figure": figure, "nbar": nbar, "mbar": args.mbar, "M": params.M,
             "quantity": "fgen" if figure == "fig2" else "fuj"}
     out = _outdir(args) / f"{figure}_curves.csv"
     write_csv(out, meta, {"g": col_g, "kappa": col_k,

@@ -368,11 +368,16 @@ def synthesize_series(params: SystemParams, M: float, times,
                       noise: float | None = None,
                       rng: np.random.Generator | None = None) -> CoherenceSeries:
     """A closed-form record, optionally noisy: F (1 + noise z) for standard
-    normal z, clipped to [1e-300, 1]; a draw that overflows is refused."""
+    normal z, clipped to [1e-300, 1]; a draw that overflows, or a noisy record
+    whose closed-form F underflows to 0, is refused."""
     t = np.asarray(times, dtype=float)
     f = fidelity_generalized(t, params, GaussianState.thermal(M - 0.5))
     f = np.asarray(f, dtype=float)
     if noise is not None:
+        zero = np.flatnonzero(f == 0.0)
+        if zero.size:
+            raise ValidationError(f"F underflows to 0 from t = {t.flat[zero[0]]:.6g}; "
+                                  "a noisy record needs F > 0")
         rng = np.random.default_rng(0) if rng is None else rng
         with _float_guard("the noise draw"):
             f = np.maximum(f * (1.0 + noise * rng.standard_normal(f.shape)), 1e-300)

@@ -27,8 +27,8 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .phase_space import (Covariance2, GaussianState, QubitInitState,
-                          SystemParams)
+from .phase_space import (Covariance2, GaussianState, PhaseVector,
+                          QubitInitState, SystemParams)
 from .propagator import (_dsq, _evolved_covariance, _float_guard,
                          _log_coherence, _require_nonneg_time)
 
@@ -104,8 +104,8 @@ def fidelity_uj_limit(params: SystemParams) -> float:
 
 def purity_qubit(t, params: SystemParams, M: float, qubit: QubitInitState):
     """Reduced qubit purity for a thermal oscillator start with variance M."""
-    M = _check_m(M)
-    fgen = fidelity_generalized(t, params, GaussianState.thermal(M - 0.5))
+    init = GaussianState(PhaseVector(0.0, 0.0), Covariance2.isotropic(_check_m(M)))
+    fgen = fidelity_generalized(t, params, init)
     out = qubit.a00 ** 2 + qubit.a11 ** 2 + 2.0 * abs(qubit.a01) ** 2 * fgen
     return float(out) if np.ndim(t) == 0 else out
 

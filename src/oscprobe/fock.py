@@ -41,7 +41,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -287,13 +287,8 @@ def thermal_block(dim: int, mbar: float, block: str = "00") -> BlockDensityMatri
     """Thermal initial block, renormalized on the truncated basis."""
     if mbar < 0.0:
         raise ValidationError("mbar must be >= 0")
-    if mbar == 0.0:
-        probs = np.zeros(dim)
-        probs[0] = 1.0
-    else:
-        ratio = mbar / (1.0 + mbar)
-        probs = ratio ** np.arange(dim)
-        probs /= probs.sum()
+    probs = (mbar / (1.0 + mbar)) ** np.arange(dim)  # [1, 0, 0, ...] at mbar = 0
+    probs /= probs.sum()
     return BlockDensityMatrix(dim, np.diag(probs).astype(complex), block)
 
 
@@ -370,19 +365,12 @@ def _dop853():
                                     nsteps=_MAX_STEPS, beta=_BETA)
 
 
-@dataclass(frozen=True)
-class Integration:
+class Integration(NamedTuple):
     """End state and work counts of one solve_ivp run."""
 
     y: np.ndarray
     nfev: int
     rejected_steps: int
-    status: int
-    message: str
-
-    @property
-    def success(self) -> bool:
-        return self.status > 0
 
 
 def solve_ivp(gen, v0: np.ndarray, t: float) -> Integration:
@@ -390,21 +378,21 @@ def solve_ivp(gen, v0: np.ndarray, t: float) -> Integration:
 
     Runs the cached compiled solver, with stabilized step control, and
     returns its own end state (no dense output) with Hairer's counts of RHS
-    evaluations (NFCN) and rejected steps (NREJCT).
+    evaluations (NFCN) and rejected steps (NREJCT). Raises ValidationError,
+    with Hairer's return code and message, when the integration fails.
     """
     solver = _dop853()
     solver.set_initial_value(v0, 0.0).set_f_params(gen)
     with warnings.catch_warnings():
-        # a failure is reported through the result, not as a warning
+        # a failure is raised below, not reported as a warning
         warnings.simplefilter("ignore", UserWarning)
         y = solver.integrate(t)
     status = int(solver.get_return_code())
     integrator = solver._integrator
-    return Integration(
-        y=y, nfev=int(integrator.iwork[16]),
-        rejected_steps=int(integrator.iwork[19]),
-        status=status, message=integrator.messages.get(
-            status, f"unexpected return code {status}"))
+    if status <= 0:
+        message = integrator.messages.get(status, f"unexpected return code {status}")
+        raise ValidationError(f"integration failed (return code {status}): {message}")
+    return Integration(y, int(integrator.iwork[16]), int(integrator.iwork[19]))
 
 
 def evolve_block(init: BlockDensityMatrix, ops: OperatorSet,
@@ -447,9 +435,6 @@ def evolve_block(init: BlockDensityMatrix, ops: OperatorSet,
         if not part.any():
             continue
         sol = solve_ivp(gen, _pack_hermitian(part), t)
-        if not sol.success:
-            raise ValidationError(
-                f"integration failed (return code {sol.status}): {sol.message}")
         out += weight * _unpack_hermitian(sol.y, dim)
         nfev, rejected = nfev + sol.nfev, rejected + sol.rejected_steps
     out *= phase

@@ -38,8 +38,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .phase_space import (Covariance2, GaussianState, PhaseVector,
-                          QubitInitState, SystemParams, _log_chord, _quadratic,
-                          as_points, chord_eval, wigner_eval)
+                          QubitInitState, SystemParams, _log_chord, as_points,
+                          chord_eval, wigner_eval)
 
 
 def fundamental_matrix(t: float, kappa: float) -> np.ndarray:
@@ -119,10 +119,10 @@ def _dsq(t, g: float, kappa: float):
 
 def _dsq_prime(t, g: float, kappa: float):
     """d/dt of |d(t)|^2; vanishes at t = 0."""
-    e = np.exp(-kappa * t)
+    kern = _Kernel(t)(kappa)
+    e = kern.e
     return (4.0 * g * g / (1.0 + kappa * kappa)
-            * (-2.0 * kappa * e * e + 2.0 * kappa * e * np.cos(t)
-               + 2.0 * e * np.sin(t)))
+            * (-2.0 * kappa * e * e + 2.0 * kappa * e * kern.cos + 2.0 * e * kern.sin))
 
 
 def _exprel(x):
@@ -186,13 +186,11 @@ def _evolved_covariance(t, params: SystemParams, sigma0: Covariance2):
 def _log_coherence(t, params: SystemParams, init: GaussianState):
     """ln Tr rho_01(t), elementwise in t; the real part is ln F_gen(t) / 2.
 
-    ln Tr rho_01 = i x0.eta - eta^T sigma0 eta/2 - i delta t - gamma_plus delta(t)/2
+    ln Tr rho_01 = ln w0(eta) - i delta t - gamma_plus delta(t)/2, w0 the start's chord
     """
     e1, e2 = _eta_components(t, params.g, params.kappa)
-    cov, x0 = init.cov, init.center
-    quad = _quadratic(cov.s11, cov.s12, cov.s22, e1, e2)
-    return (-0.5 * quad - 0.5 * params.gamma_plus * _delta(t, params.g, params.kappa)
-            + 1j * (x0.x1 * e1 + x0.x2 * e2 - params.delta * t))
+    return (_log_chord(init, e1, e2) - 1j * params.delta * t
+            - 0.5 * params.gamma_plus * _delta(t, params.g, params.kappa))
 
 
 def chord_block_diag(r, t: float, params: SystemParams, init: GaussianState,

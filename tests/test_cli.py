@@ -406,6 +406,14 @@ _RECORD = "#M=1.0\nt,fgen\n0,1.0\n1,0.9\n"
     (["reproduce", "fig3", "--mbar", "0", "--nbar", "1e307"],
      "the block fidelity overflows a float"),
     (["propagate", "--noise", "1e308"], "the noise draw overflows a float"),
+    # a noisy record whose closed-form F underflows to 0
+    (["propagate", "--g", "1", "--kappa", "0.1", "--nbar", "10", "--t-max", "200",
+      "--noise", "0.01"], "F underflows to 0 from t = 84.6"),
+    # six panels of a 2,000,001-point grid: 12,000,006 rows
+    (["reproduce", "fig2", "--nbar", "0.7", "--mbar", "0.5", "--t-max", "1e5",
+      "--dt", "0.05"], "fig2 rows exceed the 10000000-point limit"),
+    (["reproduce", "fig3", "--nbar", "0.7", "--mbar", "0.5", "--t-max", "1e5",
+      "--dt", "0.05"], "fig3 rows exceed the 10000000-point limit"),
 ], ids=("missing", "bad-cell", "bad-M", "bad-noise", "seed-flag",
         "seed-config", "oracle-seed", "outdir-is-file", "output-no-dir",
         "output-is-dir", "grid-output-is-dir", "times-nan", "oracle-dim",
@@ -414,7 +422,8 @@ _RECORD = "#M=1.0\nt,fgen\n0,1.0\n1,0.9\n"
         "oracle-g-20", "oracle-huge-g", "oracle-huge-nbar",
         "fidelity-overflow", "fidelity-overflow-undamped",
         "propagate-overflow-undamped", "propagate-overflow",
-        "fig3-overflow", "propagate-noise-overflow"))
+        "fig3-overflow", "propagate-noise-overflow", "propagate-noise-underflow",
+        "fig2-rows", "fig3-rows"))
 def test_bad_outside_input_exits_2_without_output(tmp_path, capsys, argv,
                                                   message):
     src = tmp_path / "src"
@@ -440,6 +449,17 @@ def test_bad_outside_input_exits_2_without_output(tmp_path, capsys, argv,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["src"]
     assert {p.name: p.read_text() if p.is_file() else None
             for p in src.iterdir()} == inputs
+
+
+def test_truncation_leak_exits_1_without_output(tmp_path, capsys):
+    assert run("oracle", "--dim", 8, "--g", 0.3, "--nbar", 2, "--mbar", 2,
+               "--t", 5, "--outdir", tmp_path) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [
+        "error: top-level weight 0.0203 > 1e-08 in initial state at dim 8 "
+        "(suggested dim: 16)"]
+    assert not (tmp_path / "oracle_report.json").exists()
 
 
 def test_readme_cli_examples_parse():

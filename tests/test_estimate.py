@@ -188,6 +188,12 @@ def test_series_validation():
     with pytest.raises(ValidationError, match="noise draw overflows a float"):
         synthesize_series(SystemParams(0.1, 0.1), 0.5, np.arange(0, 5, 0.1),
                           noise=1e308)
+    # F underflows to 0 from t = 84.6 on this grid: refused before the draw
+    underflow = (SystemParams(1.0, 0.1, nbar=10.0), 0.5, np.arange(0, 200, 0.05))
+    with pytest.raises(ValidationError, match="F underflows to 0 from t = 84.6"):
+        synthesize_series(*underflow, noise=0.01)
+    with pytest.raises(ValidationError, match="fidelities must lie in"):
+        synthesize_series(*underflow)
     with pytest.raises(DegenerateInputError):
         extract_d2(make_series(), make_series())  # identical M labels
 

@@ -153,3 +153,12 @@ def test_closed_form_overflow_is_refused():
         fidelity_generalized(50.0, p, GaussianState.thermal(0.0))
     with pytest.raises(ValidationError, match="overflows a float"):
         fidelity_uj_blocks(100.0, SystemParams(g=0.1, kappa=0.1, nbar=1e307), 0.5)
+
+
+def test_thermal_measures_accept_m_just_below_half():
+    # M = 1/2 - 1e-13 is inside the M >= 1/2 tolerance of every thermal measure
+    p, q, M = SystemParams(g=0.1, kappa=0.1), QubitInitState.balanced(), 0.5 - 1e-13
+    assert fidelity_uj_blocks(1.0, p, M) == pytest.approx(0.98349, abs=1e-5)
+    assert purity_oscillator(1.0, p, M, q) == pytest.approx(0.99174, abs=1e-5)
+    assert purity_qubit(1.0, p, M, q) == pytest.approx(
+        purity_qubit(1.0, p, 0.5, q), rel=0.0, abs=1e-12)

@@ -248,7 +248,7 @@ def test_rk_matches_scipy_dop853_reference():
         ref = solve_ivp(lambda _t, v: gen.dot(v), (0.0, 6.0), v0,
                         method="DOP853", rtol=1e-10, atol=1e-12, t_eval=(6.0,))
         sol = fock.solve_ivp(gen, v0, 6.0)
-        assert sol.success and sol.nfev > 0
+        assert sol.nfev > 0
         assert np.max(np.abs(sol.y - ref.y[:, -1])) <= 1e-9
 
 
@@ -262,13 +262,14 @@ def test_non_finite_generator_fails_with_its_return_code(monkeypatch):
         liou[1, 1] = np.nan
         return liou.tocsr()
 
-    sol = fock.solve_ivp(
-        fock._hermitian_generator(poisoned(build_operators(8, p), "00"), 8),
-        packed_start(init), 1.0)
-    assert not sol.success and sol.status < 0
+    with pytest.raises(ValidationError, match=r"return code -\d+\)") as failed:
+        fock.solve_ivp(
+            fock._hermitian_generator(poisoned(build_operators(8, p), "00"), 8),
+            packed_start(init), 1.0)
     monkeypatch.setattr(fock.OperatorSet, "liouvillian", poisoned)
-    with pytest.raises(ValidationError, match=f"return code {sol.status}"):
+    with pytest.raises(ValidationError) as raised:
         evolve_block(init, build_operators(8, p), 1.0)
+    assert str(raised.value) == str(failed.value)
 
 
 def test_repeated_evolutions_keep_memory_flat():
