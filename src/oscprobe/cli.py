@@ -15,7 +15,10 @@ Shared behavior:
     and anything outside them is rejected;
   * --outdir DIR, defaulting to $OSCPROBE_OUTDIR, then the current directory;
   * all outputs are deterministic: a rerun with equal inputs is byte-identical
-    (randomness only enters through explicit --seed values).
+    (randomness only enters through explicit --seed values);
+  * run as a program, a command starts on one OpenBLAS thread unless
+    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set;
+    importing this module changes no thread setting.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
+
+if __name__ == "__main__":  # the thread default must precede numpy
+    from . import _one_blas_thread
+    _one_blas_thread()
 
 import numpy as np
 

@@ -12,12 +12,15 @@ class ValidationError(OscprobeError, ValueError):
 class TruncationLeakError(OscprobeError):
     """Truncated number basis is too small for the requested state or evolution.
 
-    Carries ``suggested_dim``, a basis size expected to pass the leak check.
+    Carries ``suggested_dim``, a basis size expected to pass the leak check,
+    and ``weight``, the relative top-level weight that tripped it.
     """
 
-    def __init__(self, message: str, suggested_dim: int | None = None):
+    def __init__(self, message: str, suggested_dim: int | None = None,
+                 weight: float | None = None):
         super().__init__(message)
         self.suggested_dim = suggested_dim
+        self.weight = weight
 
 
 class DegenerateInputError(OscprobeError, ValueError):

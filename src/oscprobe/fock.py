@@ -212,7 +212,7 @@ def _check_leak(entries: np.ndarray, dim: int, stage: str) -> None:
     if w > LEAK_TOL:
         raise TruncationLeakError(
             f"top-level weight {w:.3g} > {LEAK_TOL:g} in {stage} at dim {dim}",
-            suggested_dim=2 * dim)
+            suggested_dim=2 * dim, weight=w)
 
 
 @dataclass(frozen=True)
@@ -569,21 +569,24 @@ def evolve_thermal_blocks(params: SystemParams, config: OracleConfig,
     With config.dim None, starts from default_dim and doubles it (at most
     twice, and never past MAX_DIM) whenever the truncation guard trips.
     Returns the blocks under "00", "11" and "01", the dim that held under
-    "dim", and every dim attempted, in order, under "dims_tried".
+    "dim", every dim attempted, in order, under "dims_tried", and the tail
+    weight that rejected each dim but the last under "leak_weights".
     """
     dim = config.dim if config.dim is not None else default_dim(params)
-    dims_tried = []
+    dims_tried, leak_weights = [], []
     while True:
         dims_tried.append(dim)
         try:
             ops = build_operators(dim, params)
             out = {block: evolve_block(thermal_block(dim, params.mbar, block), ops, t)
                    for block in _BLOCKS}
-            return {**out, "dim": dim, "dims_tried": dims_tried}
-        except TruncationLeakError:
+            return {**out, "dim": dim, "dims_tried": dims_tried,
+                    "leak_weights": leak_weights}
+        except TruncationLeakError as err:
             if (config.dim is not None or len(dims_tried) == 3
                     or 2 * dim > MAX_DIM):
                 raise
+            leak_weights.append(err.weight)
             dim *= 2
 
 
@@ -611,7 +614,8 @@ def compare_point(params: SystemParams, qubit: QubitInitState,
     """Oracle-vs-closed-form deviations for every observable at one point.
 
     Besides the dev_* deviations, reports the dim used, every dim tried
-    (dims_tried), the number of leak-guard retries (leak_retries), and the
+    (dims_tried), the number of leak-guard retries (leak_retries), the tail
+    weight behind each retry (leak_weights, one per dims_tried[:-1]), and the
     integrator's RHS evaluations and rejected steps summed over the three
     evolved blocks (rhs_evals, rejected_steps).
     """
@@ -634,6 +638,7 @@ def compare_point(params: SystemParams, qubit: QubitInitState,
         "dim": dim,
         "dims_tried": blocks["dims_tried"],
         "leak_retries": len(blocks["dims_tried"]) - 1,
+        "leak_weights": blocks["leak_weights"],
         "rhs_evals": sum(blocks[b].rhs_evals for b in _BLOCKS),
         "rejected_steps": sum(blocks[b].rejected_steps for b in _BLOCKS),
         "dev_fgen": abs(fgen_o - fgen_a),

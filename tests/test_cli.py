@@ -214,6 +214,7 @@ def test_oracle_random_mode(tmp_path):
     assert report["points"][0]["dev_fgen"] < 1e-6
     assert report["points"][0]["dims_tried"] == [report["points"][0]["dim"]]
     assert report["points"][0]["leak_retries"] == 0
+    assert report["points"][0]["leak_weights"] == []
 
 
 def test_oracle_report_is_deterministic_and_counts_solver_work(tmp_path):

@@ -297,6 +297,7 @@ def test_truncation_guard():
     with pytest.raises(TruncationLeakError) as exc:
         evolve_block(thermal_block(10, 2.0), build_operators(10, p), 1.0)
     assert exc.value.suggested_dim == 20
+    assert exc.value.weight > fock.LEAK_TOL
 
 
 def test_auto_dim_is_sized_once():
@@ -308,6 +309,7 @@ def test_auto_dim_is_sized_once():
     rep = compare_point(p, QubitInitState.balanced(), OracleConfig(), 2.0)
     assert rep["dims_tried"] == [rep["dim"]]
     assert rep["leak_retries"] == 0
+    assert rep["leak_weights"] == []
 
 
 def test_auto_doubling_picks_a_clean_dim(monkeypatch):
@@ -317,6 +319,9 @@ def test_auto_doubling_picks_a_clean_dim(monkeypatch):
     rep = compare_point(p, QubitInitState.balanced(), OracleConfig(), 2.0)
     assert rep["dims_tried"] == [small, 2 * small]
     assert rep["leak_retries"] == 1
+    # one weight per rejected dim, and it is the one that tripped the guard
+    assert len(rep["leak_weights"]) == 1
+    assert rep["leak_weights"][0] > fock.LEAK_TOL
     assert rep["dim"] == 2 * small
     assert rep["dev_fgen"] < 1e-8
     # a retry that would pass MAX_DIM re-raises the leak instead

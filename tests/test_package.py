@@ -1,0 +1,139 @@
+"""The lazy package namespace and the one-BLAS-thread default of the CLI."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import oscprobe
+from oscprobe import estimate
+
+SRC = Path(oscprobe.__file__).parents[1]
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# Runs oscprobe one of three ways and prints, as its last line, the thread
+# variables at exit, OPENBLAS_NUM_THREADS as it stood when numpy was first
+# imported, and whether numpy was loaded once the entry module was imported.
+_PROBE = """
+import importlib, json, os, runpy, sys
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+seen = {}
+
+class NumpySpy:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name == "numpy":
+            seen.setdefault("openblas", os.environ.get("OPENBLAS_NUM_THREADS"))
+        return None
+
+sys.meta_path.insert(0, NumpySpy)
+env_before = dict(os.environ)
+how, target = sys.argv[1], sys.argv[2]
+sys.argv = ["oscprobe", "--help"]
+numpy_after_entry_import = None
+try:
+    if how == "main":
+        runpy.run_module(target, run_name="__main__")
+    elif how == "script":
+        module, _, attr = target.partition(":")
+        entry = getattr(importlib.import_module(module), attr)
+        numpy_after_entry_import = "numpy" in sys.modules
+        entry()
+    else:
+        importlib.import_module(target)
+except SystemExit:
+    pass
+print(json.dumps({
+    "thread_env": {v: os.environ[v] for v in THREAD_VARS if v in os.environ},
+    "env_unchanged": dict(os.environ) == env_before,
+    "openblas_at_numpy_import": seen.get("openblas", "numpy never imported"),
+    "numpy_after_entry_import": numpy_after_entry_import,
+}))
+"""
+
+
+def _probe(how, target, **thread_env):
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env.update(thread_env, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", _PROBE, how, target],
+                          env=env, capture_output=True, text=True, timeout=120,
+                          check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _script_target():
+    tomllib = pytest.importorskip("tomllib")
+    with open(SRC.parent / "pyproject.toml", "rb") as fh:
+        return tomllib.load(fh)["project"]["scripts"]["oscprobe"]
+
+
+def test_import_oscprobe_loads_no_numpy():
+    # a submodule named on the package still loads on first access
+    code = ("import sys, oscprobe; numpy = 'numpy' in sys.modules; "
+            "print(numpy, oscprobe.fock.__name__)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.split() == ["False", "oscprobe.fock"]
+
+
+@pytest.mark.parametrize("name", oscprobe.__all__)
+def test_every_export_resolves_from_its_owner(name):
+    value = getattr(oscprobe, name)
+    assert value.__module__ == oscprobe._OWNER[name]
+    assert value.__name__ == name
+    assert getattr(sys.modules[value.__module__], name) is value
+    # looked up on access, never copied into the package namespace
+    assert name not in vars(oscprobe)
+
+
+def test_dir_covers_all_and_unknown_names_raise():
+    assert set(oscprobe.__all__) <= set(dir(oscprobe))
+    assert "__version__" in dir(oscprobe)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        oscprobe.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        exec("from oscprobe import no_such_name", {})
+
+
+def test_a_name_swapped_in_its_submodule_shows_through(monkeypatch):
+    original = estimate.fit_parameters
+
+    def stand_in(*args, **kwargs):
+        return None
+
+    monkeypatch.setattr(estimate, "fit_parameters", stand_in)
+    assert oscprobe.fit_parameters is stand_in
+    monkeypatch.undo()
+    assert oscprobe.fit_parameters is original
+
+
+@pytest.mark.parametrize("how", ["main", "script"])
+def test_program_defaults_to_one_blas_thread(how):
+    # the script's target is read from pyproject.toml, as an installer would
+    target = "oscprobe.cli" if how == "main" else _script_target()
+    out = _probe(how, target)
+    assert out["thread_env"] == {"OPENBLAS_NUM_THREADS": "1"}
+    assert out["openblas_at_numpy_import"] == "1"
+    if how == "script":
+        assert out["numpy_after_entry_import"] is False
+
+
+@pytest.mark.parametrize("how", ["main", "script"])
+@pytest.mark.parametrize("var", THREAD_VARS)
+def test_a_thread_variable_the_user_set_wins(how, var):
+    target = "oscprobe.cli" if how == "main" else _script_target()
+    out = _probe(how, target, **{var: "2"})
+    assert out["thread_env"] == {var: "2"}
+    assert out["env_unchanged"] is True
+
+
+@pytest.mark.parametrize("target", ["oscprobe", "oscprobe.cli"])
+def test_importing_as_a_library_changes_no_thread_setting(target):
+    out = _probe("import", target)
+    assert out["env_unchanged"] is True
+    assert out["thread_env"] == {}
