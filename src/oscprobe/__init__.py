@@ -26,15 +26,14 @@ _EXPORTS = {
     "fock": ("BlockDensityMatrix", "OracleConfig", "build_operators",
              "chord_from_matrix", "compare_point", "default_dim",
              "displaced_thermal_block", "evolve_block", "evolve_thermal_blocks",
-             "reduced_quantities", "sample_comparison_points", "thermal_block",
-             "uhlmann_fidelity", "wigner_grid_from_matrix"),
+             "reduced_quantities", "sample_comparison_points", "uhlmann_fidelity",
+             "wigner_grid_from_matrix"),
     "phase_space": ("Covariance2", "GaussianState", "PhaseVector",
                     "QubitInitState", "SystemParams", "chord_eval",
                     "occupation_from_temperature", "wigner_eval"),
-    "propagator": ("chord_block_diag", "chord_block_offdiag", "coherence_trace",
-                   "diag_block_gaussians", "displacement_vector",
-                   "fundamental_matrix", "reduced_wigner_grid",
-                   "wigner_lobe_centers"),
+    "propagator": ("chord_block_offdiag", "coherence_trace", "diag_block_gaussians",
+                   "displacement_vector", "fundamental_matrix",
+                   "reduced_wigner_grid", "wigner_lobe_centers"),
 }
 _OWNER = {name: f"{__name__}.{module}"
           for module, names in _EXPORTS.items() for name in names}

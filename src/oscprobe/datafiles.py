@@ -77,7 +77,7 @@ def write_grid_csv(path, metadata: dict, qs, ps, values) -> None:
 
 
 def read_csv(path):
-    """Read a metadata CSV back into (metadata dict, dict of column arrays)."""
+    """Read a metadata CSV into (metadata, columns); refuse a repeated key or name."""
     metadata, header, rows = {}, None, []
     try:
         lines = Path(path).read_text().splitlines()
@@ -91,6 +91,8 @@ def read_csv(path):
             key, sep, value = line[1:].partition("=")
             if not sep:
                 raise ConfigError(f"{path}: malformed metadata line {line!r}")
+            if key in metadata:
+                raise ConfigError(f"{path}: metadata key {key!r} appears twice")
             metadata[key] = _parse_scalar(value)
         elif header is None:
             header = line.split(",")
@@ -98,6 +100,9 @@ def read_csv(path):
             rows.append(line)
     if header is None:
         raise ConfigError(f"{path}: no column header found")
+    if len(set(header)) < len(header):
+        twice = next(name for i, name in enumerate(header) if name in header[:i])
+        raise ConfigError(f"{path}: column {twice!r} appears twice")
     try:
         data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2) if rows else None
     except ValueError:

@@ -25,13 +25,14 @@ generator conjugated by I kron P, which preserves Hermiticity; rho_01(t) is
 then Y(t) P exp(-i delta t). A thermal start gives a Hermitian Y0; any other
 Y0 runs as its two Hermitian parts. The stage sums are compiled loops, not
 threaded-BLAS products, so the integration runs on one core and leaves no
-BLAS worker spinning between steps. Neither does the rest of a point: one
-exact row recurrence builds every displaced thermal state, the basis
-sizing's bounding Gaussians and the displaced starts alike, and the Uhlmann
-readout takes the factor form (sum sigma_i(X1^dag X2))^2 with an einsum
-product, so no eigenvector solve or matmul runs. The tolerances are
-fixed (_REL_TOL, _ABS_TOL); the one solver is built once and cached, and it
-is not re-entrant. The basis never exceeds MAX_DIM levels.
+BLAS worker spinning between steps. Neither does the rest of a point: one exact
+row recurrence builds every displaced thermal state, the basis sizing's
+bounding Gaussians and every start (thermal at zero displacement) alike, and
+the Uhlmann readout takes the factor form (sum sigma_i(X1^dag X2))^2 with an
+einsum product, so no eigenvector solve or matmul runs. The leak guard reads
+the sizing's tail weight. The tolerances are fixed (_REL_TOL, _ABS_TOL); the
+one solver is built once and cached, and it is not re-entrant. The basis never
+exceeds MAX_DIM levels.
 """
 
 from __future__ import annotations
@@ -180,16 +181,8 @@ def _sized_dim(occ: float, alpha: float) -> int:
     raise ValidationError(f"these parameters need a basis above MAX_DIM = {MAX_DIM}")
 
 
-def _tail_weight(entries: np.ndarray) -> float:
-    """Relative weight of the top basis level (last row/column)."""
-    scale = max(abs(np.trace(entries)), float(np.max(np.abs(entries))), 1e-300)
-    tail = max(float(np.max(np.abs(entries[-1, :]))),
-               float(np.max(np.abs(entries[:, -1]))))
-    return tail / scale
-
-
 def _tail_weights(entries: np.ndarray) -> np.ndarray:
-    """_tail_weight of every leading block entries[:n + 1, :n + 1], in one pass."""
+    """Relative top row/column weight of every leading block [:n + 1, :n + 1]."""
     mag = np.abs(entries)
     # the top row and column of block n, up to the diagonal; zeros lose a max
     tail = np.maximum(np.tril(mag).max(axis=1), np.triu(mag).max(axis=0))
@@ -208,7 +201,7 @@ def _check_hermitian(entries: np.ndarray, block: str) -> None:
 
 
 def _check_leak(entries: np.ndarray, dim: int, stage: str) -> None:
-    w = _tail_weight(entries)
+    w = float(_tail_weights(entries)[-1])
     if w > LEAK_TOL:
         raise TruncationLeakError(
             f"top-level weight {w:.3g} > {LEAK_TOL:g} in {stage} at dim {dim}",
@@ -283,27 +276,20 @@ def build_operators(dim: int, params: SystemParams) -> OperatorSet:
                        h_minus=h_minus)
 
 
-def thermal_block(dim: int, mbar: float, block: str = "00") -> BlockDensityMatrix:
-    """Thermal initial block, renormalized on the truncated basis."""
-    if mbar < 0.0:
-        raise ValidationError("mbar must be >= 0")
-    probs = (mbar / (1.0 + mbar)) ** np.arange(dim)  # [1, 0, 0, ...] at mbar = 0
-    probs /= probs.sum()
-    return BlockDensityMatrix(dim, np.diag(probs).astype(complex), block)
-
-
 def displaced_thermal_block(dim: int, mbar: float, q0: float, p0: float,
                             block: str = "00") -> BlockDensityMatrix:
-    """D(alpha) rho_th D(alpha)^dag at alpha = (q0 + i p0)/sqrt(2).
+    """Every oracle start: D(alpha) rho_th D(alpha)^dag, alpha = (q0 + i p0)/sqrt(2).
 
     D(alpha) = R D(|alpha|) R^dag with R = exp(i arg(alpha) a^dag a), so entry
-    (m, n) is _displaced_thermal's at |alpha| times exp(i (m - n) arg(alpha)).
+    (m, n) is _displaced_thermal's at |alpha| times exp(i (m - n) arg(alpha)),
+    over its truncated trace (trace 1); q0 = p0 = 0 gives the thermal start.
     """
     if mbar < 0.0:
         raise ValidationError("mbar must be >= 0")
     radius, arg = cmath.polar(complex(q0, p0) / math.sqrt(2.0))
     turn = np.exp(1j * arg * np.arange(dim))
     rho = _displaced_thermal(dim, mbar, radius)
+    rho /= np.trace(rho)
     return BlockDensityMatrix(dim, turn[:, None] * rho * turn.conj(), block)
 
 
@@ -536,30 +522,21 @@ def uhlmann_fidelity(rho1, rho2) -> float:
     return float(np.sum(np.linalg.svd(overlap, compute_uv=False)) ** 2)
 
 
-def reduced_quantities(blocks: dict, qubit: QubitInitState, qs=None,
-                       ps=None) -> dict:
-    """Reduced-state observables from the three evolved blocks.
+def reduced_quantities(blocks: dict, qubit: QubitInitState) -> dict:
+    """purity_qubit and purity_oscillator from the three evolved blocks.
 
-    Returns purity_qubit, purity_oscillator and, when both grid axes are
-    given, the reduced Wigner grid of shape (len(ps), len(qs)).
+    The reduced oscillator state is a00 rho_00 + a11 rho_11; its Wigner grid
+    is wigner_grid_from_matrix of that matrix.
     """
     for key in _BLOCKS:
         if key not in blocks:
             raise ValidationError(f"missing block {key}")
-    if (qs is None) != (ps is None):
-        raise ValidationError("give both grid axes or neither")
-    e00 = blocks["00"].entries
-    e11 = blocks["11"].entries
     tr01 = blocks["01"].trace
-    p_q = (qubit.a00 ** 2 + qubit.a11 ** 2
-           + 2.0 * abs(qubit.a01 * tr01) ** 2)
-    rho_osc = qubit.a00 * e00 + qubit.a11 * e11
+    p_q = qubit.a00 ** 2 + qubit.a11 ** 2 + 2.0 * abs(qubit.a01 * tr01) ** 2
+    rho_osc = qubit.a00 * blocks["00"].entries + qubit.a11 * blocks["11"].entries
     # Tr rho^2 = sum |rho_ij|^2 for the Hermitian rho_osc
     p_osc = float(np.vdot(rho_osc, rho_osc).real)
-    out = {"purity_qubit": float(p_q), "purity_oscillator": p_osc}
-    if qs is not None:
-        out["wigner"] = wigner_grid_from_matrix(rho_osc, qs, ps)
-    return out
+    return {"purity_qubit": float(p_q), "purity_oscillator": p_osc}
 
 
 def evolve_thermal_blocks(params: SystemParams, config: OracleConfig,
@@ -578,8 +555,8 @@ def evolve_thermal_blocks(params: SystemParams, config: OracleConfig,
         dims_tried.append(dim)
         try:
             ops = build_operators(dim, params)
-            out = {block: evolve_block(thermal_block(dim, params.mbar, block), ops, t)
-                   for block in _BLOCKS}
+            out = {block: evolve_block(displaced_thermal_block(
+                       dim, params.mbar, 0.0, 0.0, block), ops, t) for block in _BLOCKS}
             return {**out, "dim": dim, "dims_tried": dims_tried,
                     "leak_weights": leak_weights}
         except TruncationLeakError as err:

@@ -15,10 +15,10 @@ dependence reduces to these kernels:
     Gamma(t) = 2 int_0^t R^T(-t') eta(t') dt'
 
 Every kernel is elementwise in t, so each observable is read over a whole
-array of times at once; d, |d|^2, delta, Gamma and the fits in `estimate` read
-the terms they share off one `_Kernel`. The chord blocks take chord points r
-of shape (..., 2) at one t and, like chord_eval, return an array of shape
-(...), or a complex for a single point of shape (2,).
+array of times at once; d, |d|^2, delta, Gamma, sigma(t) and the fits in
+`estimate` read the terms they share off one `_Kernel`. chord_block_offdiag
+takes chord points r of shape (..., 2) at one t and, like chord_eval, returns
+an array of shape (...), or a complex for a single point of shape (2,).
 
 The qubit has splitting delta, the detuning (H_q = (delta/2) sigma_z; not the
 integral delta(t) above), which gives the coherence the phase factor
@@ -39,7 +39,7 @@ import numpy as np
 from .errors import ValidationError
 from .phase_space import (Covariance2, GaussianState, PhaseVector,
                           QubitInitState, SystemParams, _log_chord, as_points,
-                          chord_eval, wigner_eval)
+                          wigner_eval)
 
 
 def fundamental_matrix(t: float, kappa: float) -> np.ndarray:
@@ -75,7 +75,7 @@ def _require_nonneg_time(t) -> np.ndarray:
 
 
 class _Kernel:
-    """The terms d, |d|^2, delta and Gamma share, on one array of times.
+    """The terms d, |d|^2, delta, Gamma and sigma(t) share, on one array of times.
 
     cos t and sin t are taken once. e = e^{-kappa t}, b = e^2 - 2 e cos t + 1,
     s = sin t - kappa cos t and cterm = kappa + e s are kept for the last kappa
@@ -150,9 +150,8 @@ def _gamma_components(t, g: float, kappa: float):
     """Components of Gamma(t) = 2 int_0^t R^T(-t') eta(t') dt' in closed form."""
     c = 2.0 * g / (1.0 + kappa * kappa)
     kern = _Kernel(t)(kappa)
-    ta, e = kern.t, kern.e
-    return (-c * (1.0 - 2.0 * e * kern.cos + e * e),
-            c * (2.0 * ta * _exprel(-2.0 * kappa * ta) - 2.0 * e * kern.sin))
+    return (-c * kern.b, c * (2.0 * kern.t * _exprel(-2.0 * kappa * kern.t)
+                              - 2.0 * kern.e * kern.sin))
 
 
 def _eta_components(t, g: float, kappa: float):
@@ -173,9 +172,9 @@ def _evolved_covariance(t, params: SystemParams, sigma0: Covariance2):
 
     Written as alpha I + e^{-2 kappa t} Rot^T sigma0 Rot, Rot = [[c, -s], [s, c]].
     """
+    kern = _Kernel(t)(params.kappa)
     a = _alpha(t, params.kappa, params.nbar)
-    e = np.exp(-2.0 * params.kappa * t)
-    c, s = np.cos(t), np.sin(t)
+    e, c, s = kern.e * kern.e, kern.cos, kern.sin
     s11, s12, s22 = sigma0.s11, sigma0.s12, sigma0.s22
     return (a + e * (s11 * c * c + 2.0 * s12 * c * s + s22 * s * s),
             e * ((s22 - s11) * c * s + s12 * (c * c - s * s)),
@@ -191,20 +190,6 @@ def _log_coherence(t, params: SystemParams, init: GaussianState):
     e1, e2 = _eta_components(t, params.g, params.kappa)
     return (_log_chord(init, e1, e2) - 1j * params.delta * t
             - 0.5 * params.gamma_plus * _delta(t, params.g, params.kappa))
-
-
-def chord_block_diag(r, t: float, params: SystemParams, init: GaussianState,
-                     sign: int):
-    """Chord function of a diagonal block at chord points r and time t >= 0.
-
-    sign = +1 selects the qubit-up block (coupling +g), sign = -1 the
-    qubit-down block (coupling -g); each is the chord function of its
-    Gaussian from diag_block_gaussians.
-    """
-    if sign not in (1, -1):
-        raise ValidationError("sign must be +1 or -1")
-    up, down = diag_block_gaussians(t, params, init)
-    return chord_eval(up if sign == 1 else down, r)
 
 
 def chord_block_offdiag(r, t: float, params: SystemParams,

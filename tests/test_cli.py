@@ -372,6 +372,9 @@ _RECORD = "#M=1.0\nt,fgen\n0,1.0\n1,0.9\n"
     (["estimate", "--input", "{src}/bad_m.csv"], "M='abc' is not a number"),
     (["estimate", "--input", "{src}/bad_noise.csv"],
      "noise='lots' is not a number"),
+    (["estimate", "--input", "{src}/twice_col.csv"], "column 'fgen' appears twice"),
+    (["estimate", "--input", "{src}/twice_key.csv"],
+     "metadata key 'M' appears twice"),
     (["propagate", "--noise", "0.01", "--seed", "-1"], "--seed must be >= 0"),
     (["propagate", "--config", "{src}/seed.json"], "--seed must be >= 0"),
     (["oracle", "--points", "1", "--seed", "-3"], "--seed must be >= 0"),
@@ -415,7 +418,8 @@ _RECORD = "#M=1.0\nt,fgen\n0,1.0\n1,0.9\n"
       "--dt", "0.05"], "fig2 rows exceed the 10000000-point limit"),
     (["reproduce", "fig3", "--nbar", "0.7", "--mbar", "0.5", "--t-max", "1e5",
       "--dt", "0.05"], "fig3 rows exceed the 10000000-point limit"),
-], ids=("missing", "bad-cell", "bad-M", "bad-noise", "seed-flag",
+], ids=("missing", "bad-cell", "bad-M", "bad-noise", "twice-column",
+        "twice-key", "seed-flag",
         "seed-config", "oracle-seed", "outdir-is-file", "output-no-dir",
         "output-is-dir", "grid-output-is-dir", "times-nan", "oracle-dim",
         "propagate-huge-g", "fidelity-huge-g", "fidelity-huge-nbar",
@@ -433,6 +437,8 @@ def test_bad_outside_input_exits_2_without_output(tmp_path, capsys, argv,
               "bad_row.csv": _RECORD.replace("1,0.9", "1,abc"),
               "bad_m.csv": _RECORD.replace("#M=1.0", "#M=abc"),
               "bad_noise.csv": "#noise=lots\n" + _RECORD,
+              "twice_col.csv": "#M=1.0\nt,fgen,fgen\n0,1.0,1.0\n1,0.9,0.8\n",
+              "twice_key.csv": "#M=2.0\n" + _RECORD,
               "seed.json": json.dumps({"seed": -2}),
               "wigner_t0.csv": None}  # a directory where an output would go
     for name, text in inputs.items():

@@ -72,3 +72,14 @@ def test_version_matches_pyproject():
     pyproject = Path(oscprobe.__file__).parents[2] / "pyproject.toml"
     with open(pyproject, "rb") as fh:
         assert oscprobe.__version__ == tomllib.load(fh)["project"]["version"]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("#M=1.0\nt,fgen,fgen\n0,1.0,1.0\n1,0.9,0.8\n", "column 'fgen' appears twice"),
+    ("#M=1.0\n#M=2.0\nt,fgen\n0,1.0\n1,0.9\n", "metadata key 'M' appears twice"),
+], ids=("column", "metadata-key"))
+def test_read_csv_refuses_a_name_given_twice(tmp_path, text, message):
+    # either copy could be the one meant, so neither is kept
+    (tmp_path / "twice.csv").write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        read_csv(tmp_path / "twice.csv")

@@ -13,10 +13,10 @@ from oscprobe import (BlockDensityMatrix, GaussianState, OracleConfig,
                       chord_from_matrix, coherence_trace, compare_point,
                       default_dim, displaced_thermal_block, evolve_block,
                       evolve_thermal_blocks, fidelity_uj_gaussian,
-                      sample_comparison_points, thermal_block,
-                      uhlmann_fidelity, wigner_grid_from_matrix)
+                      sample_comparison_points, uhlmann_fidelity,
+                      wigner_grid_from_matrix)
 from oscprobe import fock
-from oscprobe.fock import SIZING_TOL, _displaced_thermal, _tail_weight
+from oscprobe.fock import SIZING_TOL, _displaced_thermal, _tail_weights
 from oscprobe.phase_space import Covariance2, QubitInitState
 
 
@@ -41,9 +41,11 @@ def test_operator_algebra():
 
 
 def test_initial_blocks():
-    th = thermal_block(40, 0.8)
+    # the thermal start is the zero displacement of the one builder
+    th = displaced_thermal_block(40, 0.8, 0.0, 0.0)
     assert th.trace == pytest.approx(1.0, abs=1e-14)
     assert number_expectation(th) == pytest.approx(0.8, abs=1e-10)
+    assert np.count_nonzero(th.entries - np.diag(np.diagonal(th.entries))) == 0
     co = displaced_thermal_block(40, 0.0, 1.0, -0.5)
     assert co.trace == pytest.approx(1.0, abs=1e-14)
     assert number_expectation(co) == pytest.approx(
@@ -66,10 +68,10 @@ def test_default_dim_is_the_smallest_clean_size(monkeypatch):
         drift = math.sqrt(2.0) * p.g / math.sqrt(1.0 + p.kappa ** 2)
         rhos = [_displaced_thermal(4 * dim, occ, drift)
                 for occ in (0.0, max(p.mbar, p.nbar))]
-        assert max(_tail_weight(rho[:dim - 1, :dim - 1])
-                   for rho in rhos) >= SIZING_TOL
-        assert all(_tail_weight(rho[:n, :n]) < SIZING_TOL
-                   for rho in rhos for n in range(dim, 2 * dim))
+        # weight n is that of the leading block rho[:n + 1, :n + 1]
+        weights = [_tail_weights(rho) for rho in rhos]
+        assert max(w[dim - 2] for w in weights) >= SIZING_TOL
+        assert all(np.all(w[dim - 1:2 * dim - 1] < SIZING_TOL) for w in weights)
     # an answer above MAX_DIM is refused before the sizing basis grows past
     # it, also at g = 20, where the recurrence underflows and no level
     # reaches SIZING_TOL
@@ -99,11 +101,21 @@ def test_displaced_thermal_block_matches_the_eigh_displacement():
         a = np.diag(np.sqrt(np.arange(1, dim)), 1)
         lam, vecs = np.linalg.eigh(-1j * (alpha * a.T - np.conj(alpha) * a))
         disp = (vecs * np.exp(1j * lam)) @ vecs.conj().T
-        want = disp @ thermal_block(dim, mbar).entries @ disp.conj().T
+        thermal = displaced_thermal_block(dim, mbar, 0.0, 0.0).entries
+        want = disp @ thermal @ disp.conj().T
         got = displaced_thermal_block(dim, mbar, q0, p0)
         half = dim // 2
         assert np.max(np.abs(got.entries - want)[:half, :half]) <= 1e-14
         assert got.trace == pytest.approx(1.0, abs=1e-12)
+
+
+def test_every_oracle_start_comes_from_the_one_builder():
+    p = SystemParams(g=0.2, kappa=0.1, nbar=0.5, mbar=0.9)
+    for dim in (30, 40):
+        blocks = evolve_thermal_blocks(p, OracleConfig(dim=dim), 0.0)
+        for block in ("00", "11", "01"):
+            want = displaced_thermal_block(dim, p.mbar, 0.0, 0.0, block).entries
+            assert np.array_equal(blocks[block].entries, want)
 
 
 def test_default_dim_of_the_oracle_sweep_points():
@@ -119,7 +131,7 @@ def test_diag_evolution_preserves_trace_and_hermiticity():
     p = SystemParams(g=0.2, kappa=0.12, nbar=0.5, mbar=1.0)
     ops = build_operators(45, p)
     # coherent and displaced-thermal starts pass the start's Hermitian check
-    for init in (thermal_block(45, 1.0),
+    for init in (displaced_thermal_block(45, 1.0, 0.0, 0.0),
                  displaced_thermal_block(45, 0.0, 0.8, -0.5, "11"),
                  displaced_thermal_block(45, 0.3, -0.4, 0.6)):
         out = evolve_block(init, ops, 6.0)
@@ -130,7 +142,7 @@ def test_diag_evolution_preserves_trace_and_hermiticity():
 
 def test_matched_bath_is_stationary():
     p = SystemParams(g=0.0, kappa=0.15, nbar=0.8, mbar=0.8)
-    init = thermal_block(40, 0.8)
+    init = displaced_thermal_block(40, 0.8, 0.0, 0.0)
     out = evolve_block(init, build_operators(40, p), 5.0)
     assert np.max(np.abs(out.entries - init.entries)) < 1e-10
 
@@ -139,7 +151,7 @@ def test_occupation_relaxes_at_rate_two_kappa():
     p = SystemParams(g=0.0, kappa=0.15, nbar=0.2, mbar=1.0)
     ops = build_operators(40, p)
     for t in (0.5, 3.0):
-        out = evolve_block(thermal_block(40, 1.0), ops, t)
+        out = evolve_block(displaced_thermal_block(40, 1.0, 0.0, 0.0), ops, t)
         want = 0.2 + 0.8 * np.exp(-2 * 0.15 * t)
         assert number_expectation(out) == pytest.approx(want, abs=1e-8)
 
@@ -151,7 +163,8 @@ def test_integrator_backends_agree():
     from scipy.sparse.linalg import expm_multiply
     p = SystemParams(g=0.18, kappa=0.07, delta=0.3, nbar=0.3, mbar=0.6)
     ops = build_operators(35, p)
-    starts = [thermal_block(35, 0.6, block) for block in ("00", "11", "01")]
+    starts = [displaced_thermal_block(35, 0.6, 0.0, 0.0, block)
+              for block in ("00", "11", "01")]
     for init in starts + [displaced_thermal_block(35, 0.6, 0.4, -0.3, "01")]:
         rk = evolve_block(init, ops, 4.0)
         ex = expm_multiply(ops.liouvillian(init.block) * 4.0,
@@ -164,7 +177,7 @@ def test_thermal_offdiagonal_block_times_parity_stays_hermitian():
     from scipy.sparse.linalg import expm_multiply
     p = SystemParams(g=0.18, kappa=0.07, nbar=0.3, mbar=0.6)
     liou = build_operators(35, p).liouvillian("01")
-    v0 = thermal_block(35, 0.6, "01").entries.reshape(-1)
+    v0 = displaced_thermal_block(35, 0.6, 0.0, 0.0, "01").entries.reshape(-1)
     y = expm_multiply(liou * 4.0, v0).reshape(35, 35) * (-1.0) ** np.arange(35)
     assert np.max(np.abs(y - y.conj().T)) < 1e-12
 
@@ -221,7 +234,7 @@ def test_real_generator_acts_as_the_liouvillian(block):
 
 def test_non_hermitian_diagonal_start_is_refused():
     p = SystemParams(g=0.1, kappa=0.1)
-    entries = thermal_block(12, 0.1).entries
+    entries = displaced_thermal_block(12, 0.1, 0.0, 0.0).entries
     entries[0, 1] = 1e-9
     ops = build_operators(12, p)
     for block in ("00", "11"):
@@ -234,7 +247,8 @@ def test_non_hermitian_diagonal_start_is_refused():
 def test_shared_operators_must_match_the_start():
     p = SystemParams(g=0.1, kappa=0.1)
     with pytest.raises(ValidationError, match="ops dim 14 != initial matrix dim 12"):
-        evolve_block(thermal_block(12, 0.1), build_operators(14, p), 1.0)
+        evolve_block(displaced_thermal_block(12, 0.1, 0.0, 0.0),
+                     build_operators(14, p), 1.0)
 
 
 def test_rk_matches_scipy_dop853_reference():
@@ -244,7 +258,7 @@ def test_rk_matches_scipy_dop853_reference():
     ops = build_operators(35, p)
     for block in ("00", "11", "01"):
         gen = generator(ops.liouvillian(block), block, p)
-        v0 = packed_start(thermal_block(35, 0.6, block))
+        v0 = packed_start(displaced_thermal_block(35, 0.6, 0.0, 0.0, block))
         ref = solve_ivp(lambda _t, v: gen.dot(v), (0.0, 6.0), v0,
                         method="DOP853", rtol=1e-10, atol=1e-12, t_eval=(6.0,))
         sol = fock.solve_ivp(gen, v0, 6.0)
@@ -254,7 +268,7 @@ def test_rk_matches_scipy_dop853_reference():
 
 def test_non_finite_generator_fails_with_its_return_code(monkeypatch):
     p = SystemParams(g=0.1, kappa=0.1)
-    init = thermal_block(8, 0.0)
+    init = displaced_thermal_block(8, 0.0, 0.0, 0.0)
     good = fock.OperatorSet.liouvillian
 
     def poisoned(self, block):
@@ -276,7 +290,8 @@ def test_repeated_evolutions_keep_memory_flat():
     # each call builds a new generator; none of them may stay referenced
     def run(i):
         p = SystemParams(g=0.1 + 0.002 * i, kappa=0.07, nbar=0.3, mbar=0.6)
-        evolve_block(thermal_block(30, 0.6), build_operators(30, p), 1.0)
+        evolve_block(displaced_thermal_block(30, 0.6, 0.0, 0.0),
+                     build_operators(30, p), 1.0)
 
     run(0)
     gc.collect()
@@ -294,10 +309,13 @@ def test_repeated_evolutions_keep_memory_flat():
 
 def test_truncation_guard():
     p = SystemParams(g=0.1, kappa=0.1, nbar=0.0, mbar=2.0)
+    init = displaced_thermal_block(10, 2.0, 0.0, 0.0)
     with pytest.raises(TruncationLeakError) as exc:
-        evolve_block(thermal_block(10, 2.0), build_operators(10, p), 1.0)
+        evolve_block(init, build_operators(10, p), 1.0)
     assert exc.value.suggested_dim == 20
     assert exc.value.weight > fock.LEAK_TOL
+    # the guard reads the sizing's own measure, so the two cannot disagree
+    assert exc.value.weight == _tail_weights(init.entries)[-1]
 
 
 def test_auto_dim_is_sized_once():
@@ -340,7 +358,7 @@ def test_chord_of_vacuum():
 
 
 def test_chord_matches_gaussian_states():
-    th = thermal_block(60, 0.7)
+    th = displaced_thermal_block(60, 0.7, 0.0, 0.0)
     g_th = GaussianState.thermal(0.7)
     dt = displaced_thermal_block(60, 0.7, 1.0, -0.5)
     g_dt = GaussianState(PhaseVector(1.0, -0.5), Covariance2.isotropic(1.2))
@@ -366,7 +384,7 @@ def test_wigner_grid_of_vacuum():
 
 
 def test_uhlmann_basics():
-    th = thermal_block(40, 0.9)
+    th = displaced_thermal_block(40, 0.9, 0.0, 0.0)
     assert uhlmann_fidelity(th, th) == pytest.approx(1.0, abs=1e-12)
     c1 = displaced_thermal_block(60, 0.0, 1.0, 0.5)
     c2 = displaced_thermal_block(60, 0.0, -0.3, 0.2)
@@ -381,7 +399,7 @@ def test_uhlmann_basics():
 
 
 def test_uhlmann_thermal_pair_matches_gaussian_formula():
-    r1 = thermal_block(60, 0.5)
+    r1 = displaced_thermal_block(60, 0.5, 0.0, 0.0)
     r2 = displaced_thermal_block(60, 1.1, 0.9, -0.4)
     want = fidelity_uj_gaussian(
         GaussianState.thermal(0.5),
@@ -390,7 +408,7 @@ def test_uhlmann_thermal_pair_matches_gaussian_formula():
 
 
 def test_uhlmann_fidelity_is_symmetric():
-    r1 = thermal_block(50, 0.4)
+    r1 = displaced_thermal_block(50, 0.4, 0.0, 0.0)
     r2 = displaced_thermal_block(50, 1.1, 0.9, -0.4)
     r3 = displaced_thermal_block(50, 0.2, -0.5, 1.2)
     for a, b in ((r1, r2), (r2, r3), (r1, r3)):
@@ -398,7 +416,7 @@ def test_uhlmann_fidelity_is_symmetric():
 
 
 def test_uhlmann_refuses_a_negative_eigenvalue_in_either_input():
-    vacuum = thermal_block(3, 0.0).entries
+    vacuum = displaced_thermal_block(3, 0.0, 0.0, 0.0).entries
     # negative only where the vacuum has no weight: sqrt(rho1) hides it
     bad = np.diag([0.5, 0.5 + 1e-6, -1e-6]).astype(complex)
     for args in ((vacuum, bad), (bad, vacuum)):
@@ -451,4 +469,5 @@ def test_validation_errors():
         BlockDensityMatrix(3, np.zeros((3, 3)), "10")
     p = SystemParams(g=0.1, kappa=0.1)
     with pytest.raises(ValidationError):
-        evolve_block(thermal_block(20, 0.0), build_operators(20, p), -1.0)
+        evolve_block(displaced_thermal_block(20, 0.0, 0.0, 0.0),
+                     build_operators(20, p), -1.0)

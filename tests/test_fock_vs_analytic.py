@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from oscprobe import (GaussianState, OracleConfig, QubitInitState,
-                      SystemParams, build_operators, chord_block_diag, chord_block_offdiag,
-                      chord_from_matrix, compare_point, displacement_vector,
-                      evolve_block, evolve_thermal_blocks, fundamental_matrix,
-                      reduced_wigner_grid, sample_comparison_points,
-                      thermal_block, wigner_grid_from_matrix,
+                      SystemParams, build_operators, chord_block_offdiag,
+                      chord_eval, chord_from_matrix, compare_point,
+                      diag_block_gaussians, displaced_thermal_block,
+                      displacement_vector, evolve_block, evolve_thermal_blocks,
+                      fundamental_matrix, reduced_wigner_grid,
+                      sample_comparison_points, wigner_grid_from_matrix,
                       wigner_lobe_centers)
-from oscprobe.fock import reduced_quantities
 
 QUBIT = QubitInitState.balanced()
 
@@ -32,13 +32,14 @@ def test_chord_functions_match_pointwise():
     init = GaussianState.thermal(p.mbar)
     t = 5.5
     blocks = evolve_thermal_blocks(p, OracleConfig(), t)
+    up, down = diag_block_gaussians(t, p, init)
     rng = np.random.default_rng(14)
     for _ in range(5):
         r = 1.8 * rng.normal(size=2)
         assert chord_from_matrix(blocks["00"], r) == pytest.approx(
-            chord_block_diag(r, t, p, init, +1), abs=1e-6)
+            chord_eval(up, r), abs=1e-6)
         assert chord_from_matrix(blocks["11"], r) == pytest.approx(
-            chord_block_diag(r, t, p, init, -1), abs=1e-6)
+            chord_eval(down, r), abs=1e-6)
         assert chord_from_matrix(blocks["01"], r) == pytest.approx(
             chord_block_offdiag(r, t, p, init), abs=1e-6)
 
@@ -47,14 +48,19 @@ def test_flipping_the_qubit_flips_the_coupling():
     p = SystemParams(g=0.3, kappa=0.1, nbar=0.4, mbar=0.4)
     flipped = SystemParams(g=-0.3, kappa=0.1, nbar=0.4, mbar=0.4)
     ops = build_operators(40, p)
-    init = thermal_block(40, 0.4)
+    init = displaced_thermal_block(40, 0.4, 0.0, 0.0)
     up = evolve_block(init, ops, 4.0)
-    down = evolve_block(thermal_block(40, 0.4, "11"), ops, 4.0)
+    down = evolve_block(displaced_thermal_block(40, 0.4, 0.0, 0.0, "11"), ops, 4.0)
     up_flipped = evolve_block(init, build_operators(40, flipped), 4.0)
     assert np.max(np.abs(down.entries - up_flipped.entries)) < 1e-10
     # for a parity-symmetric start the two conditional states are parity images
     parity = np.diag((-1.0) ** np.arange(40))
     assert np.max(np.abs(down.entries - parity @ up.entries @ parity)) < 1e-10
+
+
+def reduced_oscillator(blocks, qubit):
+    """a00 rho_00 + a11 rho_11, the oscillator state with the qubit traced out."""
+    return qubit.a00 * blocks["00"].entries + qubit.a11 * blocks["11"].entries
 
 
 def test_wigner_grids_match():
@@ -64,13 +70,10 @@ def test_wigner_grids_match():
     blocks = evolve_thermal_blocks(p, OracleConfig(), t)
     qs = np.arange(-6.0, 6.0 + 0.025, 0.05)
     ps = np.arange(-6.0, 6.0 + 0.025, 0.05)
-    red = reduced_quantities(blocks, QUBIT, qs=qs, ps=ps)
+    w = wigner_grid_from_matrix(reduced_oscillator(blocks, QUBIT), qs, ps)
     analytic = reduced_wigner_grid(qs, ps, t, p, init, QUBIT)
-    assert red["wigner"].shape == analytic.shape
-    assert np.max(np.abs(red["wigner"] - analytic)) < 1e-6
-    # without axes the same purities come back and no grid is computed
-    assert reduced_quantities(blocks, QUBIT) == {
-        k: red[k] for k in ("purity_qubit", "purity_oscillator")}
+    assert w.shape == analytic.shape
+    assert np.max(np.abs(w - analytic)) < 1e-6
 
 
 def test_asymmetric_qubit_weights_the_lobes():
@@ -81,8 +84,7 @@ def test_asymmetric_qubit_weights_the_lobes():
     t = 8.0
     blocks = evolve_thermal_blocks(p, OracleConfig(), t)
     ax = np.arange(-5.0, 5.0 + 0.025, 0.05)
-    red = reduced_quantities(blocks, qubit, qs=ax, ps=ax)
-    w = red["wigner"]
+    w = wigner_grid_from_matrix(reduced_oscillator(blocks, qubit), ax, ax)
     d = displacement_vector(t, p).as_array()
     c1, c2 = wigner_lobe_centers(ax, ax, w)
     # global peak is the heavy lobe; it sits at -d/2

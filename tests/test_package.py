@@ -1,4 +1,4 @@
-"""The lazy package namespace and the one-BLAS-thread default of the CLI."""
+"""The lazy package namespace, the CLI's one BLAS thread, the src line cap."""
 
 import json
 import os
@@ -79,6 +79,17 @@ def test_import_oscprobe_loads_no_numpy():
                           env=dict(os.environ, PYTHONPATH=str(SRC)),
                           capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout.split() == ["False", "oscprobe.fock"]
+
+
+# src size ceiling in physical lines; ROADMAP.md keeps the same figure
+SRC_LINE_CAP = 2474
+
+
+def test_src_stays_within_its_line_cap():
+    files = sorted((SRC / "oscprobe").glob("*.py"))
+    assert files
+    total = sum(len(path.read_text().splitlines()) for path in files)
+    assert total <= SRC_LINE_CAP, f"src is {total} lines, above {SRC_LINE_CAP}"
 
 
 @pytest.mark.parametrize("name", oscprobe.__all__)

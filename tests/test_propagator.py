@@ -9,7 +9,7 @@ from scipy.special import exprel
 
 from oscprobe import (Covariance2, GaussianState, PhaseVector,
                       QubitInitState, SystemParams, ValidationError,
-                      chord_block_diag, chord_block_offdiag, chord_eval,
+                      chord_block_offdiag, chord_eval,
                       coherence_trace, diag_block_gaussians,
                       displacement_vector, fidelity_generalized,
                       fundamental_matrix, reduced_wigner_grid,
@@ -177,35 +177,33 @@ def test_coherence_trace_array_matches_scalar_calls():
 
 
 def test_diag_chord_hermiticity_and_sign_flip():
+    # the diagonal blocks' chord functions are those of diag_block_gaussians
     rng = np.random.default_rng(31)
     for _ in range(20):
         p = random_params(rng)
         init = GaussianState.thermal(p.mbar)
         t = 15 * rng.random()
         r = 3 * rng.normal(size=2)
-        up = chord_block_diag(r, t, p, init, +1)
-        assert chord_block_diag(-r, t, p, init, +1) == pytest.approx(
-            np.conj(up), abs=1e-14)
+        up_state, down_state = diag_block_gaussians(t, p, init)
+        up = chord_eval(up_state, r)
+        assert chord_eval(up_state, -r) == pytest.approx(np.conj(up), abs=1e-14)
         # flipping the qubit is the same as flipping the coupling sign
         flipped = SystemParams(g=-p.g, kappa=p.kappa, nbar=p.nbar,
                                mbar=p.mbar)
-        assert chord_block_diag(r, t, p, init, -1) == pytest.approx(
-            chord_block_diag(r, t, flipped, init, +1), abs=1e-14)
+        down = chord_eval(down_state, r)
+        assert down == pytest.approx(
+            chord_eval(diag_block_gaussians(t, flipped, init)[0], r), abs=1e-14)
         # a thermal start makes the two conditional states mirror images
-        down = chord_block_diag(r, t, p, init, -1)
         assert down == pytest.approx(np.conj(up), abs=1e-14)
-        assert down == pytest.approx(chord_block_diag(-r, t, p, init, +1),
-                                     abs=1e-14)
-    with pytest.raises(ValidationError):
-        chord_block_diag((0.0, 0.0), 1.0, p, init, 2)
+        assert down == pytest.approx(chord_eval(up_state, -r), abs=1e-14)
 
 
 def test_diag_chord_normalization():
     p = SystemParams(g=0.2, kappa=0.1, nbar=0.5, mbar=1.0)
     init = GaussianState.thermal(p.mbar)
     for t in (0.0, 1.0, 8.0):
-        assert chord_block_diag((0.0, 0.0), t, p, init, +1) == pytest.approx(
-            1.0, abs=1e-14)
+        up, _ = diag_block_gaussians(t, p, init)
+        assert chord_eval(up, (0.0, 0.0)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_offdiag_chord_origin_is_coherence_trace():
@@ -237,11 +235,12 @@ def test_evaluators_broadcast_over_points():
     p = SystemParams(g=0.2, kappa=0.08, delta=0.3, nbar=0.4, mbar=0.6)
     init = GaussianState(PhaseVector(0.4, -0.7), Covariance2(1.3, 0.2, 0.9))
     t = 3.7
+    up, down = diag_block_gaussians(t, p, init)
     evaluators = {
         "chord_eval": (complex, lambda r: chord_eval(init, r)),
         "wigner_eval": (float, lambda x: wigner_eval(init, x)),
-        "diag up": (complex, lambda r: chord_block_diag(r, t, p, init, +1)),
-        "diag down": (complex, lambda r: chord_block_diag(r, t, p, init, -1)),
+        "diag up": (complex, lambda r: chord_eval(up, r)),
+        "diag down": (complex, lambda r: chord_eval(down, r)),
         "offdiag": (complex, lambda r: chord_block_offdiag(r, t, p, init)),
     }
     pts = 2.0 * rng.normal(size=(4, 5, 2))
