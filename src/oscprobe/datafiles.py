@@ -77,16 +77,15 @@ def write_grid_csv(path, metadata: dict, qs, ps, values) -> None:
 
 
 def read_csv(path):
-    """Read a metadata CSV into (metadata, columns); refuse a repeated key or name."""
+    """Read a metadata CSV into (metadata, columns), the rows by one np.loadtxt;
+    a repeated key or column name, no header, a cell loadtxt refuses (1_0 too)
+    or a row unlike the header in width is a ConfigError naming the file."""
     metadata, header, rows = {}, None, []
     try:
         lines = Path(path).read_text().splitlines()
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read {path}: {err}") from err
-    for raw in lines:
-        line = raw.strip()
-        if not line:
-            continue
+    for line in filter(None, map(str.strip, lines)):  # blank lines skipped
         if line.startswith("#"):
             key, sep, value = line[1:].partition("=")
             if not sep:
@@ -104,21 +103,12 @@ def read_csv(path):
         twice = next(name for i, name in enumerate(header) if name in header[:i])
         raise ConfigError(f"{path}: column {twice!r} appears twice")
     try:
-        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2) if rows else None
-    except ValueError:
-        data = None
-    if data is None or data.shape[1] != len(header):
-        # row by row: names the row at fault, or reads what only float() reads
-        data = []
-        for line in rows:
-            parts = line.split(",")
-            if len(parts) != len(header):
-                raise ConfigError(f"{path}: row width does not match header")
-            try:
-                data.append([float(p) for p in parts])
-            except ValueError:
-                raise ConfigError(f"{path}: non-numeric cell in row {line!r}") from None
-        data = np.array(data, dtype=float).reshape(len(rows), len(header))
+        data = (np.loadtxt(rows, delimiter=",", comments=None, ndmin=2) if rows
+                else np.empty((0, len(header))))
+    except ValueError as err:  # numpy's text names the row and column
+        raise ConfigError(f"{path}: non-numeric cell or ragged row: {err}") from None
+    if data.shape[1] != len(header):
+        raise ConfigError(f"{path}: row width does not match header")
     return metadata, {name: data[:, i] for i, name in enumerate(header)}
 
 

@@ -14,8 +14,9 @@ fitting ("two-temperature" mode).
 
 Both modes fit by variable projection (Golub & Pereyra, SIAM J. Numer. Anal.
 10, 413 (1973)): at fixed kappa the model is linear in g^2 and g^2 N, so
-`least_squares` searches kappa alone, on numpy. Each fit reads D and E off
-one `propagator._Kernel` in the prefactor order of `_dsq(t, 1.0, kappa)` and
+`least_squares` searches kappa alone, on numpy, from kappa = 0.13 for every
+record, doubled while no g^2 > 0 fits there. Each fit reads D and E off one
+`propagator._Kernel` in the prefactor order of `_dsq(t, 1.0, kappa)` and
 `_delta(t, 1.0, kappa)`, so the residual is the closed form bit for bit. The
 stopping point depends on the solver's path at ~1e-7 relative, far below a
 noisy record's standard errors, so a change to the fit path is judged against
@@ -36,6 +37,8 @@ from .errors import DegenerateInputError, ValidationError
 from .fidelity import fidelity_generalized
 from .phase_space import GaussianState, SystemParams
 from .propagator import _dsq, _dsq_prime, _float_guard, _Kernel
+
+_KAPPA_START = 0.13  # both fits' first kappa, before any doubling
 
 
 @dataclass(frozen=True)
@@ -106,13 +109,17 @@ class EstimateReport:
 def least_squares(problem, kappa: float, max_nfev: int = 200) -> SimpleNamespace:
     """Minimize |r(kappa)|^2 over kappa > 0 by one-parameter Levenberg-Marquardt.
 
-    Trust-region Gauss-Newton steps on problem's exact derivative, with MINPACK's
-    radius updates and stopping tests at xtol = ftol = gtol = 1e-14. status:
-    1 gtol, 2 ftol, 3 xtol, 0 when nfev reaches max_nfev."""
-    point, tol, jac, status = problem.evaluate(kappa), 1e-14, None, 0
+    A start that fixes no g^2 > 0 is doubled until one does, within 10 evaluations
+    counted in nfev; then trust-region Gauss-Newton steps on problem's exact
+    derivative, with MINPACK's radius updates and stopping tests at xtol = ftol =
+    gtol = 1e-14. status: 1 gtol, 2 ftol, 3 xtol, 0 when nfev reaches max_nfev."""
+    point, nfev, tol, jac, status = problem.evaluate(kappa), 1, 1e-14, None, 0
+    while point is None and nfev < 10:
+        kappa, nfev = 2.0 * kappa, nfev + 1
+        point = problem.evaluate(kappa)
     if point is None:
         raise DegenerateInputError("the records fix no positive g^2")
-    cost, radius, nfev, njev = _dot(point.resid, point.resid), 100.0 * kappa, 1, 0
+    cost, radius, njev = _dot(point.resid, point.resid), 100.0 * kappa, 0
     while not status:
         if jac is None:
             jac, njev = problem.jacobian(point), njev + 1
@@ -234,16 +241,6 @@ def _dot(a, b) -> float:
     return float(np.einsum("n,n->", a, b))
 
 
-def _initial_kappa(times: np.ndarray, y: np.ndarray) -> float:
-    """Starting kappa from the decay of the detrended record's strict local maxima."""
-    resid = np.abs(y - np.polyval(np.polyfit(times, y, 1), times))
-    peaks = 1 + np.flatnonzero((resid[1:-1] > resid[:-2]) & (resid[1:-1] > resid[2:]))
-    if peaks.size < 2:
-        return 0.1
-    rp = np.log(np.maximum(resid[peaks], 1e-300))
-    return min(max(-np.polyfit(times[peaks], rp, 1)[0], 1e-3), 1.0)
-
-
 class _Reduced:
     """The fit as a problem in kappa alone, the model being linear at each kappa.
 
@@ -310,16 +307,14 @@ def _fit_direct(series_list: list[CoherenceSeries]) -> EstimateReport:
         raise DegenerateInputError(
             "every series needs a known M label: a single record is "
             "invariant under (g, M, N) -> (c g, M/c^2, N/c^2)")
-    ys = [-np.log(s.fgen) for s in series_list]
-    y = np.concatenate(ys)
+    y = np.concatenate([-np.log(s.fgen) for s in series_list])
     times = np.concatenate([s.times for s in series_list])
     if times.size < 3:
         raise DegenerateInputError("a direct fit of (g, kappa, N) needs at least "
                                    "three samples")
     m_labels = np.concatenate([np.full(s.times.shape, s.M) for s in series_list])
     kern = _Kernel(times)
-    sol = least_squares(_Reduced(kern, y, m_labels),
-                        _initial_kappa(series_list[0].times, ys[0]))
+    sol = least_squares(_Reduced(kern, y, m_labels), _KAPPA_START)
     p = sol.point
     return _report(series_list, "direct-fit", sol, p.N,
                    _jacobian(kern, p.g, p.kappa, m_labels, p.N))
@@ -339,7 +334,7 @@ def _fit_two_temperature(series_list: list[CoherenceSeries]) -> EstimateReport:
         raise DegenerateInputError("two-temperature mode needs exactly two series")
     d2, bath = _split(*series_list)
     kern = _Kernel(series_list[0].times)
-    sol = least_squares(_Reduced(kern, d2), _initial_kappa(kern.t, np.maximum(d2, 1e-12)))
+    sol = least_squares(_Reduced(kern, d2), _KAPPA_START)
     g, k = sol.point.g, sol.point.kappa
     jac = [2.0 * g * _dsq_unit(kern, k), g * g * _dsq_dkappa(kern, k)]
     return _report(series_list, "two-temperature", sol,

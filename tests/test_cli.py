@@ -290,6 +290,20 @@ def test_estimate_recovers_from_propagate_output(tmp_path):
     assert report["inputs"] == ["propagate.csv"]
 
 
+def test_estimate_fits_a_long_noiseless_record_alone(tmp_path):
+    # a long noiseless record: no g^2 > 0 fits it at kappa 0.035 or below
+    assert run("propagate", "--g", 0.23, "--kappa", 0.08, "--nbar", 0.7,
+               "--mbar", 0, "--t-max", 200, "--dt", 0.01,
+               "--outdir", tmp_path) == 0
+    assert run("estimate", "--input", tmp_path / "propagate.csv",
+               "--outdir", tmp_path) == 0
+    report = json.loads((tmp_path / "estimate_report.json").read_text())
+    assert report["converged"] is True
+    assert report["g"] == pytest.approx(0.23, rel=1e-6)
+    assert report["kappa"] == pytest.approx(0.08, rel=1e-6)
+    assert report["N"] == pytest.approx(2.4, rel=1e-6)
+
+
 def test_estimate_writes_strict_json(tmp_path):
     def refuse(token):
         raise ValueError(f"non-JSON constant {token}")
@@ -375,6 +389,21 @@ _RECORD = "#M=1.0\nt,fgen\n0,1.0\n1,0.9\n"
     (["estimate", "--input", "{src}/twice_col.csv"], "column 'fgen' appears twice"),
     (["estimate", "--input", "{src}/twice_key.csv"],
      "metadata key 'M' appears twice"),
+    (["estimate", "--input", "{src}/junk_key.csv"],
+     "malformed metadata line '#junk'"),
+    (["estimate", "--input", "{src}/no_header.csv"], "no column header found"),
+    (["estimate", "--input", "{src}/wide.csv"], "row width does not match header"),
+    (["estimate", "--input", "{src}/ragged.csv"], "non-numeric cell or ragged row"),
+    (["estimate", "--input", "{src}/no_fgen.csv"], "needs 't' and 'fgen' columns"),
+    # F = 1 throughout: no kappa that the fit steps up to fixes g^2 > 0
+    (["estimate", "--input", "{src}/flat.csv"], "the records fix no positive g^2"),
+    (["propagate", "--config", "{src}/missing.json"], "cannot read config"),
+    (["propagate", "--config", "{src}/open.json"], "is not valid JSON"),
+    (["propagate", "--config", "{src}/array.json"], "must hold a JSON object"),
+    (["oracle", "--config", "{src}/points.json"],
+     "config key 'points' must be an integer"),
+    (["propagate", "--config", "{src}/output.json"],
+     "config key 'output' must be a string"),
     (["propagate", "--noise", "0.01", "--seed", "-1"], "--seed must be >= 0"),
     (["propagate", "--config", "{src}/seed.json"], "--seed must be >= 0"),
     (["oracle", "--points", "1", "--seed", "-3"], "--seed must be >= 0"),
@@ -385,6 +414,8 @@ _RECORD = "#M=1.0\nt,fgen\n0,1.0\n1,0.9\n"
       "--output", "wigner_t0.csv"], "cannot write"),
     (["wigner", "--outdir", "{src}"], "cannot write"),
     (["wigner", "--times", "0,nan"], "times must be finite"),
+    (["wigner", "--times", "a,b"], "cannot parse times 'a,b'"),
+    (["wigner", "--times", ","], "no evaluation times given"),
     (["oracle", "--dim", "100000"], "dim must be an integer in [2, 512]"),
     # parameters whose scales overflow a float, refused before any arithmetic
     (["propagate", "--g", "1e154"], "N and kappa N must be finite"),
@@ -419,9 +450,13 @@ _RECORD = "#M=1.0\nt,fgen\n0,1.0\n1,0.9\n"
     (["reproduce", "fig3", "--nbar", "0.7", "--mbar", "0.5", "--t-max", "1e5",
       "--dt", "0.05"], "fig3 rows exceed the 10000000-point limit"),
 ], ids=("missing", "bad-cell", "bad-M", "bad-noise", "twice-column",
-        "twice-key", "seed-flag",
+        "twice-key", "junk-key", "no-header", "wide-rows", "ragged-row",
+        "no-fgen", "flat-record", "config-missing", "config-not-json",
+        "config-array", "config-points-float", "config-output-number",
+        "seed-flag",
         "seed-config", "oracle-seed", "outdir-is-file", "output-no-dir",
-        "output-is-dir", "grid-output-is-dir", "times-nan", "oracle-dim",
+        "output-is-dir", "grid-output-is-dir", "times-nan", "times-not-numbers",
+        "times-empty", "oracle-dim",
         "propagate-huge-g", "fidelity-huge-g", "fidelity-huge-nbar",
         "fig2-huge-temperature", "fig3-huge-nbar", "oracle-huge-kappa",
         "oracle-g-20", "oracle-huge-g", "oracle-huge-nbar",
@@ -439,6 +474,16 @@ def test_bad_outside_input_exits_2_without_output(tmp_path, capsys, argv,
               "bad_noise.csv": "#noise=lots\n" + _RECORD,
               "twice_col.csv": "#M=1.0\nt,fgen,fgen\n0,1.0,1.0\n1,0.9,0.8\n",
               "twice_key.csv": "#M=2.0\n" + _RECORD,
+              "junk_key.csv": "#junk\n" + _RECORD,
+              "no_header.csv": "#M=1.0\n",
+              "wide.csv": "#M=1.0\nt,fgen\n0,1.0,1.0\n1,0.9,0.8\n",
+              "ragged.csv": "#M=1.0\nt,fgen\n0,1.0\n1,0.9,0.8\n",
+              "no_fgen.csv": _RECORD.replace("fgen", "f"),
+              "flat.csv": "#M=1.0\nt,fgen\n0,1.0\n1,1.0\n2,1.0\n",
+              "open.json": "{",
+              "array.json": "[1]",
+              "points.json": json.dumps({"points": 1.5}),
+              "output.json": json.dumps({"output": 5}),
               "seed.json": json.dumps({"seed": -2}),
               "wigner_t0.csv": None}  # a directory where an output would go
     for name, text in inputs.items():

@@ -83,3 +83,14 @@ def test_read_csv_refuses_a_name_given_twice(tmp_path, text, message):
     (tmp_path / "twice.csv").write_text(text)
     with pytest.raises(ConfigError, match=message):
         read_csv(tmp_path / "twice.csv")
+
+
+def test_read_csv_reads_a_header_alone_and_refuses_grouped_digits(tmp_path):
+    write_csv(tmp_path / "e.csv", {"M": 1.0}, {"t": [], "fgen": []})
+    meta, cols = read_csv(tmp_path / "e.csv")
+    assert meta["M"] == 1.0
+    assert {name: col.shape for name, col in cols.items()} == {"t": (0,), "fgen": (0,)}
+    # float() reads 1_0 as 10, np.loadtxt does not; no writer emits it
+    (tmp_path / "grouped.csv").write_text("t,fgen\n1_0,1.0\n")
+    with pytest.raises(ConfigError, match="non-numeric cell"):
+        read_csv(tmp_path / "grouped.csv")

@@ -116,6 +116,28 @@ def test_direct_fit_pools_multiple_records():
     assert abs(report.N - 1.6) / 1.6 < 1e-3
 
 
+@pytest.mark.parametrize("g, kappa, nbar, t_max, joint", [
+    (0.3, 0.2, 2.0, 200.0, False),
+    (0.05, 1.0, 0.5, 10.0, False),
+    (0.3, 0.5, 0.5, 30.0, False),
+    (0.3, 0.08, 2.0, 200.0, True),
+    (0.05, 0.5, 2.0, 30.0, True),
+])
+def test_direct_fit_recovers_long_and_strongly_damped_records(g, kappa, nbar,
+                                                              t_max, joint):
+    # long or strongly damped records; no g^2 > 0 fits the M = 0.5 record
+    # of the first three cases, or the last pair, at the start kappa = 0.13,
+    # so those fits double kappa before their first step
+    p = SystemParams(g=g, kappa=kappa, nbar=nbar)
+    times = np.arange(0.0, t_max + 0.025, 0.05)
+    pair = [synthesize_series(p, m, times) for m in (0.5, 1.5)]
+    for series in ([pair] if joint else [[s] for s in pair]):
+        report = fit_parameters(series)
+        assert report.converged
+        for name, want in (("g", g), ("kappa", kappa), ("N", p.N)):
+            assert abs(getattr(report, name) - want) <= 1e-6 * want, name
+
+
 def test_two_temperature_mode_recovers_parameters():
     p1 = SystemParams(g=0.1, kappa=0.05, nbar=0.3, mbar=0.0)
     p2 = SystemParams(g=0.1, kappa=0.05, nbar=0.3, mbar=1.0)
@@ -425,13 +447,24 @@ def test_fit_on_the_floor_differentiates_the_one_column_problem(monkeypatch):
     assert np.array_equal(point.resid, want)
 
 
+def _peak_decay_kappa(times, y):
+    """The reference's starting kappa: the decay of the detrended record's
+    strict local maxima, clipped to [1e-3, 1] (0.1 with fewer than two)."""
+    resid = np.abs(y - np.polyval(np.polyfit(times, y, 1), times))
+    peaks = 1 + np.flatnonzero((resid[1:-1] > resid[:-2]) & (resid[1:-1] > resid[2:]))
+    if peaks.size < 2:
+        return 0.1
+    rp = np.log(np.maximum(resid[peaks], 1e-300))
+    return min(max(-np.polyfit(times[peaks], rp, 1)[0], 1e-3), 1.0)
+
+
 def _trf_reference(series, mode):
     """The fits' former solve, as (g, kappa, N, converged).
 
     The full (g, kappa, N) problem over x = floor + softplus(u), which keeps
     g, kappa > 0 and N > 1, run through scipy's trust-region reflective
     solver at unit scaling and 1e-14 tolerances from the former start: g
-    from the record's depth at t = pi, the fits' starting kappa, N = 1.5.
+    from the record's depth at t = pi, kappa from `_peak_decay_kappa`, N = 1.5.
     Two-temperature mode fits (g, kappa) to |d|^2 and reads N off the bath
     term as the fit does.
     """
@@ -464,7 +497,7 @@ def _trf_reference(series, mode):
     # y(pi) ~ 16 M g^2 at the first oscillation maximum for small kappa
     depth = max(y0[np.argmin(np.abs(first.times - np.pi))], 1e-12)
     x0 = [max(np.sqrt(depth / (16.0 * m0)), 1e-4),
-          estimate._initial_kappa(first.times, y0), 1.5][:floors.size]
+          _peak_decay_kappa(first.times, y0), 1.5][:floors.size]
     sol = least_squares(
         lambda u: fun(*(floors + np.logaddexp(0.0, u))),
         np.log(np.expm1(np.array(x0) - floors)),
