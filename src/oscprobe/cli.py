@@ -40,8 +40,8 @@ import numpy as np
 from .datafiles import read_csv, write_csv, write_grid_csv, write_json
 from .errors import ConfigError, OscprobeError, TruncationLeakError
 from .estimate import CoherenceSeries, fit_parameters, synthesize_series
-from .fidelity import (fidelity_generalized, fidelity_uj_blocks,
-                       fidelity_uj_limit, purity_oscillator, purity_qubit)
+from .fidelity import (_curve_columns, fidelity_generalized,
+                       fidelity_uj_blocks, fidelity_uj_limit)
 from .fock import (MAX_DIM, OracleConfig, compare_point,
                    sample_comparison_points)
 from .phase_space import (GaussianState, QubitInitState, SystemParams,
@@ -149,10 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nbar", type=float, default=None)
     p.add_argument("--temperature", type=float, default=None)
     p.add_argument("--mbar", type=float, default=None)
-    p.add_argument("--t-max", dest="t_max", type=float, default=100.0)
-    p.add_argument("--dt", type=float, default=0.05)
-    p.add_argument("--bound", type=float, default=8.0)
-    p.add_argument("--step", type=float, default=0.05)
+    for flag in ("--t-max", "--dt", "--bound", "--step"):  # see cmd_reproduce
+        p.add_argument(flag, type=float, default=None)
     _add_common_flags(p)
 
     return parser
@@ -226,8 +224,12 @@ def _build_qubit(args) -> QubitInitState:
 
 
 def _build_init(args, params: SystemParams) -> GaussianState:
-    if args.init == "coherent":
+    if args.init == "coherent":  # a start value the start ignores is refused
+        if args.mbar:
+            raise ConfigError("--init coherent starts at M = 1/2; omit --mbar")
         return GaussianState.coherent(args.q0, args.p0)
+    if args.q0 or args.p0:
+        raise ConfigError("--init thermal starts at the origin; omit --q0 and --p0")
     return GaussianState.thermal(params.mbar)
 
 
@@ -252,16 +254,6 @@ def _time_grid(t_max: float, dt: float) -> np.ndarray:
 
 def _qubit_metadata(qubit: QubitInitState) -> dict:
     return {"a00": qubit.a00, "a01_re": qubit.a01.real, "a01_im": qubit.a01.imag}
-
-
-def _curve_columns(times, params: SystemParams, init: GaussianState,
-                   qubit: QubitInitState) -> dict:
-    """The fgen, fuj and purity columns of `propagate` and `fidelity`."""
-    M = init.cov.s11  # both supported starts are isotropic with variance M
-    return {"fgen": fidelity_generalized(times, params, init),
-            "fuj": fidelity_uj_blocks(times, params, M),
-            "purity_qubit": purity_qubit(times, params, M, qubit),
-            "purity_oscillator": purity_oscillator(times, params, M, qubit)}
 
 
 def cmd_propagate(args) -> int:
@@ -365,13 +357,9 @@ def cmd_oracle(args) -> int:
     else:
         points = sample_comparison_points(args.points, args.seed,
                                           t_max=args.t_max, delta=args.delta)
-    config = OracleConfig(dim=args.dim)
-    qubit = QubitInitState.balanced()
-    results = []
-    for params, t in points:
-        row = compare_point(params, qubit, config, t)
-        row.update(asdict(params))
-        results.append(row)
+    config, qubit = OracleConfig(dim=args.dim), QubitInitState.balanced()
+    results = [{**compare_point(params, qubit, config, t), **asdict(params)}
+               for params, t in points]
     maxdev = {k: max(row[k] for row in results) for k in ORACLE_TOLERANCES}
     ok = all(maxdev[k] <= bound for k, bound in ORACLE_TOLERANCES.items())
     report = {
@@ -402,15 +390,20 @@ def _header_float(value, key: str, source: str) -> float | None:
 
 
 def cmd_estimate(args) -> int:
-    series = []
+    series, drawn = [], {}  # noise seed -> the record drawn at it
     for name in args.input:
         meta, cols = read_csv(name)
         if "t" not in cols or "fgen" not in cols:
             raise ConfigError(f"{name}: needs 't' and 'fgen' columns")
+        noise = _header_float(meta.get("noise") or None, "noise", name)
+        seed = meta.get("seed") if (noise or 0.0) > 0.0 else None
+        if seed is not None and seed in drawn:
+            raise ConfigError(f"{drawn[seed]} and {name} share noise seed {seed}, so "
+                              "their noise is identical: use distinct --seed values")
+        drawn[seed] = name
         series.append(CoherenceSeries(
             times=cols["t"], fgen=np.minimum(cols["fgen"], 1.0),
-            M=_header_float(meta.get("M"), "M", name),
-            noise=_header_float(meta.get("noise") or None, "noise", name)))
+            M=_header_float(meta.get("M"), "M", name), noise=noise))
     report = fit_parameters(series, mode=args.mode)
     # undefined values are NaN in the report and null in the JSON
     payload = {k: _nan_to_none(v) for k, v in asdict(report).items()}
@@ -500,7 +493,14 @@ def _reproduce_curves(args, figure: str) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    # each figure checks its inputs before it makes the output directory
+    # before any output directory: fill in the figure's grid flags, refuse the rest
+    own = ({"bound": 8.0, "step": 0.05} if args.figure == "fig1"
+           else {"t_max": 100.0, "dt": 0.05})
+    for key in ("t_max", "dt", "bound", "step"):
+        if getattr(args, key) is None:
+            setattr(args, key, own.get(key))
+        elif key not in own:
+            raise ConfigError(f"{args.figure} reads no --{key.replace('_', '-')}")
     if args.figure == "fig1":
         return _reproduce_fig1(args)
     return _reproduce_curves(args, args.figure)

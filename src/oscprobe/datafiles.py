@@ -79,7 +79,7 @@ def write_grid_csv(path, metadata: dict, qs, ps, values) -> None:
 def read_csv(path):
     """Read a metadata CSV into (metadata, columns), the rows by one np.loadtxt;
     a repeated key or column name, no header, a cell loadtxt refuses (1_0 too)
-    or a row unlike the header in width is a ConfigError naming the file."""
+    or a row unlike the header in width is a ConfigError naming the file (and line)."""
     metadata, header, rows = {}, None, []
     try:
         lines = Path(path).read_text().splitlines()
@@ -105,11 +105,23 @@ def read_csv(path):
     try:
         data = (np.loadtxt(rows, delimiter=",", comments=None, ndmin=2) if rows
                 else np.empty((0, len(header))))
-    except ValueError as err:  # numpy's text names the row and column
-        raise ConfigError(f"{path}: non-numeric cell or ragged row: {err}") from None
+    except ValueError:  # numpy counts rows, not file lines: name the line
+        body = [(number, row) for number, row in enumerate(map(str.strip, lines), 1)
+                if row and not row.startswith("#")][1:]  # the header goes first
+        number, row = next(pair for pair in body if not _is_row(pair[1], len(header)))
+        raise ConfigError(f"{path}: non-numeric cell or ragged row at line "
+                          f"{number}: {row!r}") from None
     if data.shape[1] != len(header):
         raise ConfigError(f"{path}: row width does not match header")
     return metadata, {name: data[:, i] for i, name in enumerate(header)}
+
+
+def _is_row(text: str, width: int) -> bool:
+    """Whether loadtxt reads text alone to `width` floats."""
+    try:
+        return np.loadtxt([text], delimiter=",", comments=None).size == width
+    except ValueError:
+        return False
 
 
 def _parse_scalar(text: str):

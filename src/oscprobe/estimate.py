@@ -15,9 +15,9 @@ fitting ("two-temperature" mode).
 Both modes fit by variable projection (Golub & Pereyra, SIAM J. Numer. Anal.
 10, 413 (1973)): at fixed kappa the model is linear in g^2 and g^2 N, so
 `least_squares` searches kappa alone, on numpy, from kappa = 0.13 for every
-record, doubled while no g^2 > 0 fits there. Each fit reads D and E off one
-`propagator._Kernel` in the prefactor order of `_dsq(t, 1.0, kappa)` and
-`_delta(t, 1.0, kappa)`, so the residual is the closed form bit for bit. The
+record, doubled while no g^2 > 0 fits there. Each fit reads D and E as
+`_dsq(kern, 1.0, kappa)` and `_delta(kern, 1.0, kappa)` off one
+`propagator._Kernel`, so the residual is the closed form bit for bit. The
 stopping point depends on the solver's path at ~1e-7 relative, far below a
 noisy record's standard errors, so a change to the fit path is judged against
 the former full (g, kappa, N) solve by scipy's trust-region reflective method
@@ -36,7 +36,7 @@ import numpy as np
 from .errors import DegenerateInputError, ValidationError
 from .fidelity import fidelity_generalized
 from .phase_space import GaussianState, SystemParams
-from .propagator import _dsq, _dsq_prime, _float_guard, _Kernel
+from .propagator import _delta, _dsq, _dsq_prime, _float_guard, _Kernel
 
 _KAPPA_START = 0.13  # both fits' first kappa, before any doubling
 
@@ -184,20 +184,10 @@ def extract_bath_term(series1: CoherenceSeries,
     return _split(series1, series2)[1]
 
 
-def _dsq_unit(kern: _Kernel, kappa: float):
-    """D(t; kappa) on the kernel's grid."""
-    return 4.0 / (1.0 + kappa * kappa) * kern(kappa).b
-
-
-def _delta_unit(kern: _Kernel, kappa: float):
-    """E(t; kappa) on the kernel's grid."""
-    return 4.0 / (1.0 + kappa * kappa) * kern(kappa).bracket()
-
-
 def _model(kern: _Kernel, kappa: float, M, N: float):
     """(-ln F) / g^2 = M D + kappa N E, and the E it used."""
-    ev = _delta_unit(kern, kappa)
-    return M * _dsq_unit(kern, kappa) + kappa * N * ev, ev
+    ev = _delta(kern, 1.0, kappa)
+    return M * _dsq(kern, 1.0, kappa) + kappa * N * ev, ev
 
 
 def _jacobian(kern: _Kernel, g: float, kappa: float, M, N: float):
@@ -254,8 +244,8 @@ class _Reduced:
 
     def evaluate(self, kappa: float) -> SimpleNamespace | None:
         """The point at kappa, or None where no g^2 > 0 fits."""
-        d = _dsq_unit(self.kern, kappa)
-        ev = None if self.m is None else _delta_unit(self.kern, kappa)
+        d = _dsq(self.kern, 1.0, kappa)
+        ev = None if self.m is None else _delta(self.kern, 1.0, kappa)
         cols = d[None] if ev is None else np.stack([self.m * d, kappa * ev])
         while True:
             gram = np.einsum("in,jn->ij", cols, cols)
@@ -274,7 +264,7 @@ class _Reduced:
         """dr/dkappa of p's column set (Golub & Pereyra 1973)."""
         k, dd = p.kappa, _dsq_dkappa(self.kern, p.kappa)
         dcols = dd[None] if self.m is None else np.stack(
-            [self.m * dd, _delta_unit(self.kern, k) + k * _delta_dkappa(self.kern, k)])
+            [self.m * dd, _delta(self.kern, 1.0, k) + k * _delta_dkappa(self.kern, k)])
         if dcols.shape[0] > p.coef.size:
             dcols = dcols.sum(axis=0, keepdims=True)
         # r = P y - y, so dr = (1 - P) dPhi c - Phi G^-1 dPhi^T r
@@ -322,7 +312,7 @@ def _fit_direct(series_list: list[CoherenceSeries]) -> EstimateReport:
 
 def _bath_occupation(kern: _Kernel, bath: np.ndarray, g: float, k: float) -> float:
     """N read off the bath term kappa N delta(t) at the fitted (g, kappa)."""
-    delta_hat = g * g * _delta_unit(kern, k)
+    delta_hat = g * g * _delta(kern, 1.0, k)
     mask = delta_hat > 1e-3 * float(np.max(delta_hat))
     if not np.any(mask):
         raise DegenerateInputError("record too short to expose the bath term")
@@ -336,7 +326,7 @@ def _fit_two_temperature(series_list: list[CoherenceSeries]) -> EstimateReport:
     kern = _Kernel(series_list[0].times)
     sol = least_squares(_Reduced(kern, d2), _KAPPA_START)
     g, k = sol.point.g, sol.point.kappa
-    jac = [2.0 * g * _dsq_unit(kern, k), g * g * _dsq_dkappa(kern, k)]
+    jac = [2.0 * g * _dsq(kern, 1.0, k), g * g * _dsq_dkappa(kern, k)]
     return _report(series_list, "two-temperature", sol,
                    _bath_occupation(kern, bath, g, k), np.column_stack(jac))
 

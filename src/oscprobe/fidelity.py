@@ -121,3 +121,12 @@ def purity_oscillator(t, params: SystemParams, M: float, qubit: QubitInitState):
     out = num / (2.0 * sigma_s)
     return float(out) if np.ndim(t) == 0 else out
 
+
+def _curve_columns(t, params: SystemParams, init: GaussianState,
+                   qubit: QubitInitState) -> dict:
+    """fgen, fuj and both purities at t: the closed forms records and oracle read."""
+    M = init.cov.s11  # both supported starts are isotropic with variance M
+    return {"fgen": fidelity_generalized(t, params, init),
+            "fuj": fidelity_uj_blocks(t, params, M),
+            "purity_qubit": purity_qubit(t, params, M, qubit),
+            "purity_oscillator": purity_oscillator(t, params, M, qubit)}

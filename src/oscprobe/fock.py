@@ -19,20 +19,16 @@ dim^2 reals R = Re X + Im X of a Hermitian X, from which
 X = (R + R^T)/2 + i (R - R^T)/2; on vec R a Hermitian-preserving generator
 L becomes the real matrix G = Re L + (Im L) S, with S the permutation
 vec X -> vec X^T. The 00 and 11 blocks are Hermitian at every t. For the 01
-block, with P = diag((-1)^n), the delta term -i delta commutes with
-everything and P H+ P = H-, so Y = rho_01 P evolves under the delta-free
-generator conjugated by I kron P, which preserves Hermiticity; rho_01(t) is
-then Y(t) P exp(-i delta t). A thermal start gives a Hermitian Y0; any other
-Y0 runs as its two Hermitian parts. The stage sums are compiled loops, not
-threaded-BLAS products, so the integration runs on one core and leaves no
-BLAS worker spinning between steps. Neither does the rest of a point: one exact
-row recurrence builds every displaced thermal state, the basis sizing's
-bounding Gaussians and every start (thermal at zero displacement) alike, and
-the Uhlmann readout takes the factor form (sum sigma_i(X1^dag X2))^2 with an
-einsum product, so no eigenvector solve or matmul runs. The leak guard reads
-the sizing's tail weight. The tolerances are fixed (_REL_TOL, _ABS_TOL); the
-one solver is built once and cached, and it is not re-entrant. The basis never
-exceeds MAX_DIM levels.
+block, with P = diag((-1)^n), P H- P = H+ and P a P = -a, so Y = rho_01 P
+evolves under the 00 generator with its jump terms 2 down a Y a^dag +
+2 up a^dag Y a negated, which preserves Hermiticity, and the scalar -i delta,
+which is left out of the integration: rho_01(t) is Y(t) P exp(-i delta t). A
+thermal start gives a Hermitian Y0; any other Y0 runs as its two Hermitian
+parts. The stage sums are compiled loops, not threaded-BLAS products, so the
+integration runs on one core and leaves no BLAS worker spinning between steps;
+neither do the starts (`_displaced_thermal`) or the Uhlmann readout
+(`uhlmann_fidelity`). The one solver is cached and not re-entrant. The basis
+never exceeds MAX_DIM levels.
 """
 
 from __future__ import annotations
@@ -47,8 +43,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .errors import TruncationLeakError, ValidationError
-from .fidelity import (fidelity_generalized, fidelity_uj_blocks, purity_qubit,
-                       purity_oscillator)
+from .fidelity import _curve_columns
 from .phase_space import GaussianState, QubitInitState, SystemParams, as_points
 from .propagator import coherence_trace
 
@@ -237,16 +232,24 @@ class OperatorSet:
         return {sign: (self._lmul(h), self._rmul(h))
                 for sign, h in (("+", self.h_plus), ("-", self.h_minus))}
 
+    def _rates(self) -> tuple[float, float]:
+        return (self.params.kappa * (1.0 + self.params.nbar),
+                self.params.kappa * self.params.nbar)
+
+    @functools.cached_property
+    def _jumps(self) -> sp.csr_matrix:
+        """The dissipator's jump terms 2 down a rho a^dag + 2 up a^dag rho a."""
+        import scipy.sparse as sp
+        down, up = self._rates()
+        return (2.0 * down * sp.kron(self.a, self.a, format="csr")
+                + 2.0 * up * sp.kron(self.adag, self.adag, format="csr"))
+
     @functools.cached_property
     def _dissipator(self) -> sp.csr_matrix:
-        import scipy.sparse as sp
-        down = self.params.kappa * (1.0 + self.params.nbar)
-        up = self.params.kappa * self.params.nbar
+        down, up = self._rates()
         # down (2 a rho a^dag - {a^dag a, rho}) + up (2 a^dag rho a - {a a^dag, rho})
         anti = (down * (self.adag @ self.a) + up * (self.a @ self.adag)).tocsr()
-        return (2.0 * down * sp.kron(self.a, self.a, format="csr")
-                + 2.0 * up * sp.kron(self.adag, self.adag, format="csr")
-                - self._lmul(anti) - self._rmul(anti)).tocsr()
+        return (self._jumps - self._lmul(anti) - self._rmul(anti)).tocsr()
 
     def liouvillian(self, block: str) -> sp.csr_matrix:
         """Full generator of the requested block as a dim^2 x dim^2 matrix."""
@@ -324,17 +327,6 @@ def _hermitian_generator(liou: sp.csr_matrix, dim: int) -> sp.csr_matrix:
     return re + im
 
 
-def _parity_generator(liou: sp.csr_matrix, delta: float, dim: int) -> sp.csr_matrix:
-    """(I (x) P)(L + i delta)(I (x) P): the 01 generator L acting on Y = rho_01 P.
-
-    P = diag((-1)^n). With delta removed, Y stays Hermitian from a Hermitian
-    start; on the row-major vec, the conjugation flips L's entries by s_i s_j.
-    """
-    import scipy.sparse as sp
-    flip = sp.diags(np.tile((-1.0) ** np.arange(dim), dim))
-    return (flip @ (liou + 1j * delta * sp.identity(dim * dim)) @ flip).tocsr()
-
-
 def _rhs(_t, v, gen):
     return gen.dot(v)
 
@@ -386,13 +378,13 @@ def evolve_block(init: BlockDensityMatrix, ops: OperatorSet,
     """Propagate one block to time t >= 0 under ops, built at init.dim.
 
     Integrates dim^2 reals under a real generator: the 00 and 11 blocks
-    themselves, and for 01 the Hermitian Y = rho_01 P at delta = 0, turned by
-    exp(-i delta t) at the end (a Y0 that is not Hermitian runs as its two
-    Hermitian parts, skipping one that is exactly zero). The result carries
-    the solver's RHS evaluations and rejected steps. Raises ValidationError
-    when a 00 or 11 start is not Hermitian to HERMITIAN_TOL, and
-    TruncationLeakError (with a suggested dim) when the initial or the
-    evolved matrix puts more than LEAK_TOL relative weight on the top level.
+    themselves, and for 01 Y = rho_01 P as the module docstring says (a Y0
+    that is not Hermitian runs as its two Hermitian parts, skipping one that
+    is exactly zero). The result carries the solver's RHS evaluations and
+    rejected steps. Raises ValidationError when a 00 or 11 start is not
+    Hermitian to HERMITIAN_TOL, and TruncationLeakError (with a suggested
+    dim) when the initial or the evolved matrix puts more than LEAK_TOL
+    relative weight on the top level.
     """
     if not (math.isfinite(t) and t >= 0.0):
         raise ValidationError("t must be finite and >= 0")
@@ -405,15 +397,15 @@ def evolve_block(init: BlockDensityMatrix, ops: OperatorSet,
     _check_leak(init.entries, dim, "initial state")
     if t == 0.0:
         return BlockDensityMatrix(dim, init.entries.copy(), init.block)
-    delta = ops.params.delta
-    liou, parts, phase = ops.liouvillian(init.block), [(1.0, init.entries)], 1.0
-    if not hermitian:
+    if hermitian:
+        liou, parts, phase = ops.liouvillian(init.block), [(1.0, init.entries)], 1.0
+    else:
         parity = (-1.0) ** np.arange(dim)
-        liou = _parity_generator(liou, delta, dim)
+        liou = ops.liouvillian("00") - 2.0 * ops._jumps
         # Y0 = A + iB with A, B Hermitian; a thermal start has B = 0
         y0 = init.entries * parity
         parts = [(1.0, 0.5 * (y0 + y0.conj().T)), (1j, -0.5j * (y0 - y0.conj().T))]
-        phase = np.exp(-1j * delta * t) * parity
+        phase = np.exp(-1j * ops.params.delta * t) * parity
     gen = _hermitian_generator(liou, dim)
     out = np.zeros((dim, dim), dtype=complex)
     nfev = rejected = 0
@@ -525,8 +517,7 @@ def uhlmann_fidelity(rho1, rho2) -> float:
 def reduced_quantities(blocks: dict, qubit: QubitInitState) -> dict:
     """purity_qubit and purity_oscillator from the three evolved blocks.
 
-    The reduced oscillator state is a00 rho_00 + a11 rho_11; its Wigner grid
-    is wigner_grid_from_matrix of that matrix.
+    The reduced oscillator state is rho_osc = a00 rho_00 + a11 rho_11.
     """
     for key in _BLOCKS:
         if key not in blocks:
@@ -597,30 +588,20 @@ def compare_point(params: SystemParams, qubit: QubitInitState,
     evolved blocks (rhs_evals, rejected_steps).
     """
     blocks = evolve_thermal_blocks(params, config, t)
-    dim = blocks["dim"]
     init = GaussianState.thermal(params.mbar)
     tr01 = blocks["01"].trace
-
-    fgen_o = abs(tr01) ** 2
-    fgen_a = fidelity_generalized(t, params, init)
-    coh_a = coherence_trace(t, params, init)
-    fuj_o = uhlmann_fidelity(blocks["00"], blocks["11"])
-    fuj_a = fidelity_uj_blocks(t, params, params.M)
-    red = reduced_quantities(blocks, qubit)
-    pq_a = purity_qubit(t, params, params.M, qubit)
-    posc_a = purity_oscillator(t, params, params.M, qubit)
-
+    oracle = {"fgen": abs(tr01) ** 2,
+              "fuj": uhlmann_fidelity(blocks["00"], blocks["11"]),
+              **reduced_quantities(blocks, qubit)}
     return {
         "t": t,
-        "dim": dim,
+        "dim": blocks["dim"],
         "dims_tried": blocks["dims_tried"],
         "leak_retries": len(blocks["dims_tried"]) - 1,
         "leak_weights": blocks["leak_weights"],
         "rhs_evals": sum(blocks[b].rhs_evals for b in _BLOCKS),
         "rejected_steps": sum(blocks[b].rejected_steps for b in _BLOCKS),
-        "dev_fgen": abs(fgen_o - fgen_a),
-        "dev_fuj": abs(fuj_o - fuj_a),
-        "dev_coherence": abs(tr01 - coh_a),
-        "dev_purity_qubit": abs(red["purity_qubit"] - pq_a),
-        "dev_purity_oscillator": abs(red["purity_oscillator"] - posc_a),
+        **{f"dev_{key}": abs(oracle[key] - value) for key, value
+           in _curve_columns(t, params, init, qubit).items()},
+        "dev_coherence": abs(tr01 - coherence_trace(t, params, init)),
     }

@@ -14,11 +14,12 @@ dependence reduces to these kernels:
     delta(t) = int_0^t |eta(t')|^2 dt'
     Gamma(t) = 2 int_0^t R^T(-t') eta(t') dt'
 
-Every kernel is elementwise in t, so each observable is read over a whole
-array of times at once; d, |d|^2, delta, Gamma, sigma(t) and the fits in
-`estimate` read the terms they share off one `_Kernel`. chord_block_offdiag
-takes chord points r of shape (..., 2) at one t and, like chord_eval, returns
-an array of shape (...), or a complex for a single point of shape (2,).
+Every kernel is elementwise in t; d, |d|^2, delta, Gamma and sigma(t) also
+take a `_Kernel` in place of t, so they and the fits in `estimate` share one. The
+off-diagonal block's log chord `_log_offdiag` is elementwise in r = (k, s) and
+t: the coherence Tr rho_01 is its value at r = 0, and chord_block_offdiag takes
+points r of shape (..., 2) at one t and, like chord_eval, returns an array of
+shape (...), or a complex for a single point of shape (2,).
 
 The qubit has splitting delta, the detuning (H_q = (delta/2) sigma_z; not the
 integral delta(t) above), which gives the coherence the phase factor
@@ -105,21 +106,26 @@ class _Kernel:
         return self._bracket
 
 
+def _kernel(t, kappa: float) -> _Kernel:
+    """The _Kernel of t at kappa; t is an array of times or a _Kernel on one."""
+    return (t if isinstance(t, _Kernel) else _Kernel(t))(kappa)
+
+
 def _d_components(t, g: float, kappa: float):
     """Components (d1, d2) of the Gaussian center separation d(t)."""
     c = 2.0 * g / (1.0 + kappa * kappa)
-    kern = _Kernel(t)(kappa)
+    kern = _kernel(t, kappa)
     return c * (1.0 - kern.e * (kern.cos + kappa * kern.sin)), c * kern.cterm
 
 
 def _dsq(t, g: float, kappa: float):
     """|d(t)|^2 in closed form."""
-    return 4.0 * g * g / (1.0 + kappa * kappa) * _Kernel(t)(kappa).b
+    return 4.0 * g * g / (1.0 + kappa * kappa) * _kernel(t, kappa).b
 
 
 def _dsq_prime(t, g: float, kappa: float):
     """d/dt of |d(t)|^2; vanishes at t = 0."""
-    kern = _Kernel(t)(kappa)
+    kern = _kernel(t, kappa)
     e = kern.e
     return (4.0 * g * g / (1.0 + kappa * kappa)
             * (-2.0 * kappa * e * e + 2.0 * kappa * e * kern.cos + 2.0 * e * kern.sin))
@@ -143,13 +149,13 @@ def _alpha(t, kappa: float, nbar: float):
 
 def _delta(t, g: float, kappa: float):
     """delta(t) = int_0^t |d(t')|^2 dt' in closed form."""
-    return 4.0 * g * g / (1.0 + kappa * kappa) * _Kernel(t)(kappa).bracket()
+    return 4.0 * g * g / (1.0 + kappa * kappa) * _kernel(t, kappa).bracket()
 
 
 def _gamma_components(t, g: float, kappa: float):
     """Components of Gamma(t) = 2 int_0^t R^T(-t') eta(t') dt' in closed form."""
     c = 2.0 * g / (1.0 + kappa * kappa)
-    kern = _Kernel(t)(kappa)
+    kern = _kernel(t, kappa)
     return (-c * kern.b, c * (2.0 * kern.t * _exprel(-2.0 * kappa * kern.t)
                               - 2.0 * kern.e * kern.sin))
 
@@ -172,8 +178,8 @@ def _evolved_covariance(t, params: SystemParams, sigma0: Covariance2):
 
     Written as alpha I + e^{-2 kappa t} Rot^T sigma0 Rot, Rot = [[c, -s], [s, c]].
     """
-    kern = _Kernel(t)(params.kappa)
-    a = _alpha(t, params.kappa, params.nbar)
+    kern = _kernel(t, params.kappa)
+    a = _alpha(kern.t, params.kappa, params.nbar)
     e, c, s = kern.e * kern.e, kern.cos, kern.sin
     s11, s12, s22 = sigma0.s11, sigma0.s12, sigma0.s22
     return (a + e * (s11 * c * c + 2.0 * s12 * c * s + s22 * s * s),
@@ -181,15 +187,29 @@ def _evolved_covariance(t, params: SystemParams, sigma0: Covariance2):
             a + e * (s11 * s * s - 2.0 * s12 * c * s + s22 * c * c))
 
 
+def _log_offdiag(k, s, t, params: SystemParams, init: GaussianState):
+    """The off-diagonal block's log chord at r = (k, s), elementwise in k, s, t:
+
+    ln w0(R(-t) r + eta) - i delta t - gamma_plus delta(t)/2 - alpha |r|^2/2
+    - gamma_plus Gamma.r/2, w0 the start's chord, R(-t) = e^{-kappa t} [[cos t,
+    -sin t], [sin t, cos t]]; no matmul, which rounds a point unlike an array.
+    """
+    kern, g, kappa = _Kernel(t)(params.kappa), params.g, params.kappa
+    ec, es = kern.e * kern.cos, kern.e * kern.sin
+    e1, e2 = _eta_components(kern, g, kappa)
+    out = (_log_chord(init, ec * k - es * s + e1, es * k + ec * s + e2)
+           - 1j * params.delta * t - 0.5 * params.gamma_plus * _delta(kern, g, kappa))
+    if np.any(k) or np.any(s):  # the r terms: zero at r = 0, where alpha may overflow
+        g1, g2 = _gamma_components(kern, g, kappa)
+        out = out - 0.5 * (_alpha(kern.t, kappa, params.nbar) * (k * k + s * s)
+                           + params.gamma_plus * (g1 * k + g2 * s))
+    return out
+
+
 @_float_guard("the coherence")
 def _log_coherence(t, params: SystemParams, init: GaussianState):
-    """ln Tr rho_01(t), elementwise in t; the real part is ln F_gen(t) / 2.
-
-    ln Tr rho_01 = ln w0(eta) - i delta t - gamma_plus delta(t)/2, w0 the start's chord
-    """
-    e1, e2 = _eta_components(t, params.g, params.kappa)
-    return (_log_chord(init, e1, e2) - 1j * params.delta * t
-            - 0.5 * params.gamma_plus * _delta(t, params.g, params.kappa))
+    """ln Tr rho_01(t), the off-diagonal chord at r = 0; Re is ln F_gen / 2."""
+    return _log_offdiag(0.0, 0.0, t, params, init)
 
 
 def chord_block_offdiag(r, t: float, params: SystemParams,
@@ -197,20 +217,7 @@ def chord_block_offdiag(r, t: float, params: SystemParams,
     """Chord function of the off-diagonal block (unit initial trace) at time t >= 0."""
     t = float(_require_nonneg_time(t))
     rv = as_points(r)
-    rm = fundamental_matrix(-t, params.kappa)
-    e1, e2 = _eta_components(t, params.g, params.kappa)
-    k, s = rv[..., 0], rv[..., 1]
-    a = float(_alpha(t, params.kappa, params.nbar))
-    g1, g2 = _gamma_components(t, params.g, params.kappa)
-    gam = params.gamma_plus
-    # w0(R(-t) r + eta) elementwise and one exp of the summed exponents: a
-    # matmul or a complex product would round one point unlike an array
-    w = np.exp(_log_chord(init, rm[0, 0] * k + rm[0, 1] * s + e1,
-                          rm[1, 0] * k + rm[1, 1] * s + e2)
-               - 0.5 * a * (k * k + s * s)
-               - 0.5 * gam * (g1 * k + g2 * s)
-               - 1j * params.delta * t
-               - 0.5 * gam * float(_delta(t, params.g, params.kappa)))
+    w = np.exp(_log_offdiag(rv[..., 0], rv[..., 1], t, params, init))
     return complex(w) if rv.ndim == 1 else w
 
 

@@ -13,7 +13,7 @@ import pytest
 
 import oscprobe
 from oscprobe import SystemParams, estimate, fidelity_uj_blocks
-from oscprobe.cli import build_parser, main
+from oscprobe.cli import ORACLE_TOLERANCES, build_parser, main
 from oscprobe.datafiles import read_csv, write_csv
 
 
@@ -230,6 +230,13 @@ def test_oracle_report_is_deterministic_and_counts_solver_work(tmp_path):
     assert set(report["max_deviation"]) == set(report["tolerances"])
 
 
+def test_oracle_tolerances_bound_every_deviation_of_a_point():
+    row = oscprobe.compare_point(SystemParams(g=0.05, kappa=0.1, nbar=0.2, mbar=0.1),
+                                 oscprobe.QubitInitState.balanced(),
+                                 oscprobe.OracleConfig(dim=16), 0.5)
+    assert set(ORACLE_TOLERANCES) == {key for key in row if key.startswith("dev_")}
+
+
 def test_oracle_rejects_an_empty_run(tmp_path, capsys):
     for points in (0, -1):
         assert run("oracle", "--points", points, "--outdir", tmp_path) == 2
@@ -382,7 +389,8 @@ _RECORD = "#M=1.0\nt,fgen\n0,1.0\n1,0.9\n"
 
 @pytest.mark.parametrize("argv, message", [
     (["estimate", "--input", "{src}/missing.csv"], "cannot read"),
-    (["estimate", "--input", "{src}/bad_row.csv"], "non-numeric cell"),
+    (["estimate", "--input", "{src}/bad_row.csv"],
+     "non-numeric cell or ragged row at line 4: '1,abc'"),
     (["estimate", "--input", "{src}/bad_m.csv"], "M='abc' is not a number"),
     (["estimate", "--input", "{src}/bad_noise.csv"],
      "noise='lots' is not a number"),
@@ -393,7 +401,8 @@ _RECORD = "#M=1.0\nt,fgen\n0,1.0\n1,0.9\n"
      "malformed metadata line '#junk'"),
     (["estimate", "--input", "{src}/no_header.csv"], "no column header found"),
     (["estimate", "--input", "{src}/wide.csv"], "row width does not match header"),
-    (["estimate", "--input", "{src}/ragged.csv"], "non-numeric cell or ragged row"),
+    (["estimate", "--input", "{src}/ragged.csv"],
+     "non-numeric cell or ragged row at line 4: '1,0.9,0.8'"),
     (["estimate", "--input", "{src}/no_fgen.csv"], "needs 't' and 'fgen' columns"),
     # F = 1 throughout: no kappa that the fit steps up to fixes g^2 > 0
     (["estimate", "--input", "{src}/flat.csv"], "the records fix no positive g^2"),
@@ -444,6 +453,21 @@ _RECORD = "#M=1.0\nt,fgen\n0,1.0\n1,0.9\n"
     # a noisy record whose closed-form F underflows to 0
     (["propagate", "--g", "1", "--kappa", "0.1", "--nbar", "10", "--t-max", "200",
       "--noise", "0.01"], "F underflows to 0 from t = 84.6"),
+    # start values the start would ignore, and grid flags a figure does not read
+    (["propagate", "--q0", "1", "--p0", "2"],
+     "--init thermal starts at the origin; omit --q0 and --p0"),
+    (["wigner", "--init", "thermal", "--p0", "-0.5"],
+     "--init thermal starts at the origin; omit --q0 and --p0"),
+    (["propagate", "--init", "coherent", "--mbar", "2"],
+     "--init coherent starts at M = 1/2; omit --mbar"),
+    (["wigner", "--init", "coherent", "--mbar", "2"],
+     "--init coherent starts at M = 1/2; omit --mbar"),
+    (["reproduce", "fig1", "--t-max", "1", "--dt", "7"], "fig1 reads no --t-max"),
+    (["reproduce", "fig1", "--config", "{src}/dt.json"], "fig1 reads no --dt"),
+    (["reproduce", "fig2", "--nbar", "0.5", "--mbar", "0.5", "--bound", "-3",
+      "--step", "99"], "fig2 reads no --bound"),
+    (["reproduce", "fig3", "--nbar", "0.5", "--mbar", "0.5", "--step", "99"],
+     "fig3 reads no --step"),
     # six panels of a 2,000,001-point grid: 12,000,006 rows
     (["reproduce", "fig2", "--nbar", "0.7", "--mbar", "0.5", "--t-max", "1e5",
       "--dt", "0.05"], "fig2 rows exceed the 10000000-point limit"),
@@ -463,6 +487,8 @@ _RECORD = "#M=1.0\nt,fgen\n0,1.0\n1,0.9\n"
         "fidelity-overflow", "fidelity-overflow-undamped",
         "propagate-overflow-undamped", "propagate-overflow",
         "fig3-overflow", "propagate-noise-overflow", "propagate-noise-underflow",
+        "thermal-q0-p0", "wigner-thermal-p0", "coherent-mbar", "wigner-coherent-mbar",
+        "fig1-t-max", "fig1-dt-config", "fig2-bound", "fig3-step",
         "fig2-rows", "fig3-rows"))
 def test_bad_outside_input_exits_2_without_output(tmp_path, capsys, argv,
                                                   message):
@@ -485,6 +511,7 @@ def test_bad_outside_input_exits_2_without_output(tmp_path, capsys, argv,
               "points.json": json.dumps({"points": 1.5}),
               "output.json": json.dumps({"output": 5}),
               "seed.json": json.dumps({"seed": -2}),
+              "dt.json": json.dumps({"dt": 7}),
               "wigner_t0.csv": None}  # a directory where an output would go
     for name, text in inputs.items():
         if text is None:
@@ -546,6 +573,47 @@ def test_reproduce_fig1(tmp_path):
     assert late["separation"] == pytest.approx(4.9428, abs=0.05)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         ["fig1_lobes.json"] + [f"fig1_wigner_t{t:g}.csv" for t in times])
+
+
+def test_reproduce_defaults_are_the_figures_own_flags(tmp_path):
+    for outdir, grid in (("implicit", []),
+                         ("explicit", ["--t-max", 100, "--dt", 0.05])):
+        assert run("reproduce", "fig2", "--nbar", 0.5, "--mbar", 0.5, *grid,
+                   "--outdir", tmp_path / outdir) == 0
+    assert ((tmp_path / "implicit" / "fig2_curves.csv").read_bytes()
+            == (tmp_path / "explicit" / "fig2_curves.csv").read_bytes())
+
+
+def test_start_values_the_start_uses_are_accepted(tmp_path):
+    assert run("propagate", "--init", "coherent", "--mbar", 0, "--q0", 1,
+               "--t-max", 1, "--dt", 0.5, "--outdir", tmp_path) == 0
+    assert run("wigner", "--q0", 0, "--p0", 0, "--mbar", 2, "--bound", 1,
+               "--step", 0.5, "--outdir", tmp_path) == 0
+
+
+@pytest.mark.parametrize("mode", ["direct-fit", "two-temperature"])
+def test_estimate_refuses_records_drawn_at_one_noise_seed(tmp_path, capsys, mode):
+    def record(mbar, noise, seed):
+        name = f"m{mbar}_noise{noise}_seed{seed}.csv"
+        assert run("propagate", "--mbar", mbar, "--noise", noise, "--seed", seed,
+                   "--t-max", 10, "--dt", 0.1, "--output", name,
+                   "--outdir", tmp_path) == 0
+        return str(tmp_path / name)
+
+    quiet, noisy = record(0, 0, 0), record(0, 0.01, 0)
+    other, distinct = record(1, 0.01, 0), record(1, 0.01, 1)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run("estimate", "--input", noisy, "--input", other, "--mode", mode,
+               "--outdir", out) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {noisy} and {other} share noise seed 0, so their noise is "
+        "identical: use distinct --seed values"]
+    assert not out.exists()
+    # a noiseless record draws nothing, and distinct seeds draw distinct noise
+    for pair in ((quiet, other), (noisy, distinct)):
+        assert run("estimate", "--input", pair[0], "--input", pair[1],
+                   "--mode", mode, "--outdir", out) == 0
 
 
 def test_reproduce_fig1_has_fixed_parameters(tmp_path, capsys):

@@ -358,35 +358,33 @@ def test_two_temperature_fit_builds_the_bath_bracket_once(monkeypatch):
 
 @pytest.mark.parametrize("kappa", [0.0, 1e-12, 0.05, 0.2, 3.0])
 def test_kernel_is_bitwise_the_propagator_closed_form(kappa):
-    # the fits' D and E keep the prefactor order of the closed forms
+    # the fits read D and E as _dsq and _delta at g = 1 off a kernel they keep
     for t in (GRID, 7.3):
         kern = _Kernel(t)
-        d, ev = estimate._dsq_unit(kern, kappa), estimate._delta_unit(kern, kappa)
+        d, ev = _dsq(kern, 1.0, kappa), _delta(kern, 1.0, kappa)
         assert np.array_equal(d, _dsq(t, 1.0, kappa))
         assert np.array_equal(ev, _delta(t, 1.0, kappa))
         assert np.shape(d) == np.shape(ev) == np.shape(t)
 
 
-def _readouts(t, kern, kappa):
+def _readouts(kern, kappa):
     # derivatives first: each must bring the memo to its own kappa
     return (estimate._delta_dkappa(kern, kappa), estimate._dsq_dkappa(kern, kappa),
-            estimate._dsq_unit(kern, kappa), estimate._delta_unit(kern, kappa),
-            _dsq(t, 0.1, kappa), _delta(t, 0.1, kappa),
-            *_d_components(t, 0.1, kappa))
+            _dsq(kern, 1.0, kappa), _delta(kern, 1.0, kappa),
+            _dsq(kern, 0.1, kappa), _delta(kern, 0.1, kappa),
+            *_d_components(kern, 0.1, kappa))
 
 
-def test_kernel_memo_gives_what_a_fresh_kernel_gives(monkeypatch):
+def test_kernel_memo_gives_what_a_fresh_kernel_gives():
     kappas = (0.05, 0.2, 0.05, 0.0, 1e-12)
     for t in (GRID, 7.3):
-        want = [_readouts(t, _Kernel(t), kappa) for kappa in kappas]
-        kern = _Kernel(t)
+        want = [_readouts(_Kernel(t), kappa) for kappa in kappas]
         # the closed forms read this one kernel too, reused across kappa
-        monkeypatch.setattr(propagator, "_Kernel", lambda _: kern)
+        kern = _Kernel(t)
         for kappa, fresh in zip(kappas, want):
-            got = _readouts(t, kern, kappa)
+            got = _readouts(kern, kappa)
             assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
             assert all(np.shape(a) == np.shape(t) for a in got)
-        monkeypatch.undo()
     value = neg_log_fidelity_model(7.3, 0.1, 0.05, 1.0, 1.6)
     assert np.ndim(value) == 0
     assert value == neg_log_fidelity_model(np.array([7.3]), 0.1, 0.05, 1.0, 1.6)[0]
@@ -489,10 +487,10 @@ def _trf_reference(series, mode):
         y0, m0 = np.maximum(y, 1e-12), 1.0   # |d|^2 = g^2 D carries no M
 
         def fun(g, k):
-            return g * g * estimate._dsq_unit(kern, k) - y
+            return g * g * _dsq(kern, 1.0, k) - y
 
         def jac(g, k):
-            return np.column_stack([2.0 * g * estimate._dsq_unit(kern, k),
+            return np.column_stack([2.0 * g * _dsq(kern, 1.0, k),
                                     g * g * estimate._dsq_dkappa(kern, k)])
     # y(pi) ~ 16 M g^2 at the first oscillation maximum for small kappa
     depth = max(y0[np.argmin(np.abs(first.times - np.pi))], 1e-12)

@@ -196,12 +196,15 @@ def test_hermitian_packing_round_trips():
     assert np.max(np.abs(back - x)) <= 4 * np.finfo(float).eps * np.max(np.abs(x))
 
 
-def generator(liou, block, params):
-    """The real generator evolve_block integrates for block, from its L."""
-    dim = math.isqrt(liou.shape[0])
-    if block == "01":
-        liou = fock._parity_generator(liou, params.delta, dim)
-    return fock._hermitian_generator(liou, dim)
+def generator(ops, block):
+    """The real generator evolve_block integrates for block.
+
+    For 01 it is the 00 generator with its jump terms negated, acting on
+    Y = rho_01 P without delta.
+    """
+    liou = (ops.liouvillian("00") - 2.0 * ops._jumps if block == "01"
+            else ops.liouvillian(block))
+    return fock._hermitian_generator(liou, ops.dim)
 
 
 def packed_start(init):
@@ -214,12 +217,14 @@ def packed_start(init):
 def test_real_generator_acts_as_the_liouvillian(block):
     rng = np.random.default_rng(5)
     p = SystemParams(g=0.21, kappa=0.09, delta=0.3, nbar=0.7)
-    liou = build_operators(20, p).liouvillian(block)
+    ops = build_operators(20, p)
+    # the complex generator is the reference; for 01 it carries delta
+    liou = ops.liouvillian(block)
     kept = liou.copy()
-    gen = generator(liou, block, p)
-    assert gen.dtype == float
     # building G leaves the complex generator as it was
+    assert fock._hermitian_generator(liou, 20).dtype == float
     assert (liou != kept).nnz == 0
+    gen = generator(ops, block)
     # 01 carries Y = rho P: dY/dt = (L rho + i delta rho) P
     parity = (-1.0) ** np.arange(20) if block == "01" else 1.0
     shift = 1j * p.delta if block == "01" else 0.0
@@ -257,7 +262,7 @@ def test_rk_matches_scipy_dop853_reference():
     p = SystemParams(g=0.18, kappa=0.07, delta=0.3, nbar=0.3, mbar=0.6)
     ops = build_operators(35, p)
     for block in ("00", "11", "01"):
-        gen = generator(ops.liouvillian(block), block, p)
+        gen = generator(ops, block)
         v0 = packed_start(displaced_thermal_block(35, 0.6, 0.0, 0.0, block))
         ref = solve_ivp(lambda _t, v: gen.dot(v), (0.0, 6.0), v0,
                         method="DOP853", rtol=1e-10, atol=1e-12, t_eval=(6.0,))

@@ -12,7 +12,7 @@ from oscprobe import (Covariance2, GaussianState, PhaseVector,
                       chord_block_offdiag, chord_eval,
                       coherence_trace, diag_block_gaussians,
                       displacement_vector, fidelity_generalized,
-                      fundamental_matrix, reduced_wigner_grid,
+                      fidelity_uj_blocks, fundamental_matrix, reduced_wigner_grid,
                       wigner_eval, wigner_lobe_centers)
 from oscprobe.propagator import (_alpha, _delta, _dsq, _dsq_prime,
                                  _eta_components, _evolved_covariance,
@@ -217,6 +217,26 @@ def test_offdiag_chord_origin_is_coherence_trace():
             tr, abs=1e-14)
         assert abs(tr) ** 2 == pytest.approx(
             fidelity_generalized(t, p, init), rel=1e-12)
+
+
+@pytest.mark.parametrize("init, delta", [
+    (GaussianState.thermal(0.7), 0.0),
+    (GaussianState.coherent(0.4, -1.1), 0.9),
+], ids=("thermal", "coherent-detuned"))
+def test_coherence_is_the_offdiagonal_chord_at_the_origin_bit_for_bit(init, delta):
+    p = SystemParams(g=0.3, kappa=0.08, delta=delta, nbar=0.6, mbar=0.7)
+    ts = np.linspace(0.0, 40.0, 161)
+    at_origin = np.array([chord_block_offdiag((0.0, 0.0), t, p, init) for t in ts])
+    assert at_origin.tobytes() == coherence_trace(ts, p, init).tobytes()
+
+
+def test_coherence_reads_no_r_term_that_overflows():
+    # (nbar + 1/2) 2 kappa t overflows inside alpha, which only r != 0 reads
+    p = SystemParams(g=0.1, kappa=1e150, nbar=1e100)
+    init = GaussianState.thermal(0.0)
+    assert coherence_trace(np.array([0.0, 1e150]), p, init).tolist() == [1.0, 0.0]
+    with pytest.raises(ValidationError, match="the block fidelity overflows"):
+        fidelity_uj_blocks(1e150, p, 0.5)
 
 
 def test_detuning_only_rotates_coherence_phase():

@@ -5,8 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscprobe import (GaussianState, QubitInitState, SystemParams, default_dim,
-                      estimate, fidelity_generalized, purity_oscillator,
-                      purity_qubit)
+                      fidelity_generalized, purity_oscillator, purity_qubit)
 from oscprobe.propagator import _delta, _dsq, _Kernel
 
 # the box sample_comparison_points draws from
@@ -114,9 +113,9 @@ def test_generalized_fidelity_is_continuous_as_kappa_vanishes(g, kappa, nbar,
 @CHEAP
 @given(st.floats(0.0, 5.0), TIMES)
 def test_fit_kernel_is_bitwise_the_closed_form(kappa, times):
-    # the fits' D and E keep the prefactor order of _dsq and _delta
+    # the fits read D and E as _dsq and _delta at g = 1 off a kernel they keep
     ts = np.array(times)
     kern = _Kernel(ts)
-    d, ev = estimate._dsq_unit(kern, kappa), estimate._delta_unit(kern, kappa)
+    d, ev = _dsq(kern, 1.0, kappa), _delta(kern, 1.0, kappa)
     assert np.array_equal(d, _dsq(ts, 1.0, kappa))
     assert np.array_equal(ev, _delta(ts, 1.0, kappa))
