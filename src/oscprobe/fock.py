@@ -18,17 +18,19 @@ scipy.integrate.ode with its stabilized step control (beta = 0.08), as the
 dim^2 reals R = Re X + Im X of a Hermitian X, from which
 X = (R + R^T)/2 + i (R - R^T)/2; on vec R a Hermitian-preserving generator
 L becomes the real matrix G = Re L + (Im L) S, with S the permutation
-vec X -> vec X^T. The 00 and 11 blocks are Hermitian at every t. For the 01
-block, with P = diag((-1)^n), P H- P = H+ and P a P = -a, so Y = rho_01 P
-evolves under the 00 generator with its jump terms 2 down a Y a^dag +
-2 up a^dag Y a negated, which preserves Hermiticity, and the scalar -i delta,
-which is left out of the integration: rho_01(t) is Y(t) P exp(-i delta t). A
-thermal start gives a Hermitian Y0; any other Y0 runs as its two Hermitian
-parts. The stage sums are compiled loops, not threaded-BLAS products, so the
-integration runs on one core and leaves no BLAS worker spinning between steps;
-neither do the starts (`_displaced_thermal`) or the Uhlmann readout
-(`uhlmann_fidelity`). The one solver is cached and not re-entrant. The basis
-never exceeds MAX_DIM levels.
+vec X -> vec X^T. With P = diag((-1)^n), P H- P = H+ and P a P = -a, so
+X = P rho_11 P runs under the 00 generator and rho_11(t) = P X(t) P; for a
+parity-even start (every thermal one) X0 is rho_00(0), and the 11 block is
+read off the 00 solve (OperatorSet._solve) with no integration. For the 01
+block, Y = rho_01 P evolves under the 00 generator with its jump terms
+2 down a Y a^dag + 2 up a^dag Y a negated, which preserves Hermiticity, and
+the scalar -i delta, which is left out of the integration: rho_01(t) is
+Y(t) P exp(-i delta t). A thermal start gives a Hermitian Y0; any other Y0
+runs as its two Hermitian parts. The stage sums are compiled loops, not
+threaded-BLAS products, so the integration runs on one core and leaves no
+BLAS worker spinning between steps; neither do the starts
+(`_displaced_thermal`) or the Uhlmann readout (`uhlmann_fidelity`). The one
+solver is cached and not re-entrant. The basis never exceeds MAX_DIM levels.
 """
 
 from __future__ import annotations
@@ -208,7 +210,9 @@ class OperatorSet:
     """Sparse ladder operators and block Hamiltonians at one dim.
 
     The superoperator pieces every block shares (the dissipator and the
-    left/right products with H+ and H-) are built on first use and kept.
+    left/right products with H+ and H-) are built on first use and kept, as
+    are the two real generators evolve_block runs (00 and P-conjugated 11
+    blocks; rho_01 P) and the latest solve, which a parity-even 11 block reuses.
     """
 
     dim: int
@@ -252,7 +256,7 @@ class OperatorSet:
         return (self._jumps - self._lmul(anti) - self._rmul(anti)).tocsr()
 
     def liouvillian(self, block: str) -> sp.csr_matrix:
-        """Full generator of the requested block as a dim^2 x dim^2 matrix."""
+        """Full dim^2 x dim^2 generator of a block (11, 01: the tests' reference)."""
         if block not in _BLOCKS:
             raise ValidationError(f"block must be one of {_BLOCKS}")
         left, right = {"00": "++", "11": "--", "01": "+-"}[block]
@@ -261,6 +265,30 @@ class OperatorSet:
             import scipy.sparse as sp
             ham = ham + self.params.delta * sp.identity(self.dim ** 2, format="csr")
         return (-1j * ham + self._dissipator).tocsr()
+
+    @functools.cached_property
+    def _generators(self) -> dict:
+        liou = self.liouvillian("00")
+        return {"00": _hermitian_generator(liou, self.dim),
+                "01": _hermitian_generator(liou - 2.0 * self._jumps, self.dim)}
+
+    @functools.cached_property
+    def _last_solve(self) -> list:
+        """[generator key, t, packed start, end state] of the latest solve."""
+        return [None, None, None, None]
+
+    def _solve(self, key: str, v0: np.ndarray, t: float) -> Integration:
+        """solve_ivp under generator key ("00" or "01") from v0 over [0, t].
+
+        Reuses the latest solve here, with zero work counts, when key, t and
+        v0 (np.array_equal) are the same.
+        """
+        last = self._last_solve
+        if last[0] == key and last[1] == t and np.array_equal(last[2], v0):
+            return Integration(last[3], 0, 0)
+        sol = solve_ivp(self._generators[key], v0, t)
+        last[:] = key, t, v0, sol.y
+        return sol
 
 
 def build_operators(dim: int, params: SystemParams) -> OperatorSet:
@@ -377,14 +405,17 @@ def evolve_block(init: BlockDensityMatrix, ops: OperatorSet,
                  t: float) -> BlockDensityMatrix:
     """Propagate one block to time t >= 0 under ops, built at init.dim.
 
-    Integrates dim^2 reals under a real generator: the 00 and 11 blocks
-    themselves, and for 01 Y = rho_01 P as the module docstring says (a Y0
-    that is not Hermitian runs as its two Hermitian parts, skipping one that
-    is exactly zero). The result carries the solver's RHS evaluations and
-    rejected steps. Raises ValidationError when a 00 or 11 start is not
-    Hermitian to HERMITIAN_TOL, and TruncationLeakError (with a suggested
-    dim) when the initial or the evolved matrix puts more than LEAK_TOL
-    relative weight on the top level.
+    Integrates dim^2 reals under one of ops' two real generators, as the
+    module docstring says: the 00 generator for rho_00 and for P rho_11 P,
+    and the 01 one for Y = rho_01 P (a Y0 that is not Hermitian runs as its
+    two Hermitian parts, skipping one that is exactly zero). Each solve goes
+    through ops._solve, so a 11 start that is the parity image of the 00 start
+    just evolved on ops (every thermal one) reads that solve's end state and
+    integrates nothing. The result carries the RHS evaluations and rejected
+    steps of the solves that ran (0 for one read off the memo). Raises
+    ValidationError when a 00 or 11 start is not Hermitian to HERMITIAN_TOL,
+    and TruncationLeakError (with a suggested dim) when the initial or the
+    evolved matrix puts more than LEAK_TOL relative weight on the top level.
     """
     if not (math.isfinite(t) and t >= 0.0):
         raise ValidationError("t must be finite and >= 0")
@@ -397,25 +428,28 @@ def evolve_block(init: BlockDensityMatrix, ops: OperatorSet,
     _check_leak(init.entries, dim, "initial state")
     if t == 0.0:
         return BlockDensityMatrix(dim, init.entries.copy(), init.block)
+    parity = (-1.0) ** np.arange(dim)
+    # the integrated X is rho_00, P rho_11 P or Y = rho_01 P
+    left = parity[:, None] if init.block == "11" else 1.0
+    right = 1.0 if init.block == "00" else parity
+    x0 = left * init.entries * right
     if hermitian:
-        liou, parts, phase = ops.liouvillian(init.block), [(1.0, init.entries)], 1.0
+        key, parts = "00", [(1.0, x0)]
     else:
-        parity = (-1.0) ** np.arange(dim)
-        liou = ops.liouvillian("00") - 2.0 * ops._jumps
         # Y0 = A + iB with A, B Hermitian; a thermal start has B = 0
-        y0 = init.entries * parity
-        parts = [(1.0, 0.5 * (y0 + y0.conj().T)), (1j, -0.5j * (y0 - y0.conj().T))]
-        phase = np.exp(-1j * ops.params.delta * t) * parity
-    gen = _hermitian_generator(liou, dim)
+        key = "01"
+        parts = [(1.0, 0.5 * (x0 + x0.conj().T)), (1j, -0.5j * (x0 - x0.conj().T))]
     out = np.zeros((dim, dim), dtype=complex)
     nfev = rejected = 0
     for weight, part in parts:
         if not part.any():
             continue
-        sol = solve_ivp(gen, _pack_hermitian(part), t)
+        sol = ops._solve(key, _pack_hermitian(part), t)
         out += weight * _unpack_hermitian(sol.y, dim)
         nfev, rejected = nfev + sol.nfev, rejected + sol.rejected_steps
-    out *= phase
+    out = left * out * right
+    if not hermitian:
+        out *= np.exp(-1j * ops.params.delta * t)
     _check_leak(out, dim, f"evolved {init.block} block")
     return BlockDensityMatrix(dim, out, init.block, nfev, rejected)
 
@@ -585,7 +619,8 @@ def compare_point(params: SystemParams, qubit: QubitInitState,
     (dims_tried), the number of leak-guard retries (leak_retries), the tail
     weight behind each retry (leak_weights, one per dims_tried[:-1]), and the
     integrator's RHS evaluations and rejected steps summed over the three
-    evolved blocks (rhs_evals, rejected_steps).
+    evolved blocks (rhs_evals, rejected_steps). Those sums count only the
+    solves that ran: the thermal 11 block is read off the 00 solve and adds 0.
     """
     blocks = evolve_thermal_blocks(params, config, t)
     init = GaussianState.thermal(params.mbar)

@@ -158,14 +158,17 @@ def test_occupation_relaxes_at_rate_two_kappa():
 
 def test_integrator_backends_agree():
     # the exact exponential action of the complex generator, delta included,
-    # as the reference; the displaced 01 start is not parity-even, so its
-    # Y = rho_01 P is not Hermitian and runs as two Hermitian parts
+    # as the reference. The thermal 11 block is read off the 00 solve; the
+    # displaced starts are not parity-even, so the 11 one integrates, and the
+    # 01 one's Y = rho_01 P is not Hermitian and runs as two Hermitian parts
     from scipy.sparse.linalg import expm_multiply
     p = SystemParams(g=0.18, kappa=0.07, delta=0.3, nbar=0.3, mbar=0.6)
     ops = build_operators(35, p)
     starts = [displaced_thermal_block(35, 0.6, 0.0, 0.0, block)
               for block in ("00", "11", "01")]
-    for init in starts + [displaced_thermal_block(35, 0.6, 0.4, -0.3, "01")]:
+    displaced = [displaced_thermal_block(35, 0.6, 0.4, -0.3, block)
+                 for block in ("01", "11")]
+    for init in starts + displaced:
         rk = evolve_block(init, ops, 4.0)
         ex = expm_multiply(ops.liouvillian(init.block) * 4.0,
                            init.entries.reshape(-1))
@@ -199,18 +202,27 @@ def test_hermitian_packing_round_trips():
 def generator(ops, block):
     """The real generator evolve_block integrates for block.
 
-    For 01 it is the 00 generator with its jump terms negated, acting on
-    Y = rho_01 P without delta.
+    The 11 block runs as P rho_11 P under the 00 generator. For 01 it is the
+    00 generator with its jump terms negated, acting on Y = rho_01 P without
+    delta.
     """
-    liou = (ops.liouvillian("00") - 2.0 * ops._jumps if block == "01"
-            else ops.liouvillian(block))
+    liou = ops.liouvillian("00")
+    if block == "01":
+        liou = liou - 2.0 * ops._jumps
     return fock._hermitian_generator(liou, ops.dim)
 
 
+def parity_sides(dim, block):
+    """(left, right) with X = left * rho * right the matrix evolve_block integrates."""
+    parity = (-1.0) ** np.arange(dim)
+    return (parity[:, None] if block == "11" else 1.0,
+            1.0 if block == "00" else parity)
+
+
 def packed_start(init):
-    """The packed Hermitian start of evolve_block (Y0 = rho_01 P for 01)."""
-    parity = (-1.0) ** np.arange(init.dim) if init.block == "01" else 1.0
-    return fock._pack_hermitian(init.entries * parity)
+    """The packed Hermitian start of evolve_block (P rho_11 P, rho_01 P)."""
+    left, right = parity_sides(init.dim, init.block)
+    return fock._pack_hermitian(left * init.entries * right)
 
 
 @pytest.mark.parametrize("block", ["00", "11", "01"])
@@ -225,14 +237,16 @@ def test_real_generator_acts_as_the_liouvillian(block):
     assert fock._hermitian_generator(liou, 20).dtype == float
     assert (liou != kept).nnz == 0
     gen = generator(ops, block)
-    # 01 carries Y = rho P: dY/dt = (L rho + i delta rho) P
-    parity = (-1.0) ** np.arange(20) if block == "01" else 1.0
+    assert (gen != ops._generators["01" if block == "01" else "00"]).nnz == 0
+    # 11 carries X = P rho P: dX/dt = P (L rho) P; 01 carries Y = rho P:
+    # dY/dt = (L rho + i delta rho) P
+    left, right = parity_sides(20, block)
     shift = 1j * p.delta if block == "01" else 0.0
     for _ in range(3):
         x = random_hermitian(rng, 20)
-        rho = x * parity
+        rho = left * x * right
         drho = (liou @ rho.reshape(-1)).reshape(20, 20) + shift * rho
-        want = fock._pack_hermitian(drho * parity)
+        want = fock._pack_hermitian(left * drho * right)
         got = fock._rhs(0.0, fock._pack_hermitian(x), gen)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -291,6 +305,21 @@ def test_non_finite_generator_fails_with_its_return_code(monkeypatch):
     assert str(raised.value) == str(failed.value)
 
 
+def grown_memory(run, calls):
+    """Traced bytes still held after run(1), ..., run(calls), run(0) done first."""
+    run(0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(1, calls + 1):
+            run(i)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
 def test_repeated_evolutions_keep_memory_flat():
     # each call builds a new generator; none of them may stay referenced
     def run(i):
@@ -298,18 +327,64 @@ def test_repeated_evolutions_keep_memory_flat():
         evolve_block(displaced_thermal_block(30, 0.6, 0.0, 0.0),
                      build_operators(30, p), 1.0)
 
-    run(0)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        for i in range(1, 41):
-            run(i)
-        gc.collect()
-        grown = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert grown < 2e6
+    assert grown_memory(run, 40) < 2e6
+
+
+def test_compare_points_keep_memory_flat():
+    # each point's solve memo lives on its own OperatorSet and goes with it;
+    # at dim 64 a start and an end state pinned per solve would add ~2.6 MB
+    def run(i):
+        p = SystemParams(g=0.1 + 0.004 * i, kappa=0.07 + 0.001 * i, nbar=0.3,
+                         mbar=0.6 + 0.01 * i)
+        compare_point(p, QubitInitState.balanced(), OracleConfig(dim=64),
+                      0.5 + 0.02 * i)
+
+    assert grown_memory(run, 20) < 2e6
+
+
+def test_thermal_point_solves_two_blocks(monkeypatch):
+    solves = []
+    real = fock.solve_ivp
+
+    def counting(gen, v0, t):
+        solves.append(t)
+        return real(gen, v0, t)
+
+    monkeypatch.setattr(fock, "solve_ivp", counting)
+    for delta in (0.0, 0.3):
+        p = SystemParams(g=0.2, kappa=0.08, delta=delta, nbar=0.5, mbar=0.9)
+        solves.clear()
+        rep = compare_point(p, QubitInitState.balanced(), OracleConfig(), 3.0)
+        assert len(solves) == 2
+        assert rep["rhs_evals"] > 0
+        assert max(v for k, v in rep.items() if k.startswith("dev_")) < 1e-8
+    blocks = evolve_thermal_blocks(p, OracleConfig(dim=30), 3.0)
+    assert blocks["00"].rhs_evals > 0 and blocks["01"].rhs_evals > 0
+    assert blocks["11"].rhs_evals == blocks["11"].rejected_steps == 0
+    left, right = parity_sides(30, "11")
+    assert np.array_equal(blocks["11"].entries, left * blocks["00"].entries * right)
+
+
+def test_solve_memo_misses_on_any_other_problem():
+    p = SystemParams(g=0.2, kappa=0.08, nbar=0.5, mbar=0.9)
+    ops = build_operators(30, p)
+    init = displaced_thermal_block(30, 0.9, 0.0, 0.0)
+    first = evolve_block(init, ops, 3.0)
+    assert first.rhs_evals > 0
+    again = evolve_block(init, ops, 3.0)
+    assert again.rhs_evals == 0 and np.array_equal(again.entries, first.entries)
+    # another t, another start, another OperatorSet: each one integrates
+    assert evolve_block(init, ops, 2.5).rhs_evals > 0
+    assert evolve_block(displaced_thermal_block(30, 0.7, 0.0, 0.0), ops,
+                        2.5).rhs_evals > 0
+    fresh = evolve_block(init, build_operators(30, p), 3.0)
+    assert fresh.rhs_evals == first.rhs_evals
+    assert np.array_equal(fresh.entries, first.entries)
+    # a displaced 11 start is no parity image of the displaced 00 start
+    ops = build_operators(30, p)
+    evolve_block(displaced_thermal_block(30, 0.9, 0.5, 0.2), ops, 3.0)
+    assert evolve_block(displaced_thermal_block(30, 0.9, 0.5, 0.2, "11"), ops,
+                        3.0).rhs_evals > 0
 
 
 def test_truncation_guard():

@@ -50,7 +50,11 @@ def test_flipping_the_qubit_flips_the_coupling():
     ops = build_operators(40, p)
     init = displaced_thermal_block(40, 0.4, 0.0, 0.0)
     up = evolve_block(init, ops, 4.0)
-    down = evolve_block(displaced_thermal_block(40, 0.4, 0.0, 0.0, "11"), ops, 4.0)
+    # fresh operators, so the 11 block integrates instead of reading the
+    # memo the 00 solve left on ops
+    down = evolve_block(displaced_thermal_block(40, 0.4, 0.0, 0.0, "11"),
+                        build_operators(40, p), 4.0)
+    assert down.rhs_evals > 0
     up_flipped = evolve_block(init, build_operators(40, flipped), 4.0)
     assert np.max(np.abs(down.entries - up_flipped.entries)) < 1e-10
     # for a parity-symmetric start the two conditional states are parity images
