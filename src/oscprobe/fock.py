@@ -209,10 +209,10 @@ def _check_leak(entries: np.ndarray, dim: int, stage: str) -> None:
 class OperatorSet:
     """Sparse ladder operators and block Hamiltonians at one dim.
 
-    The superoperator pieces every block shares (the dissipator and the
-    left/right products with H+ and H-) are built on first use and kept, as
-    are the two real generators evolve_block runs (00 and P-conjugated 11
-    blocks; rho_01 P) and the latest solve, which a parity-even 11 block reuses.
+    The superoperator pieces every block shares (the jump terms and the
+    dissipator) are built on first use and kept, as are the two real
+    generators evolve_block runs (00 and P-conjugated 11 blocks; rho_01 P) and
+    the latest solve, which a parity-even 11 block reuses.
     """
 
     dim: int
@@ -229,12 +229,6 @@ class OperatorSet:
     def _rmul(self, op) -> sp.csr_matrix:
         import scipy.sparse as sp
         return sp.kron(sp.identity(self.dim, format="csr"), op.T, format="csr")
-
-    @functools.cached_property
-    def _products(self) -> dict:
-        """Left and right products with each block Hamiltonian, as superoperators."""
-        return {sign: (self._lmul(h), self._rmul(h))
-                for sign, h in (("+", self.h_plus), ("-", self.h_minus))}
 
     def _rates(self) -> tuple[float, float]:
         return (self.params.kappa * (1.0 + self.params.nbar),
@@ -260,7 +254,8 @@ class OperatorSet:
         if block not in _BLOCKS:
             raise ValidationError(f"block must be one of {_BLOCKS}")
         left, right = {"00": "++", "11": "--", "01": "+-"}[block]
-        ham = self._products[left][0] - self._products[right][1]
+        h = {"+": self.h_plus, "-": self.h_minus}
+        ham = self._lmul(h[left]) - self._rmul(h[right])
         if block == "01":
             import scipy.sparse as sp
             ham = ham + self.params.delta * sp.identity(self.dim ** 2, format="csr")
@@ -389,10 +384,13 @@ def solve_ivp(gen, v0: np.ndarray, t: float) -> Integration:
     """
     solver = _dop853()
     solver.set_initial_value(v0, 0.0).set_f_params(gen)
-    with warnings.catch_warnings():
-        # a failure is raised below, not reported as a warning
-        warnings.simplefilter("ignore", UserWarning)
-        y = solver.integrate(t)
+    try:
+        with warnings.catch_warnings():
+            # a failure is raised below, not reported as a warning
+            warnings.simplefilter("ignore", UserWarning)
+            y = solver.integrate(t)
+    finally:
+        solver.set_f_params()  # the cached solver keeps no generator alive
     status = int(solver.get_return_code())
     integrator = solver._integrator
     if status <= 0:

@@ -342,7 +342,8 @@ def test_estimate_warns_when_the_fit_does_not_converge(tmp_path, monkeypatch,
             "--outdir", tmp_path)
     assert run(*args) == 0
     report = json.loads((tmp_path / "estimate_report.json").read_text())
-    assert report["converged"] is True and report["nfev"] > 1
+    # more evaluations than the budget below allows
+    assert report["converged"] is True and report["nfev"] > 2
     assert report["njev"] >= 1
     assert "warning" not in capsys.readouterr().err
     # a budget too small to converge in, honoured exactly

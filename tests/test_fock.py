@@ -342,6 +342,33 @@ def test_compare_points_keep_memory_flat():
     assert grown_memory(run, 20) < 2e6
 
 
+def test_cached_solver_holds_no_generator_between_solves():
+    # the one DOP853 solver outlives every point, so it must not keep the last
+    # point's dim^2 x dim^2 generator referenced until the next solve
+    import scipy.sparse as sp
+    p = SystemParams(g=0.2, kappa=0.08, nbar=0.5, mbar=0.9)
+    compare_point(p, QubitInitState.balanced(), OracleConfig(dim=30), 1.0)
+    assert not any(sp.issparse(arg) for arg in fock._dop853().f_params)
+    # nor after a solve that fails
+    with pytest.raises(ValidationError, match="integration failed"):
+        fock.solve_ivp(sp.identity(4, format="csr") * np.nan, np.ones(4), 1.0)
+    assert not any(sp.issparse(arg) for arg in fock._dop853().f_params)
+
+
+def test_oracle_point_builds_only_the_products_it_reads(monkeypatch):
+    built = []
+    for name in ("_lmul", "_rmul"):
+        def counted(self, op, real=getattr(fock.OperatorSet, name), name=name):
+            built.append(name)
+            return real(self, op)
+        monkeypatch.setattr(fock.OperatorSet, name, counted)
+    p = SystemParams(g=0.2, kappa=0.08, nbar=0.5, mbar=0.9)
+    compare_point(p, QubitInitState.balanced(), OracleConfig(dim=30), 1.0)
+    # H+ on each side for the 00 generator, and the dissipator's two: the 11
+    # block runs under the 00 generator, so no product with H- is built
+    assert sorted(built) == ["_lmul", "_lmul", "_rmul", "_rmul"]
+
+
 def test_thermal_point_solves_two_blocks(monkeypatch):
     solves = []
     real = fock.solve_ivp
