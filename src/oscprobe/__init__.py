@@ -17,9 +17,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("ConfigError", "DegenerateInputError", "OscprobeError",
                "TruncationLeakError", "ValidationError"),
-    "estimate": ("CoherenceSeries", "EstimateReport", "extract_bath_term",
-                 "extract_d2", "fit_parameters", "log_derivative_model",
-                 "neg_log_fidelity_model", "synthesize_series"),
+    "estimate": ("CoherenceSeries", "EstimateReport", "fit_parameters",
+                 "log_derivative_model", "neg_log_fidelity_model",
+                 "synthesize_series"),
     "fidelity": ("fidelity_gen_asymptotic_rate", "fidelity_generalized",
                  "fidelity_uj_blocks", "fidelity_uj_gaussian",
                  "fidelity_uj_limit", "purity_oscillator", "purity_qubit"),

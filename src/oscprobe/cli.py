@@ -122,12 +122,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="truncated-basis cross-check -> JSON")
     _add_param_flags(p)
-    p.add_argument("--points", type=int, default=4,
-                   help="number of random comparison points")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--t", type=float, default=10.0,
-                   help="evaluation time when model flags pin a single point")
-    p.add_argument("--t-max", dest="t_max", type=float, default=20.0)
+    p.add_argument("--points", type=int, default=None,
+                   help="number of random comparison points (default 4)")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--t", type=float, default=None,
+                   help="time of the point that model flags pin (default 10)")
+    p.add_argument("--t-max", dest="t_max", type=float, default=None)
     p.add_argument("--dim", type=int, default=None,
                    help="fixed number-basis size; by default each point is "
                         "sized from a closed-form bound on its tail and "
@@ -168,6 +168,11 @@ def _config_schema(parser: argparse.ArgumentParser, command: str) -> dict:
             and a.dest not in ("config", "outdir")}
 
 
+# flag type -> (the JSON kinds a config value of that flag may take, their name)
+_CONFIG_KINDS = {float: ((int, float), "a number"), int: (int, "an integer"),
+                 str: (str, "a string")}
+
+
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Merge --config JSON over the parsed flags (config wins)."""
     if not getattr(args, "config", None):
@@ -187,19 +192,13 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             raise ConfigError(
                 f"unknown config key {key!r} for command {args.command!r}")
         want, choices = allowed[key]
-        if want is float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"config key {key!r} must be a number")
-            value = float(value)
-        elif want is int:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"config key {key!r} must be an integer")
-        elif want is str and not isinstance(value, str):
-            raise ConfigError(f"config key {key!r} must be a string")
+        kinds, kind_name = _CONFIG_KINDS[want]
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ConfigError(f"config key {key!r} must be {kind_name}")
         if choices is not None and value not in choices:
             raise ConfigError(
                 f"config key {key!r} must be one of {', '.join(choices)}")
-        setattr(args, key, value)
+        setattr(args, key, want(value))
 
 
 def _resolve_nbar(args) -> float:
@@ -347,13 +346,25 @@ def cmd_wigner(args) -> int:
     return 0
 
 
+def _fill_or_refuse(args, keys, own: dict, reader: str) -> None:
+    """Fill each flag of keys not given from own; refuse a given one not in own."""
+    for key in keys:
+        if getattr(args, key) is None:
+            setattr(args, key, own.get(key))
+        elif key not in own:
+            raise ConfigError(f"{reader} reads no --{key.replace('_', '-')}")
+
+
 def cmd_oracle(args) -> int:
-    if args.points < 1:
-        raise ConfigError("--points must be >= 1")
     explicit = any(getattr(args, key) is not None
                    for key in ("g", "kappa", "nbar", "temperature", "mbar"))
+    mode, own = (("a pinned point", {"t": 10.0}) if explicit else
+                 ("random points", {"points": 4, "seed": 0, "t_max": 20.0}))
+    _fill_or_refuse(args, ("points", "seed", "t_max", "t"), own, f"oracle at {mode}")
     if explicit:
         points = [(_build_params(args), args.t)]
+    elif args.points < 1:
+        raise ConfigError("--points must be >= 1")
     else:
         points = sample_comparison_points(args.points, args.seed,
                                           t_max=args.t_max, delta=args.delta)
@@ -366,7 +377,7 @@ def cmd_oracle(args) -> int:
         "points": results,
         "max_deviation": maxdev,
         "tolerances": ORACLE_TOLERANCES,
-        "seed": None if explicit else args.seed,
+        "seed": args.seed,
         "n_points": len(points),
         "pass": ok,
     }
@@ -380,6 +391,9 @@ def cmd_oracle(args) -> int:
 
 
 def _nan_to_none(x):
+    """x with each NaN float, also inside a dict, as None (null in the JSON)."""
+    if isinstance(x, dict):
+        return {k: _nan_to_none(v) for k, v in x.items()}
     return None if isinstance(x, float) and math.isnan(x) else x
 
 
@@ -406,11 +420,8 @@ def cmd_estimate(args) -> int:
             M=_header_float(meta.get("M"), "M", name), noise=noise))
     report = fit_parameters(series, mode=args.mode)
     # undefined values are NaN in the report and null in the JSON
-    payload = {k: _nan_to_none(v) for k, v in asdict(report).items()}
-    payload["std_errors"] = {k: _nan_to_none(v) for k, v in report.std_errors.items()}
-    payload.update(nbar=_nan_to_none(report.nbar),
-                   mbar=_nan_to_none(report.mbar),
-                   inputs=[Path(name).name for name in args.input])
+    payload = _nan_to_none({**asdict(report), "nbar": report.nbar, "mbar": report.mbar,
+                            "inputs": [Path(name).name for name in args.input]})
     out = _outdir(args) / args.output
     write_json(out, payload)
     if not report.converged:
@@ -494,13 +505,9 @@ def _reproduce_curves(args, figure: str) -> int:
 
 def cmd_reproduce(args) -> int:
     # before any output directory: fill in the figure's grid flags, refuse the rest
-    own = ({"bound": 8.0, "step": 0.05} if args.figure == "fig1"
-           else {"t_max": 100.0, "dt": 0.05})
-    for key in ("t_max", "dt", "bound", "step"):
-        if getattr(args, key) is None:
-            setattr(args, key, own.get(key))
-        elif key not in own:
-            raise ConfigError(f"{args.figure} reads no --{key.replace('_', '-')}")
+    _fill_or_refuse(args, ("t_max", "dt", "bound", "step"),
+                    {"bound": 8.0, "step": 0.05} if args.figure == "fig1"
+                    else {"t_max": 100.0, "dt": 0.05}, args.figure)
     if args.figure == "fig1":
         return _reproduce_fig1(args)
     return _reproduce_curves(args, args.figure)
@@ -521,7 +528,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config(args, parser)
-        if getattr(args, "seed", 0) < 0:
+        if (getattr(args, "seed", None) or 0) < 0:
             raise ConfigError("--seed must be >= 0")
         return _COMMANDS[args.command](args)
     except TruncationLeakError as err:

@@ -155,7 +155,9 @@ def neg_log_fidelity_model(t, g: float, kappa: float, M, N: float):
     return g * g * _model(_Kernel(t), kappa, M, N)[0]
 
 
-def _check_pair(series1: CoherenceSeries, series2: CoherenceSeries):
+def _split(series1: CoherenceSeries, series2: CoherenceSeries):
+    """|d(t)|^2 and kappa * N * delta(t) from two records at distinct known M
+    on one time grid (the model-free elimination), taking each log once."""
     if series1.M is None or series2.M is None:
         raise DegenerateInputError("both series need a known M label")
     if series1.M == series2.M:
@@ -165,24 +167,8 @@ def _check_pair(series1: CoherenceSeries, series2: CoherenceSeries):
     # would pass grids 1e-3 apart over long records and bias the split
     if t1.shape != t2.shape or np.max(np.abs(t1 - t2)) > 1e-12 * np.max(np.abs(t1)):
         raise DegenerateInputError("series must share the same time grid")
-
-
-def _split(series1: CoherenceSeries, series2: CoherenceSeries):
-    """|d(t)|^2 and kappa * N * delta(t); checks the pair and takes each log once."""
-    _check_pair(series1, series2)
     y1, y2, m1, m2 = np.log(series1.fgen), np.log(series2.fgen), series1.M, series2.M
     return (y1 - y2) / (m2 - m1), (m2 * y1 - m1 * y2) / (m1 - m2)
-
-
-def extract_d2(series1: CoherenceSeries, series2: CoherenceSeries) -> np.ndarray:
-    """|d(t)|^2 from two records at distinct known M (model-free elimination)."""
-    return _split(series1, series2)[0]
-
-
-def extract_bath_term(series1: CoherenceSeries,
-                      series2: CoherenceSeries) -> np.ndarray:
-    """kappa * N * delta(t) from two records at distinct known M."""
-    return _split(series1, series2)[1]
 
 
 def _model(kern: _Kernel, kappa: float, M, N: float):

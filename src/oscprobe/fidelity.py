@@ -53,17 +53,11 @@ def fidelity_gen_asymptotic_rate(params: SystemParams) -> float:
 
 
 def fidelity_uj_gaussian(state1: GaussianState, state2: GaussianState) -> float:
-    """Uhlmann-Jozsa fidelity between two single-mode Gaussian states."""
-    s1 = state1.cov.as_matrix()
-    s2 = state2.cov.as_matrix()
-    ssum = s1 + s2
+    """Uhlmann-Jozsa fidelity between two single-mode Gaussian states; each
+    det - 1/4 is clamped at 0, since a det may sit DET_COV_TOL below 1/4."""
+    ssum = state1.cov.as_matrix() + state2.cov.as_matrix()
     mu = float(np.linalg.det(ssum))
-    nu = (state1.cov.det - 0.25) * (state2.cov.det - 0.25)
-    if nu < 0.0:
-        # both covariances satisfy det >= 1/4 up to construction tolerance
-        if nu < -1e-12:
-            raise ValidationError(f"invalid covariance product nu = {nu:.3g}")
-        nu = 0.0
+    nu = max(state1.cov.det - 0.25, 0.0) * max(state2.cov.det - 0.25, 0.0)
     dx = state2.center.as_array() - state1.center.as_array()
     expo = -0.5 * dx @ np.linalg.solve(ssum, dx)
     prefactor = 1.0 / (math.sqrt(mu + 4.0 * nu) - 2.0 * math.sqrt(nu))

@@ -389,14 +389,15 @@ def solve_ivp(gen, v0: np.ndarray, t: float) -> Integration:
             # a failure is raised below, not reported as a warning
             warnings.simplefilter("ignore", UserWarning)
             y = solver.integrate(t)
+        status, integrator = int(solver.get_return_code()), solver._integrator
+        result = Integration(y, int(integrator.iwork[16]), int(integrator.iwork[19]))
     finally:
-        solver.set_f_params()  # the cached solver keeps no generator alive
-    status = int(solver.get_return_code())
-    integrator = solver._integrator
+        # the cached solver keeps no generator, and no dim^2 work arrays, alive
+        solver.set_f_params().set_initial_value(np.zeros(1), 0.0)
     if status <= 0:
         message = integrator.messages.get(status, f"unexpected return code {status}")
         raise ValidationError(f"integration failed (return code {status}): {message}")
-    return Integration(y, int(integrator.iwork[16]), int(integrator.iwork[19]))
+    return result
 
 
 def evolve_block(init: BlockDensityMatrix, ops: OperatorSet,

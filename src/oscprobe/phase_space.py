@@ -5,9 +5,9 @@ Conventions (hbar = 1, oscillator frequency = 1):
     chord function  w(r) = Tr[rho exp(i(k x + s p))],  r = (k, s)
     Gaussian chord  w(r) = exp(i x0.r - r^T sigma r / 2)
     Wigner          W(x) = exp(-(x-x0)^T sigma^-1 (x-x0)/2) / (2 pi sqrt(det sigma))
-chord_eval and wigner_eval take points of shape (..., 2), the last axis holding
-(k, s) or (q, p), and return an array of shape (...), or a Python scalar for a
-single point of shape (2,).
+chord_eval and wigner_eval take arrays of points of shape (..., 2), the last axis
+holding (k, s) or (q, p), and return an array of shape (...), or a Python scalar
+for a single point of shape (2,).
 A thermal state with mean occupation m has center 0 and sigma = (m + 1/2) * identity;
 the vacuum saturates the uncertainty bound det sigma = 1/4.
 """
@@ -51,9 +51,7 @@ class PhaseVector:
 
 
 def as_points(x) -> np.ndarray:
-    """Coerce a PhaseVector or array of shape (..., 2) to finite floats."""
-    if isinstance(x, PhaseVector):
-        return x.as_array()
+    """Coerce an array of points of shape (..., 2) to finite floats."""
     arr = np.asarray(x, dtype=float)
     if arr.shape[-1:] != (2,):
         raise ValidationError(

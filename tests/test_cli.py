@@ -13,7 +13,8 @@ import pytest
 
 import oscprobe
 from oscprobe import SystemParams, estimate, fidelity_uj_blocks
-from oscprobe.cli import ORACLE_TOLERANCES, build_parser, main
+from oscprobe.cli import (_COMMANDS, _CONFIG_KINDS, ORACLE_TOLERANCES, _config_schema,
+                          build_parser, main)
 from oscprobe.datafiles import read_csv, write_csv
 
 
@@ -108,6 +109,14 @@ def test_config_rejects_wrong_types(tmp_path, capsys):
     cfg.write_text(json.dumps({"g": "strong"}))
     assert run("propagate", "--config", cfg, "--outdir", tmp_path) == 2
     assert "must be a number" in capsys.readouterr().err
+
+
+def test_every_valued_flag_has_a_config_type_check():
+    # a flag of a type outside the table would fail every --config naming it
+    parser = build_parser()
+    for command in _COMMANDS:
+        for key, (want, _) in _config_schema(parser, command).items():
+            assert want in _CONFIG_KINDS, (command, key, want)
 
 
 @pytest.mark.parametrize("command, entries, allowed", [
@@ -469,6 +478,10 @@ _RECORD = "#M=1.0\nt,fgen\n0,1.0\n1,0.9\n"
       "--step", "99"], "fig2 reads no --bound"),
     (["reproduce", "fig3", "--nbar", "0.5", "--mbar", "0.5", "--step", "99"],
      "fig3 reads no --step"),
+    # and flags of the oracle mode not in use: random points or one pinned point
+    (["oracle", "--t", "5", "--points", "1"], "oracle at random points reads no --t"),
+    (["oracle", "--g", "0.1", "--points", "3", "--seed", "5", "--t-max", "2"],
+     "oracle at a pinned point reads no --points"),
     # six panels of a 2,000,001-point grid: 12,000,006 rows
     (["reproduce", "fig2", "--nbar", "0.7", "--mbar", "0.5", "--t-max", "1e5",
       "--dt", "0.05"], "fig2 rows exceed the 10000000-point limit"),
@@ -490,6 +503,7 @@ _RECORD = "#M=1.0\nt,fgen\n0,1.0\n1,0.9\n"
         "fig3-overflow", "propagate-noise-overflow", "propagate-noise-underflow",
         "thermal-q0-p0", "wigner-thermal-p0", "coherent-mbar", "wigner-coherent-mbar",
         "fig1-t-max", "fig1-dt-config", "fig2-bound", "fig3-step",
+        "oracle-random-t", "oracle-pinned-points",
         "fig2-rows", "fig3-rows"))
 def test_bad_outside_input_exits_2_without_output(tmp_path, capsys, argv,
                                                   message):

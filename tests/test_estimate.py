@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from oscprobe import (CoherenceSeries, DegenerateInputError, SystemParams,
-                      ValidationError, estimate, extract_bath_term,
-                      extract_d2, fit_parameters, log_derivative_model,
-                      neg_log_fidelity_model, synthesize_series)
+                      ValidationError, estimate, fit_parameters,
+                      log_derivative_model, neg_log_fidelity_model,
+                      synthesize_series)
 from oscprobe import propagator
 from oscprobe.propagator import _d_components, _delta, _dsq, _Kernel
 
@@ -65,11 +65,9 @@ def test_two_temperature_elimination_is_exact():
     ts = GRID[1:]
     s1 = make_series(p1)
     s2 = make_series(p2)
-    d2 = extract_d2(CoherenceSeries(ts, s1.fgen[1:], M=0.5),
-                    CoherenceSeries(ts, s2.fgen[1:], M=1.5))
+    d2, bath = estimate._split(CoherenceSeries(ts, s1.fgen[1:], M=0.5),
+                               CoherenceSeries(ts, s2.fgen[1:], M=1.5))
     assert np.max(np.abs(d2 - _dsq(ts, 0.12, 0.06))) < 1e-10
-    bath = extract_bath_term(CoherenceSeries(ts, s1.fgen[1:], M=0.5),
-                             CoherenceSeries(ts, s2.fgen[1:], M=1.5))
     want = 0.06 * 1.6 * _delta(ts, 0.12, 0.06)
     assert np.max(np.abs(bath - want)) < 1e-10
 
@@ -217,7 +215,7 @@ def test_series_validation():
     with pytest.raises(ValidationError, match="fidelities must lie in"):
         synthesize_series(*underflow)
     with pytest.raises(DegenerateInputError):
-        extract_d2(make_series(), make_series())  # identical M labels
+        estimate._split(make_series(), make_series())  # identical M labels
 
 
 def test_fit_reports_convergence(monkeypatch):

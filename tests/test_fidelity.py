@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from oscprobe import (GaussianState, QubitInitState, SystemParams,
-                      ValidationError,
+from oscprobe import (Covariance2, GaussianState, PhaseVector, QubitInitState,
+                      SystemParams, ValidationError,
                       fidelity_gen_asymptotic_rate, fidelity_generalized,
                       fidelity_uj_blocks, fidelity_uj_gaussian,
                       fidelity_uj_limit, purity_oscillator, purity_qubit)
@@ -49,6 +49,15 @@ def test_uj_gaussian_basics():
     v2 = GaussianState.coherent(1.0, -0.5)
     assert fidelity_uj_gaussian(v1, v2) == pytest.approx(
         np.exp(-1.25 / 2), rel=1e-13)
+
+
+def test_uj_gaussian_takes_a_covariance_within_its_det_tolerance():
+    # det - 1/4 = -9.5e-13 lies inside DET_COV_TOL: the state is valid, and
+    # against a thermal state it counts as the vacuum, F = 1/(1 + nbar)
+    vacuum = GaussianState(PhaseVector(0.0, 0.0), Covariance2(0.5, 0.0, 0.5 - 1.9e-12))
+    thermal = GaussianState.thermal(3.0)
+    for pair in ((thermal, vacuum), (vacuum, thermal)):
+        assert fidelity_uj_gaussian(*pair) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_uj_blocks_matches_gaussian_formula():

@@ -344,15 +344,21 @@ def test_compare_points_keep_memory_flat():
 
 def test_cached_solver_holds_no_generator_between_solves():
     # the one DOP853 solver outlives every point, so it must not keep the last
-    # point's dim^2 x dim^2 generator referenced until the next solve
+    # point's dim^2 x dim^2 generator, nor its 11 dim^2 work floats and end
+    # state, referenced until the next solve
     import scipy.sparse as sp
+
+    def assert_released(solver):
+        assert not any(sp.issparse(arg) for arg in solver.f_params)
+        assert solver._integrator.work.nbytes <= 1024 and solver._y.size <= 1
+
     p = SystemParams(g=0.2, kappa=0.08, nbar=0.5, mbar=0.9)
-    compare_point(p, QubitInitState.balanced(), OracleConfig(dim=30), 1.0)
-    assert not any(sp.issparse(arg) for arg in fock._dop853().f_params)
+    compare_point(p, QubitInitState.balanced(), OracleConfig(dim=64), 1.0)
+    assert_released(fock._dop853())
     # nor after a solve that fails
     with pytest.raises(ValidationError, match="integration failed"):
         fock.solve_ivp(sp.identity(4, format="csr") * np.nan, np.ones(4), 1.0)
-    assert not any(sp.issparse(arg) for arg in fock._dop853().f_params)
+    assert_released(fock._dop853())
 
 
 def test_oracle_point_builds_only_the_products_it_reads(monkeypatch):
