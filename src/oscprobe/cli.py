@@ -40,8 +40,7 @@ import numpy as np
 from .datafiles import read_csv, write_csv, write_grid_csv, write_json
 from .errors import ConfigError, OscprobeError, TruncationLeakError
 from .estimate import CoherenceSeries, fit_parameters, synthesize_series
-from .fidelity import (_curve_columns, fidelity_generalized,
-                       fidelity_uj_blocks, fidelity_uj_limit)
+from .fidelity import _curve_columns, fidelity_uj_limit
 from .fock import (MAX_DIM, OracleConfig, compare_point,
                    sample_comparison_points)
 from .phase_space import (GaussianState, QubitInitState, SystemParams,
@@ -50,6 +49,7 @@ from .propagator import (coherence_trace, displacement_vector,
                          reduced_wigner_grid, wigner_lobe_centers)
 
 MAX_GRID_POINTS = 10_000_000
+MAX_ORACLE_POINTS = 10_000  # random oracle points, ~60 ms of solves each
 # pass bound of the oracle report on each deviation
 ORACLE_TOLERANCES = {"dev_fgen": 1e-6, "dev_fuj": 1e-5, "dev_coherence": 1e-6,
                      "dev_purity_qubit": 1e-6, "dev_purity_oscillator": 1e-6}
@@ -123,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="truncated-basis cross-check -> JSON")
     _add_param_flags(p)
     p.add_argument("--points", type=int, default=None,
-                   help="number of random comparison points (default 4)")
+                   help="number of random comparison points (default 4, "
+                        f"at most {MAX_ORACLE_POINTS})")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--t", type=float, default=None,
                    help="time of the point that model flags pin (default 10)")
@@ -182,7 +183,7 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         data = json.loads(path.read_text())
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # also not UTF-8, or an int past the digit limit
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
@@ -198,7 +199,10 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         if choices is not None and value not in choices:
             raise ConfigError(
                 f"config key {key!r} must be one of {', '.join(choices)}")
-        setattr(args, key, want(value))
+        try:
+            setattr(args, key, want(value))
+        except OverflowError as err:
+            raise ConfigError(f"config key {key!r} is beyond float range") from err
 
 
 def _resolve_nbar(args) -> float:
@@ -363,8 +367,8 @@ def cmd_oracle(args) -> int:
     _fill_or_refuse(args, ("points", "seed", "t_max", "t"), own, f"oracle at {mode}")
     if explicit:
         points = [(_build_params(args), args.t)]
-    elif args.points < 1:
-        raise ConfigError("--points must be >= 1")
+    elif not 1 <= args.points <= MAX_ORACLE_POINTS:
+        raise ConfigError(f"--points must be >= 1 and <= {MAX_ORACLE_POINTS}")
     else:
         points = sample_comparison_points(args.points, args.seed,
                                           t_max=args.t_max, delta=args.delta)
@@ -483,18 +487,15 @@ def _reproduce_curves(args, figure: str) -> int:
     panels = [(g, kappa) for g in (0.05, 0.1, 0.2) for kappa in (0.01, 0.1)]
     if len(panels) * times.size > MAX_GRID_POINTS:
         raise ConfigError(f"{figure} rows exceed the {MAX_GRID_POINTS}-point limit")
-    values = []
+    quantity, values = "fgen" if figure == "fig2" else "fuj", []
     for g, kappa in panels:
         params = SystemParams(g=g, kappa=kappa, delta=0.0, nbar=nbar,
                               mbar=args.mbar)
-        if figure == "fig2":
-            values.append(fidelity_generalized(
-                times, params, GaussianState.thermal(args.mbar)))
-        else:
-            values.append(fidelity_uj_blocks(times, params, params.M))
+        values.append(_curve_columns(times, params, GaussianState.thermal(args.mbar),
+                                     QubitInitState.balanced())[quantity])
     col_g, col_k = np.repeat(panels, times.size, axis=0).T
     meta = {"figure": figure, "nbar": nbar, "mbar": args.mbar, "M": params.M,
-            "quantity": "fgen" if figure == "fig2" else "fuj"}
+            "quantity": quantity}
     out = _outdir(args) / f"{figure}_curves.csv"
     write_csv(out, meta, {"g": col_g, "kappa": col_k,
                           "t": np.tile(times, len(panels)),

@@ -26,10 +26,9 @@ import math
 
 import numpy as np
 
-from .errors import ValidationError
 from .phase_space import (Covariance2, GaussianState, PhaseVector,
                           QubitInitState, SystemParams)
-from .propagator import (_dsq, _evolved_covariance, _float_guard,
+from .propagator import (_dsq, _evolved_covariance, _float_guard, _Kernel,
                          _log_coherence, _require_nonneg_time)
 
 
@@ -64,19 +63,13 @@ def fidelity_uj_gaussian(state1: GaussianState, state2: GaussianState) -> float:
     return float(prefactor * math.exp(expo))
 
 
-def _check_m(M: float) -> float:
-    if not (math.isfinite(M) and M >= 0.5 - 1e-12):
-        raise ValidationError("thermal variance M must be >= 1/2")
-    return float(M)
-
-
 @_float_guard("the block fidelity")
 def _thermal_blocks(t, params: SystemParams, M: float):
     """sigma_s(t) and F_UJ(t) of the two evolved blocks for a thermal start."""
-    M = _check_m(M)
-    ta = _require_nonneg_time(t)
-    sigma_s = _evolved_covariance(ta, params, Covariance2.isotropic(M))[0]
-    return sigma_s, np.exp(-_dsq(ta, params.g, params.kappa) / (4.0 * sigma_s))
+    cov = Covariance2.isotropic(M)  # refuses an M not finite or below 1/2
+    kern = _Kernel(_require_nonneg_time(t))(params.kappa)
+    sigma_s = _evolved_covariance(kern, params, cov)[0]
+    return sigma_s, np.exp(-_dsq(kern, params.g, params.kappa) / (4.0 * sigma_s))
 
 
 def fidelity_uj_blocks(t, params: SystemParams, M: float):
@@ -98,10 +91,8 @@ def fidelity_uj_limit(params: SystemParams) -> float:
 
 def purity_qubit(t, params: SystemParams, M: float, qubit: QubitInitState):
     """Reduced qubit purity for a thermal oscillator start with variance M."""
-    init = GaussianState(PhaseVector(0.0, 0.0), Covariance2.isotropic(_check_m(M)))
-    fgen = fidelity_generalized(t, params, init)
-    out = qubit.a00 ** 2 + qubit.a11 ** 2 + 2.0 * abs(qubit.a01) ** 2 * fgen
-    return float(out) if np.ndim(t) == 0 else out
+    init = GaussianState(PhaseVector(0.0, 0.0), Covariance2.isotropic(M))
+    return _curve_columns(t, params, init, qubit)["purity_qubit"]
 
 
 def purity_oscillator(t, params: SystemParams, M: float, qubit: QubitInitState):
@@ -110,17 +101,21 @@ def purity_oscillator(t, params: SystemParams, M: float, qubit: QubitInitState):
     For g = 0 this reduces to the free-thermalization purity 1/(2 sigma_s(t)),
     which stays 1 when state and bath are both in the ground state.
     """
-    sigma_s, fuj = _thermal_blocks(t, params, M)
-    num = qubit.a00 ** 2 + qubit.a11 ** 2 + 2.0 * qubit.a00 * qubit.a11 * fuj
-    out = num / (2.0 * sigma_s)
-    return float(out) if np.ndim(t) == 0 else out
+    init = GaussianState(PhaseVector(0.0, 0.0), Covariance2.isotropic(M))
+    return _curve_columns(t, params, init, qubit)["purity_oscillator"]
 
 
 def _curve_columns(t, params: SystemParams, init: GaussianState,
                    qubit: QubitInitState) -> dict:
-    """fgen, fuj and both purities at t: the closed forms records and oracle read."""
-    M = init.cov.s11  # both supported starts are isotropic with variance M
-    return {"fgen": fidelity_generalized(t, params, init),
-            "fuj": fidelity_uj_blocks(t, params, M),
-            "purity_qubit": purity_qubit(t, params, M, qubit),
-            "purity_oscillator": purity_oscillator(t, params, M, qubit)}
+    """fgen, fuj and both purities at t: the closed forms records and oracle read.
+
+    Each is evaluated here once. Both supported starts are isotropic, M = s11.
+    """
+    fgen = fidelity_generalized(t, params, init)
+    sigma_s, fuj = _thermal_blocks(t, params, init.cov.s11)
+    diag = qubit.a00 ** 2 + qubit.a11 ** 2
+    cols = {"fgen": fgen, "fuj": fuj,
+            "purity_qubit": diag + 2.0 * abs(qubit.a01) ** 2 * fgen,
+            "purity_oscillator": (diag + 2.0 * qubit.a00 * qubit.a11 * fuj)
+            / (2.0 * sigma_s)}
+    return {k: float(v) for k, v in cols.items()} if np.ndim(t) == 0 else cols

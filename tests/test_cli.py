@@ -487,6 +487,15 @@ _RECORD = "#M=1.0\nt,fgen\n0,1.0\n1,0.9\n"
       "--dt", "0.05"], "fig2 rows exceed the 10000000-point limit"),
     (["reproduce", "fig3", "--nbar", "0.7", "--mbar", "0.5", "--t-max", "1e5",
       "--dt", "0.05"], "fig3 rows exceed the 10000000-point limit"),
+    # a config integer no float holds, and more random oracle points than the cap
+    (["propagate", "--config", "{src}/big_g.json"],
+     "config key 'g' is beyond float range"),
+    (["oracle", "--points", "10001"], "--points must be >= 1 and <= 10000"),
+    (["oracle", "--config", "{src}/many_points.json"],
+     "--points must be >= 1 and <= 10000"),
+    # fig2 evaluates the observable set fig3 reads, so it refuses the same overflow
+    (["reproduce", "fig2", "--mbar", "0", "--nbar", "1e307"],
+     "the block fidelity overflows a float"),
 ], ids=("missing", "bad-cell", "bad-M", "bad-noise", "twice-column",
         "twice-key", "junk-key", "no-header", "wide-rows", "ragged-row",
         "no-fgen", "flat-record", "config-missing", "config-not-json",
@@ -504,7 +513,8 @@ _RECORD = "#M=1.0\nt,fgen\n0,1.0\n1,0.9\n"
         "thermal-q0-p0", "wigner-thermal-p0", "coherent-mbar", "wigner-coherent-mbar",
         "fig1-t-max", "fig1-dt-config", "fig2-bound", "fig3-step",
         "oracle-random-t", "oracle-pinned-points",
-        "fig2-rows", "fig3-rows"))
+        "fig2-rows", "fig3-rows", "config-int-beyond-float", "oracle-points-cap",
+        "oracle-points-cap-config", "fig2-overflow"))
 def test_bad_outside_input_exits_2_without_output(tmp_path, capsys, argv,
                                                   message):
     src = tmp_path / "src"
@@ -527,6 +537,8 @@ def test_bad_outside_input_exits_2_without_output(tmp_path, capsys, argv,
               "output.json": json.dumps({"output": 5}),
               "seed.json": json.dumps({"seed": -2}),
               "dt.json": json.dumps({"dt": 7}),
+              "big_g.json": '{"g": 1' + "0" * 400 + "}",
+              "many_points.json": json.dumps({"points": 10 ** 57}),
               "wigner_t0.csv": None}  # a directory where an output would go
     for name, text in inputs.items():
         if text is None:
@@ -543,6 +555,21 @@ def test_bad_outside_input_exits_2_without_output(tmp_path, capsys, argv,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["src"]
     assert {p.name: p.read_text() if p.is_file() else None
             for p in src.iterdir()} == inputs
+
+
+@pytest.mark.parametrize("content", [
+    b'{"g": \xff}',  # not UTF-8
+    b'{"g": 1' + b"0" * 5000 + b"}",  # past Python's int digit limit, or float range
+], ids=("not-utf8", "int-digits"))
+def test_config_python_cannot_read_exits_2_without_output(tmp_path, capsys,
+                                                          content):
+    (tmp_path / "c.json").write_bytes(content)
+    assert run("propagate", "--config", tmp_path / "c.json",
+               "--outdir", tmp_path / "out") == 2
+    out = capsys.readouterr()
+    assert out.out == "" and len(out.err.splitlines()) == 1
+    assert out.err.startswith("error: config ")
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
 
 def test_truncation_leak_exits_1_without_output(tmp_path, capsys):

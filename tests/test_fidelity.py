@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oscprobe import (Covariance2, GaussianState, PhaseVector, QubitInitState,
-                      SystemParams, ValidationError,
+                      SystemParams, ValidationError, fidelity,
                       fidelity_gen_asymptotic_rate, fidelity_generalized,
                       fidelity_uj_blocks, fidelity_uj_gaussian,
                       fidelity_uj_limit, purity_oscillator, purity_qubit)
@@ -146,12 +146,46 @@ def test_monotone_in_coupling():
     assert np.all(f_big <= f_small + 1e-15)
 
 
+def _unchecked_thermal(M):
+    """A thermal start of variance M, built past Covariance2's own check."""
+    cov = Covariance2.isotropic(0.5)
+    for name in ("s11", "s22"):
+        object.__setattr__(cov, name, M)
+    return GaussianState(PhaseVector(0.0, 0.0), cov)
+
+
 def test_uj_validation():
-    with pytest.raises(ValidationError):
-        fidelity_uj_blocks(1.0, SystemParams(g=0.1, kappa=0.1), M=0.2)
-    with pytest.raises(ValidationError):
-        purity_oscillator(1.0, SystemParams(g=0.1, kappa=0.1), 0.3,
-                          QubitInitState.balanced())
+    # every thermal measure meets the one M check, Covariance2's
+    p, q = SystemParams(g=0.1, kappa=0.1), QubitInitState.balanced()
+    for M in (0.2, 0.3, float("nan")):
+        with pytest.raises(ValidationError):
+            fidelity_uj_blocks(1.0, p, M=M)
+        for purity in (purity_qubit, purity_oscillator):
+            with pytest.raises(ValidationError):
+                purity(1.0, p, M, q)
+        with pytest.raises(ValidationError):
+            fidelity._curve_columns(np.linspace(0.0, 5.0, 11), p,
+                                    _unchecked_thermal(M), q)
+
+
+def test_curve_columns_take_each_pass_once(monkeypatch):
+    p = SystemParams(g=0.15, kappa=0.08, nbar=0.6, mbar=1.3)
+    q, ts = QubitInitState(0.6, 0.4, 0.2 - 0.1j), np.linspace(0.0, 40.0, 801)
+    calls = {}
+    for name in ("fidelity_generalized", "_thermal_blocks"):
+        def counted(*args, _name=name, _original=getattr(fidelity, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+        monkeypatch.setattr(fidelity, name, counted)
+    cols = fidelity._curve_columns(ts, p, GaussianState.thermal(p.mbar), q)
+    assert calls == {"fidelity_generalized": 1, "_thermal_blocks": 1}
+    monkeypatch.undo()
+    # the public measures read their columns bit for bit
+    for name, value in (("fuj", fidelity_uj_blocks(ts, p, p.M)),
+                        ("purity_qubit", purity_qubit(ts, p, p.M, q)),
+                        ("purity_oscillator", purity_oscillator(ts, p, p.M, q))):
+        assert value.dtype == cols[name].dtype
+        assert value.tobytes() == cols[name].tobytes(), name
 
 
 def test_closed_form_overflow_is_refused():

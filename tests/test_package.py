@@ -1,5 +1,6 @@
 """The lazy package namespace, the CLI's one BLAS thread, the src line cap."""
 
+import ast
 import json
 import os
 import subprocess
@@ -90,6 +91,25 @@ def test_src_stays_within_its_line_cap():
     assert files
     total = sum(len(path.read_text().splitlines()) for path in files)
     assert total <= SRC_LINE_CAP, f"src is {total} lines, above {SRC_LINE_CAP}"
+
+
+def _unused_imports(path: Path) -> list:
+    """Names that path imports (outside __future__) and never uses."""
+    tree = ast.parse(path.read_text())
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    bound = [(alias.asname or alias.name).partition(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names]
+    return [name for name in bound if name not in read]
+
+
+def test_src_imports_nothing_it_does_not_use():
+    # a name is used where it is read, an attribute's base and annotations included
+    files = sorted((SRC / "oscprobe").glob("*.py"))
+    assert {path.name: _unused_imports(path) for path in files} == {
+        path.name: [] for path in files}
 
 
 @pytest.mark.parametrize("name", oscprobe.__all__)
