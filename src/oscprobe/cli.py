@@ -28,6 +28,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -49,7 +50,7 @@ from .propagator import (coherence_trace, displacement_vector,
                          reduced_wigner_grid, wigner_lobe_centers)
 
 MAX_GRID_POINTS = 10_000_000
-MAX_ORACLE_POINTS = 10_000  # random oracle points, ~60 ms of solves each
+MAX_ORACLE_POINTS = 10_000  # random oracle points, ~65 ms of solve (~75 ms in all) each
 # pass bound of the oracle report on each deviation
 ORACLE_TOLERANCES = {"dev_fgen": 1e-6, "dev_fuj": 1e-5, "dev_coherence": 1e-6,
                      "dev_purity_qubit": 1e-6, "dev_purity_oscillator": 1e-6}
@@ -373,8 +374,14 @@ def cmd_oracle(args) -> int:
         points = sample_comparison_points(args.points, args.seed,
                                           t_max=args.t_max, delta=args.delta)
     config, qubit = OracleConfig(dim=args.dim), QubitInitState.balanced()
-    results = [{**compare_point(params, qubit, config, t), **asdict(params)}
-               for params, t in points]
+    results, log = [], []
+    for i, (params, t) in enumerate(points, 1):
+        start = time.perf_counter()
+        row = compare_point(params, qubit, config, t)
+        log.append(f"oracle point {i}/{len(points)}: dim {row['dim']}, dims tried "
+                   f"{row['dims_tried']}, rhs_evals {row['rhs_evals']}, "
+                   f"{1e3 * (time.perf_counter() - start):.1f} ms")
+        results.append({**row, **asdict(params)})
     maxdev = {k: max(row[k] for row in results) for k in ORACLE_TOLERANCES}
     ok = all(maxdev[k] <= bound for k, bound in ORACLE_TOLERANCES.items())
     report = {
@@ -387,6 +394,9 @@ def cmd_oracle(args) -> int:
     }
     out = _outdir(args) / args.output
     write_json(out, report)
+    # timings go to stderr, once the report is written, so a refusal stays
+    # one error line and the report stays byte-deterministic
+    print("\n".join(log), file=sys.stderr)
     status = "PASS" if ok else "FAIL"
     worst = max(maxdev.values())
     print(f"oracle {status}: {len(points)} points, worst deviation {worst:.3g} "

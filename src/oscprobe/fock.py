@@ -19,14 +19,15 @@ dim^2 reals R = Re X + Im X of a Hermitian X, from which
 X = (R + R^T)/2 + i (R - R^T)/2; on vec R a Hermitian-preserving generator
 L becomes the real matrix G = Re L + (Im L) S, with S the permutation
 vec X -> vec X^T. With P = diag((-1)^n), P H- P = H+ and P a P = -a, so
-X = P rho_11 P runs under the 00 generator and rho_11(t) = P X(t) P; for a
-parity-even start (every thermal one) X0 is rho_00(0), and the 11 block is
-read off the 00 solve (OperatorSet._solve) with no integration. For the 01
-block, Y = rho_01 P evolves under the 00 generator with its jump terms
-2 down a Y a^dag + 2 up a^dag Y a negated, which preserves Hermiticity, and
-the scalar -i delta, which is left out of the integration: rho_01(t) is
-Y(t) P exp(-i delta t). A thermal start gives a Hermitian Y0; any other Y0
-runs as its two Hermitian parts. The stage sums are compiled loops, not
+X = P rho_11 P runs under the 00 generator G00 and rho_11(t) = P X(t) P.
+For the 01 block, Y = rho_01 P evolves under G01, G00 with its jump terms
+2 down a Y a^dag + 2 up a^dag Y a negated, which preserves Hermiticity;
+the scalar -i delta is left out of the integration: rho_01(t) is
+Y(t) P exp(-i delta t). A thermal Y0 is Hermitian; any other runs as its
+two Hermitian parts. The parts of a point run as one real system under
+block_diag of their generators (OperatorSet._solve), and a parity-even 11
+start (every thermal one) is the 00 part: a thermal point is one solve of
+[vec R00; vec R01]. The stage sums are compiled loops, not
 threaded-BLAS products, so the integration runs on one core and leaves no
 BLAS worker spinning between steps; neither do the starts
 (`_displaced_thermal`) or the Uhlmann readout (`uhlmann_fidelity`). The one
@@ -39,7 +40,7 @@ import cmath
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -92,8 +93,8 @@ class OracleConfig:
 class BlockDensityMatrix:
     """One oscillator block in the truncated number basis.
 
-    rhs_evals and rejected_steps count the integrator work that produced it
-    (0 for a start).
+    rhs_evals and rejected_steps count the work of the solve that produced
+    it, if its evolve_block ran that solve (0 for a start or a memo read).
     """
 
     dim: int
@@ -207,99 +208,98 @@ def _check_leak(entries: np.ndarray, dim: int, stage: str) -> None:
 
 @dataclass(frozen=True)
 class OperatorSet:
-    """Sparse ladder operators and block Hamiltonians at one dim.
-
-    The superoperator pieces every block shares (the jump terms and the
-    dissipator) are built on first use and kept, as are the two real
-    generators evolve_block runs (00 and P-conjugated 11 blocks; rho_01 P) and
-    the latest solve, which a parity-even 11 block reuses.
-    """
+    """The generators of one point at dim, assembled from index arithmetic on
+    (m, n) with no Kronecker product (G00 and G01 kept once built), and its
+    solve memo."""
 
     dim: int
     params: SystemParams
-    a: sp.csr_matrix
-    adag: sp.csr_matrix
-    h_plus: sp.csr_matrix
-    h_minus: sp.csr_matrix
+    # (t, generator key, packed start bytes) -> end state, None while queued
+    _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def _lmul(self, op) -> sp.csr_matrix:
+    def _stencil(self, terms) -> sp.csr_matrix:
+        """dim^2 x dim^2 CSR matrix with coef[m, n] at (vec (m, n), vec (m + dm, n + dn)).
+
+        One (dm, dn, coef) term per (dm, dn), coef 0 where (m + dm, n + dn)
+        leaves the basis; zeros are not stored; sorted terms give sorted rows."""
         import scipy.sparse as sp
-        return sp.kron(op, sp.identity(self.dim, format="csr"), format="csr")
-
-    def _rmul(self, op) -> sp.csr_matrix:
-        import scipy.sparse as sp
-        return sp.kron(sp.identity(self.dim, format="csr"), op.T, format="csr")
-
-    def _rates(self) -> tuple[float, float]:
-        return (self.params.kappa * (1.0 + self.params.nbar),
-                self.params.kappa * self.params.nbar)
+        size = self.dim ** 2
+        terms = sorted(terms, key=lambda term: term[:2])
+        vals = np.stack([np.broadcast_to(coef, (self.dim, self.dim)).ravel()
+                         for _, _, coef in terms], axis=1)
+        cols = np.arange(size)[:, None] + [dm * self.dim + dn for dm, dn, _ in terms]
+        kept = vals != 0.0
+        indptr = np.append(0, np.cumsum(np.count_nonzero(kept, axis=1)))
+        return sp.csr_matrix((vals[kept], cols[kept], indptr), shape=(size, size))
 
     @functools.cached_property
-    def _jumps(self) -> sp.csr_matrix:
-        """The dissipator's jump terms 2 down a rho a^dag + 2 up a^dag rho a."""
-        import scipy.sparse as sp
-        down, up = self._rates()
-        return (2.0 * down * sp.kron(self.a, self.a, format="csr")
-                + 2.0 * up * sp.kron(self.adag, self.adag, format="csr"))
-
-    @functools.cached_property
-    def _dissipator(self) -> sp.csr_matrix:
-        down, up = self._rates()
-        # down (2 a rho a^dag - {a^dag a, rho}) + up (2 a^dag rho a - {a a^dag, rho})
-        anti = (down * (self.adag @ self.a) + up * (self.a @ self.adag)).tocsr()
-        return (self._jumps - self._lmul(anti) - self._rmul(anti)).tocsr()
+    def _ladder(self) -> tuple:
+        """(lower, upper, anti, jumps): sqrt(k) and sqrt(k + 1) per level k, a's
+        entries into and out of it (0 on top); the diagonal of down a^dag a +
+        up a a^dag; the stencil of the jumps 2 down a rho a^dag + 2 up a^dag rho a."""
+        level = np.arange(self.dim, dtype=float)
+        lower, upper = np.sqrt(level), np.sqrt(np.append(level[1:], 0.0))
+        kappa, nbar = self.params.kappa, self.params.nbar
+        down, up = kappa * (1.0 + nbar), kappa * nbar
+        return (lower, upper, down * lower ** 2 + up * upper ** 2,
+                [(1, 1, 2.0 * down * np.outer(upper, upper)),
+                 (-1, -1, 2.0 * up * np.outer(lower, lower))])
 
     def liouvillian(self, block: str) -> sp.csr_matrix:
-        """Full dim^2 x dim^2 generator of a block (11, 01: the tests' reference)."""
+        """Full dim^2 x dim^2 generator of a block (11, 01: the tests' reference).
+
+        -i (H_l rho - rho H_r) (- i delta rho for 01) + down (2 a rho a^dag -
+        {a^dag a, rho}) + up (2 a^dag rho a - {a a^dag, rho}): per (m, n) a
+        diagonal, four Hamiltonian neighbours and two jumps.
+        """
         if block not in _BLOCKS:
             raise ValidationError(f"block must be one of {_BLOCKS}")
-        left, right = {"00": "++", "11": "--", "01": "+-"}[block]
-        h = {"+": self.h_plus, "-": self.h_minus}
-        ham = self._lmul(h[left]) - self._rmul(h[right])
-        if block == "01":
-            import scipy.sparse as sp
-            ham = ham + self.params.delta * sp.identity(self.dim ** 2, format="csr")
-        return (-1j * ham + self._dissipator).tocsr()
+        left, right = {"00": (1.0, 1.0), "11": (-1.0, -1.0), "01": (1.0, -1.0)}[block]
+        delta = self.params.delta if block == "01" else 0.0
+        lower, upper, anti, jumps = self._ladder
+        level = np.arange(self.dim, dtype=float)
+        c = -1j * self.params.g / math.sqrt(2.0)  # -i g times x = (a + a^dag)/sqrt(2)
+        return self._stencil([
+            (0, 0, -1j * (level[:, None] - level + delta) - anti[:, None] - anti),
+            (1, 0, left * c * upper[:, None]), (-1, 0, left * c * lower[:, None]),
+            (0, 1, -right * c * upper), (0, -1, -right * c * lower), *jumps])
 
     @functools.cached_property
     def _generators(self) -> dict:
-        liou = self.liouvillian("00")
-        return {"00": _hermitian_generator(liou, self.dim),
-                "01": _hermitian_generator(liou - 2.0 * self._jumps, self.dim)}
+        g00 = _hermitian_generator(self.liouvillian("00"), self.dim)
+        # the jump terms are real, so they are their own real generator
+        return {"00": g00, "01": g00 - 2.0 * self._stencil(self._ladder[3])}
 
-    @functools.cached_property
-    def _last_solve(self) -> list:
-        """[generator key, t, packed start, end state] of the latest solve."""
-        return [None, None, None, None]
+    def _solve(self, parts, t: float, run: bool = True) -> tuple[list, int, int]:
+        """Queue (generator key, packed start) parts for t; if run, their end states.
 
-    def _solve(self, key: str, v0: np.ndarray, t: float) -> Integration:
-        """solve_ivp under generator key ("00" or "01") from v0 over [0, t].
-
-        Reuses the latest solve here, with zero work counts, when key, t and
-        v0 (np.array_equal) are the same.
-        """
-        last = self._last_solve
-        if last[0] == key and last[1] == t and np.array_equal(last[2], v0):
-            return Integration(last[3], 0, 0)
-        sol = solve_ivp(self._generators[key], v0, t)
-        last[:] = key, t, v0, sol.y
-        return sol
+        The memo keeps the latest t, and parts of equal bytes are one. Every part
+        queued and not yet solved runs in one real system under block_diag of
+        their generators: the call that runs it reports its work, others 0."""
+        memo = self._memo
+        if any(key[0] != t for key in memo):
+            memo.clear()
+        keys = [(t, name, v0.tobytes()) for name, v0 in parts]
+        memo.update({key: memo.get(key) for key in keys})
+        pending = [key for key, y in memo.items() if y is None]
+        if not (run and pending):
+            return [memo[key] for key in keys], 0, 0
+        import scipy.sparse as sp
+        size, gens = self.dim ** 2, [self._generators[key[1]] for key in pending]
+        # block_diag(gens): each generator's rows, its columns shifted to its block
+        gen = sp.vstack([sp.csr_matrix((g.data, g.indices + i * size, g.indptr),
+                                       shape=(size, len(gens) * size))
+                         for i, g in enumerate(gens)], format="csr")
+        sol = solve_ivp(gen, np.concatenate([np.frombuffer(key[2]) for key in pending]), t)
+        memo.update(zip(pending, np.split(sol.y, len(pending))))
+        return [memo[key] for key in keys], sol.nfev, sol.rejected_steps
 
 
 def build_operators(dim: int, params: SystemParams) -> OperatorSet:
-    """Ladder operators and the two displaced Hamiltonians."""
+    """The operator set of params at dim >= 2."""
     if dim < 2:
         raise ValidationError("dim must be >= 2")
-    import scipy.sparse as sp
-    rootn = np.sqrt(np.arange(1, dim))
-    a = sp.diags(rootn, 1, format="csr")
-    adag = sp.diags(rootn, -1, format="csr")
-    x = ((a + adag) / math.sqrt(2.0)).tocsr()
-    h_osc = (adag @ a + 0.5 * sp.identity(dim)).tocsr()
-    h_plus = (h_osc + params.g * x).tocsr()
-    h_minus = (h_osc - params.g * x).tocsr()
-    return OperatorSet(dim=dim, params=params, a=a, adag=adag, h_plus=h_plus,
-                       h_minus=h_minus)
+    return OperatorSet(dim, params)
 
 
 def displaced_thermal_block(dim: int, mbar: float, q0: float, p0: float,
@@ -327,10 +327,7 @@ def _pack_hermitian(entries: np.ndarray) -> np.ndarray:
 def _unpack_hermitian(v: np.ndarray, dim: int) -> np.ndarray:
     """The exactly Hermitian (R + R^T)/2 + i (R - R^T)/2 from vec R."""
     r = v.reshape(dim, dim)
-    out = np.empty((dim, dim), dtype=complex)
-    out.real = 0.5 * (r + r.T)
-    out.imag = 0.5 * (r - r.T)
-    return out
+    return 0.5 * (r + r.T) + 0.5j * (r - r.T)
 
 
 def _hermitian_generator(liou: sp.csr_matrix, dim: int) -> sp.csr_matrix:
@@ -400,18 +397,34 @@ def solve_ivp(gen, v0: np.ndarray, t: float) -> Integration:
     return result
 
 
+def _packed_parts(init: BlockDensityMatrix) -> tuple:
+    """(left, right, weights, parts): X = left * rho * right is rho_00, P rho_11 P
+    or Y = rho_01 P, the sum of weight * part over the (generator key, packed
+    part) parts: X under "00", or Y's nonzero Hermitian parts under "01"."""
+    parity = (-1.0) ** np.arange(init.dim)
+    left = parity[:, None] if init.block == "11" else 1.0
+    right = 1.0 if init.block == "00" else parity
+    x0 = left * init.entries * right
+    if init.block in _HERMITIAN_BLOCKS:
+        parts = [(1.0, "00", x0)]
+    else:
+        # Y0 = A + iB with A, B Hermitian; a thermal start has B = 0
+        parts = [(1.0, "01", 0.5 * (x0 + x0.conj().T)),
+                 (1j, "01", -0.5j * (x0 - x0.conj().T))]
+    kept = [(w, (key, _pack_hermitian(part))) for w, key, part in parts if part.any()]
+    return left, right, [w for w, _ in kept], [part for _, part in kept]
+
+
 def evolve_block(init: BlockDensityMatrix, ops: OperatorSet,
                  t: float) -> BlockDensityMatrix:
     """Propagate one block to time t >= 0 under ops, built at init.dim.
 
-    Integrates dim^2 reals under one of ops' two real generators, as the
-    module docstring says: the 00 generator for rho_00 and for P rho_11 P,
-    and the 01 one for Y = rho_01 P (a Y0 that is not Hermitian runs as its
-    two Hermitian parts, skipping one that is exactly zero). Each solve goes
-    through ops._solve, so a 11 start that is the parity image of the 00 start
-    just evolved on ops (every thermal one) reads that solve's end state and
-    integrates nothing. The result carries the RHS evaluations and rejected
-    steps of the solves that ran (0 for one read off the memo). Raises
+    Integrates the dim^2 reals of each of _packed_parts(init) under ops' 00
+    or 01 real generator, as the module docstring says. ops._solve runs all
+    parts queued on ops at t and not yet solved as one stacked solve, and
+    reads those it solved before, so a parity-even 11 start after its 00
+    start integrates nothing. The result carries the RHS evaluations and
+    rejected steps of the solve if this call ran it, else 0. Raises
     ValidationError when a 00 or 11 start is not Hermitian to HERMITIAN_TOL,
     and TruncationLeakError (with a suggested dim) when the initial or the
     evolved matrix puts more than LEAK_TOL relative weight on the top level.
@@ -421,33 +434,17 @@ def evolve_block(init: BlockDensityMatrix, ops: OperatorSet,
     dim = init.dim
     if ops.dim != dim:
         raise ValidationError(f"ops dim {ops.dim} != initial matrix dim {dim}")
-    hermitian = init.block in _HERMITIAN_BLOCKS
-    if hermitian:
+    if init.block in _HERMITIAN_BLOCKS:
         _check_hermitian(init.entries, init.block)
     _check_leak(init.entries, dim, "initial state")
     if t == 0.0:
         return BlockDensityMatrix(dim, init.entries.copy(), init.block)
-    parity = (-1.0) ** np.arange(dim)
-    # the integrated X is rho_00, P rho_11 P or Y = rho_01 P
-    left = parity[:, None] if init.block == "11" else 1.0
-    right = 1.0 if init.block == "00" else parity
-    x0 = left * init.entries * right
-    if hermitian:
-        key, parts = "00", [(1.0, x0)]
-    else:
-        # Y0 = A + iB with A, B Hermitian; a thermal start has B = 0
-        key = "01"
-        parts = [(1.0, 0.5 * (x0 + x0.conj().T)), (1j, -0.5j * (x0 - x0.conj().T))]
-    out = np.zeros((dim, dim), dtype=complex)
-    nfev = rejected = 0
-    for weight, part in parts:
-        if not part.any():
-            continue
-        sol = ops._solve(key, _pack_hermitian(part), t)
-        out += weight * _unpack_hermitian(sol.y, dim)
-        nfev, rejected = nfev + sol.nfev, rejected + sol.rejected_steps
+    left, right, weights, parts = _packed_parts(init)
+    ends, nfev, rejected = ops._solve(parts, t)
+    out = sum((w * _unpack_hermitian(y, dim) for w, y in zip(weights, ends)),
+              np.zeros((dim, dim), dtype=complex))
     out = left * out * right
-    if not hermitian:
+    if init.block == "01":
         out *= np.exp(-1j * ops.params.delta * t)
     _check_leak(out, dim, f"evolved {init.block} block")
     return BlockDensityMatrix(dim, out, init.block, nfev, rejected)
@@ -579,8 +576,11 @@ def evolve_thermal_blocks(params: SystemParams, config: OracleConfig,
         dims_tried.append(dim)
         try:
             ops = build_operators(dim, params)
-            out = {block: evolve_block(displaced_thermal_block(
-                       dim, params.mbar, 0.0, 0.0, block), ops, t) for block in _BLOCKS}
+            starts = [displaced_thermal_block(dim, params.mbar, 0.0, 0.0, block)
+                      for block in _BLOCKS]
+            # queued, so the first evolve_block solves all three blocks at once
+            ops._solve([p for s in starts for p in _packed_parts(s)[3]], t, run=False)
+            out = {start.block: evolve_block(start, ops, t) for start in starts}
             return {**out, "dim": dim, "dims_tried": dims_tried,
                     "leak_weights": leak_weights}
         except TruncationLeakError as err:
@@ -617,9 +617,8 @@ def compare_point(params: SystemParams, qubit: QubitInitState,
     Besides the dev_* deviations, reports the dim used, every dim tried
     (dims_tried), the number of leak-guard retries (leak_retries), the tail
     weight behind each retry (leak_weights, one per dims_tried[:-1]), and the
-    integrator's RHS evaluations and rejected steps summed over the three
-    evolved blocks (rhs_evals, rejected_steps). Those sums count only the
-    solves that ran: the thermal 11 block is read off the 00 solve and adds 0.
+    RHS evaluations and rejected steps of the point's one stacked solve, whose
+    generator is 2 dim^2 square (rhs_evals, rejected_steps; 0 at t = 0).
     """
     blocks = evolve_thermal_blocks(params, config, t)
     init = GaussianState.thermal(params.mbar)

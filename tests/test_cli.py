@@ -239,6 +239,23 @@ def test_oracle_report_is_deterministic_and_counts_solver_work(tmp_path):
     assert set(report["max_deviation"]) == set(report["tolerances"])
 
 
+def test_oracle_prints_one_stderr_line_per_completed_point(tmp_path, capsys):
+    assert run("oracle", "--points", 3, "--t-max", 3, "--seed", 4,
+               "--outdir", tmp_path) == 0
+    out = capsys.readouterr()
+    report = json.loads((tmp_path / "oracle_report.json").read_text())
+    lines = out.err.splitlines()
+    assert len(lines) == 3 and len(out.out.splitlines()) == 1
+    for i, (line, pt) in enumerate(zip(lines, report["points"]), 1):
+        head, _, wall = line.rpartition(", ")
+        assert head == (f"oracle point {i}/3: dim {pt['dim']}, dims tried "
+                        f"{pt['dims_tried']}, rhs_evals {pt['rhs_evals']}")
+        assert wall.endswith(" ms") and float(wall[:-3]) >= 0.0
+    # the timings stay out of the report
+    assert not any("wall" in key or key.endswith("_ms")
+                   for pt in report["points"] for key in pt)
+
+
 def test_oracle_tolerances_bound_every_deviation_of_a_point():
     row = oscprobe.compare_point(SystemParams(g=0.05, kappa=0.1, nbar=0.2, mbar=0.1),
                                  oscprobe.QubitInitState.balanced(),

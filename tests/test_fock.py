@@ -26,18 +26,29 @@ def number_expectation(block):
 
 
 def test_operator_algebra():
-    p = SystemParams(g=0.17, kappa=0.1, nbar=0.4)
+    # the assembled generators carry H+- = a^dag a + 1/2 +- g x and the
+    # dissipator of the truncated ladder (a a^dag is 0 on the top level):
+    # their actions, checked against dense products on a random matrix
+    p = SystemParams(g=0.17, kappa=0.1, delta=0.3, nbar=0.4)
     ops = build_operators(24, p)
-    a = ops.a.toarray()
-    ad = ops.adag.toarray()
-    comm = a @ ad - ad @ a
-    # truncation corrupts only the last diagonal entry
-    assert np.allclose(comm[:-1, :-1], np.eye(23), atol=1e-13)
-    x = (a + ad) / np.sqrt(2)
-    hp = ops.h_plus.toarray()
-    hm = ops.h_minus.toarray()
-    assert np.allclose(hp - hm, 2 * p.g * x, atol=1e-14)
-    assert np.allclose(hp + hm, 2 * (ad @ a + 0.5 * np.eye(24)), atol=1e-13)
+    rho = random_hermitian(np.random.default_rng(2), 24)
+    a = np.diag(np.sqrt(np.arange(1.0, 24.0)), 1)
+    ad, x = a.T, (a + a.T) / np.sqrt(2)
+
+    def act(block):
+        return (ops.liouvillian(block) @ rho.ravel()).reshape(24, 24)
+
+    # H+ - H- = 2 g x, in the commutator and on the right of rho_01
+    assert np.allclose(act("00") - act("11"), -2j * p.g * (x @ rho - rho @ x),
+                       rtol=0, atol=1e-12)
+    assert np.allclose(act("01") - act("00"), -1j * (2 * p.g * rho @ x + p.delta * rho),
+                       rtol=0, atol=1e-12)
+    # H+ + H- = 2 (a^dag a + 1/2), plus the dissipator of each block
+    down, up = p.kappa * (1 + p.nbar), p.kappa * p.nbar
+    diss = (down * (2 * a @ rho @ ad - ad @ a @ rho - rho @ ad @ a)
+            + up * (2 * ad @ rho @ a - a @ ad @ rho - rho @ a @ ad))
+    assert np.allclose(act("00") + act("11"),
+                       -2j * (ad @ a @ rho - rho @ ad @ a) + 2 * diss, rtol=0, atol=1e-12)
 
 
 def test_initial_blocks():
@@ -199,17 +210,66 @@ def test_hermitian_packing_round_trips():
     assert np.max(np.abs(back - x)) <= 4 * np.finfo(float).eps * np.max(np.abs(x))
 
 
+def kron_liouvillian(ops, block):
+    """(L, J): a block's complex generator and its jump terms, by Kronecker products.
+
+    The reference for the index-arithmetic assembly of OperatorSet.liouvillian,
+    with vec(A rho B) = (A kron B^T) vec(rho) and the dissipator
+    down (2 a rho a^dag - {a^dag a, rho}) + up (2 a^dag rho a - {a a^dag, rho}).
+    """
+    import scipy.sparse as sp
+    p, eye = ops.params, sp.identity(ops.dim, format="csr")
+    a = sp.diags(np.sqrt(np.arange(1, ops.dim)), 1, format="csr")
+    adag = a.T.tocsr()
+    h_osc = adag @ a + 0.5 * eye
+    x = (a + adag) / math.sqrt(2.0)
+    h = {"+": h_osc + p.g * x, "-": h_osc - p.g * x}
+    down, up = p.kappa * (1.0 + p.nbar), p.kappa * p.nbar
+    jumps = (2.0 * down * sp.kron(a, a, format="csr")
+             + 2.0 * up * sp.kron(adag, adag, format="csr"))
+    anti = down * (adag @ a) + up * (a @ adag)
+    left, right = {"00": "++", "11": "--", "01": "+-"}[block]
+    ham = sp.kron(h[left], eye) - sp.kron(eye, h[right].T)
+    if block == "01":
+        ham = ham + p.delta * sp.identity(ops.dim ** 2)
+    liou = -1j * ham + jumps - sp.kron(anti, eye) - sp.kron(eye, anti.T)
+    return liou.tocsr(), jumps
+
+
 def generator(ops, block):
-    """The real generator evolve_block integrates for block.
+    """The real generator evolve_block integrates for block, from the reference.
 
     The 11 block runs as P rho_11 P under the 00 generator. For 01 it is the
     00 generator with its jump terms negated, acting on Y = rho_01 P without
     delta.
     """
-    liou = ops.liouvillian("00")
+    liou, jumps = kron_liouvillian(ops, "00")
     if block == "01":
-        liou = liou - 2.0 * ops._jumps
+        liou = liou - 2.0 * jumps
     return fock._hermitian_generator(liou, ops.dim)
+
+
+def stacked_generator(monkeypatch, params, dim, t=1.0):
+    """The generator of the one solve a thermal point runs at dim."""
+    solves, real = [], fock.solve_ivp
+
+    def capture(gen, v0, t):
+        solves.append(gen)
+        return real(gen, v0, t)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(fock, "solve_ivp", capture)
+        evolve_thermal_blocks(params, OracleConfig(dim=dim), t)
+    (gen,) = solves
+    return gen
+
+
+def halves(gen, dim):
+    """(G00, G01) of a stacked generator, after checking nothing couples them."""
+    n = dim * dim
+    assert gen.shape == (2 * n, 2 * n)
+    assert gen[:n, n:].nnz == 0 and gen[n:, :n].nnz == 0
+    return gen[:n, :n], gen[n:, n:]
 
 
 def parity_sides(dim, block):
@@ -225,19 +285,43 @@ def packed_start(init):
     return fock._pack_hermitian(left * init.entries * right)
 
 
+@pytest.mark.parametrize("dim", [2, 7, 20])
+@pytest.mark.parametrize("params", [
+    SystemParams(g=0.21, kappa=0.09, delta=0.3, nbar=0.7),
+    SystemParams(g=0.21, kappa=0.0, delta=0.3, nbar=0.7),  # no dissipator
+    SystemParams(g=0.21, kappa=0.09, delta=0.3, nbar=0.0),  # no up jumps
+], ids=("damped", "kappa-0", "nbar-0"))
+def test_liouvillian_matches_the_kronecker_reference(dim, params):
+    ops = build_operators(dim, params)
+    for block in ("00", "11", "01"):
+        ref, _ = kron_liouvillian(ops, block)
+        ref.eliminate_zeros()
+        liou = ops.liouvillian(block)
+        # the same stored entries, none of them zero, in canonical CSR order
+        assert liou.has_canonical_format
+        assert np.count_nonzero(liou.data) == liou.nnz == ref.nnz
+        assert np.array_equal(liou.indptr, ref.indptr)
+        assert np.array_equal(liou.indices, ref.indices)
+        assert np.max(np.abs(liou.data - ref.data)) <= 1e-15 * np.max(np.abs(ref.data))
+
+
 @pytest.mark.parametrize("block", ["00", "11", "01"])
-def test_real_generator_acts_as_the_liouvillian(block):
+def test_real_generator_acts_as_the_liouvillian(monkeypatch, block):
     rng = np.random.default_rng(5)
     p = SystemParams(g=0.21, kappa=0.09, delta=0.3, nbar=0.7)
     ops = build_operators(20, p)
     # the complex generator is the reference; for 01 it carries delta
-    liou = ops.liouvillian(block)
+    liou, _ = kron_liouvillian(ops, block)
     kept = liou.copy()
     # building G leaves the complex generator as it was
     assert fock._hermitian_generator(liou, 20).dtype == float
     assert (liou != kept).nnz == 0
-    gen = generator(ops, block)
-    assert (gen != ops._generators["01" if block == "01" else "00"]).nnz == 0
+    # a thermal point's one solve runs G00 on its first half and G01 on its
+    # second, each equal to the reference's, to roundoff
+    gen = halves(stacked_generator(monkeypatch, p, 20), 20)[block == "01"]
+    want_gen = generator(ops, block)
+    assert np.max(np.abs((gen - want_gen).data), initial=0.0) <= 1e-15 * np.max(
+        np.abs(want_gen.data))
     # 11 carries X = P rho P: dX/dt = P (L rho) P; 01 carries Y = rho P:
     # dY/dt = (L rho + i delta rho) P
     left, right = parity_sides(20, block)
@@ -362,25 +446,33 @@ def test_cached_solver_holds_no_generator_between_solves():
 
 
 def test_oracle_point_builds_only_the_products_it_reads(monkeypatch):
-    built = []
-    for name in ("_lmul", "_rmul"):
-        def counted(self, op, real=getattr(fock.OperatorSet, name), name=name):
-            built.append(name)
-            return real(self, op)
-        monkeypatch.setattr(fock.OperatorSet, name, counted)
+    import scipy.sparse as sp
+    built, real = [], fock.OperatorSet.liouvillian
+
+    def counted(self, block):
+        built.append(block)
+        return real(self, block)
+
+    def no_kron(*args, **kwargs):
+        raise AssertionError("a Kronecker product was built")
+
+    monkeypatch.setattr(fock.OperatorSet, "liouvillian", counted)
+    monkeypatch.setattr(sp, "kron", no_kron)
     p = SystemParams(g=0.2, kappa=0.08, nbar=0.5, mbar=0.9)
     compare_point(p, QubitInitState.balanced(), OracleConfig(dim=30), 1.0)
-    # H+ on each side for the 00 generator, and the dissipator's two: the 11
-    # block runs under the 00 generator, so no product with H- is built
-    assert sorted(built) == ["_lmul", "_lmul", "_rmul", "_rmul"]
+    # one complex generator, the 00 one, assembled with no Kronecker product:
+    # the 11 block runs under it and the 01 block under it with its jumps
+    # negated, so no generator with H- is built
+    assert built == ["00"]
 
 
 def test_thermal_point_solves_two_blocks(monkeypatch):
+    # the 00 and 01 blocks, as one stacked solve; 11 reads the 00 half
     solves = []
     real = fock.solve_ivp
 
     def counting(gen, v0, t):
-        solves.append(t)
+        solves.append(gen.shape)
         return real(gen, v0, t)
 
     monkeypatch.setattr(fock, "solve_ivp", counting)
@@ -388,14 +480,65 @@ def test_thermal_point_solves_two_blocks(monkeypatch):
         p = SystemParams(g=0.2, kappa=0.08, delta=delta, nbar=0.5, mbar=0.9)
         solves.clear()
         rep = compare_point(p, QubitInitState.balanced(), OracleConfig(), 3.0)
-        assert len(solves) == 2
+        assert solves == [(2 * rep["dim"] ** 2,) * 2]
         assert rep["rhs_evals"] > 0
         assert max(v for k, v in rep.items() if k.startswith("dev_")) < 1e-8
     blocks = evolve_thermal_blocks(p, OracleConfig(dim=30), 3.0)
-    assert blocks["00"].rhs_evals > 0 and blocks["01"].rhs_evals > 0
-    assert blocks["11"].rhs_evals == blocks["11"].rejected_steps == 0
+    assert blocks["00"].rhs_evals > 0
+    for block in ("11", "01"):
+        assert blocks[block].rhs_evals == blocks[block].rejected_steps == 0
     left, right = parity_sides(30, "11")
     assert np.array_equal(blocks["11"].entries, left * blocks["00"].entries * right)
+
+
+def test_point_at_time_zero_runs_no_solve(monkeypatch):
+    def no_solve(gen, v0, t):
+        raise AssertionError("a solve ran at t = 0")
+
+    monkeypatch.setattr(fock, "solve_ivp", no_solve)
+    p = SystemParams(g=0.2, kappa=0.08, delta=0.3, nbar=0.5, mbar=0.9)
+    rep = compare_point(p, QubitInitState.balanced(), OracleConfig(), 0.0)
+    assert rep["rhs_evals"] == rep["rejected_steps"] == 0
+    assert max(v for k, v in rep.items() if k.startswith("dev_")) < 1e-8
+
+
+@pytest.mark.parametrize("params", [
+    SystemParams(g=0.2, kappa=0.0, nbar=0.5, mbar=0.9),
+    SystemParams(g=0.2, kappa=0.08, delta=0.3, nbar=0.5, mbar=0.9),
+], ids=("kappa-0", "detuned"))
+def test_stacked_point_matches_the_closed_forms(monkeypatch, params):
+    g00, g01 = halves(stacked_generator(monkeypatch, params, 30, 3.0), 30)
+    # the halves differ in the jump entries alone, and kappa = 0 has none
+    jumps = (g00 - g01).tocsr()
+    jumps.eliminate_zeros()
+    assert jumps.nnz == (0 if params.kappa == 0.0 else 2 * 29 * 29)
+    rep = compare_point(params, QubitInitState.balanced(), OracleConfig(), 3.0)
+    assert rep["rhs_evals"] > 0
+    assert max(v for k, v in rep.items() if k.startswith("dev_")) < 1e-8
+
+
+def test_displaced_offdiagonal_parts_share_one_solve(monkeypatch):
+    p = SystemParams(g=0.18, kappa=0.07, delta=0.3, nbar=0.3, mbar=0.6)
+    ops = build_operators(30, p)
+    init = displaced_thermal_block(30, 0.6, 0.4, -0.3, "01")
+    solves, real = [], fock.solve_ivp
+
+    def counting(gen, v0, t):
+        solves.append(gen.shape)
+        return real(gen, v0, t)
+
+    monkeypatch.setattr(fock, "solve_ivp", counting)
+    out = evolve_block(init, ops, 4.0)
+    assert solves == [(2 * 900, 2 * 900)] and out.rhs_evals > 0
+    # each Hermitian part of Y = rho_01 P on its own under G01
+    y0 = init.entries * (-1.0) ** np.arange(30)
+    want = np.zeros((30, 30), dtype=complex)
+    for weight, part in ((1.0, 0.5 * (y0 + y0.conj().T)),
+                         (1j, -0.5j * (y0 - y0.conj().T))):
+        sol = real(generator(ops, "01"), fock._pack_hermitian(part), 4.0)
+        want += weight * fock._unpack_hermitian(sol.y, 30)
+    want *= (-1.0) ** np.arange(30) * np.exp(-1j * p.delta * 4.0)
+    assert np.max(np.abs(out.entries - want)) < 1e-9
 
 
 def test_solve_memo_misses_on_any_other_problem():
@@ -408,6 +551,8 @@ def test_solve_memo_misses_on_any_other_problem():
     assert again.rhs_evals == 0 and np.array_equal(again.entries, first.entries)
     # another t, another start, another OperatorSet: each one integrates
     assert evolve_block(init, ops, 2.5).rhs_evals > 0
+    # the memo keeps the latest t only, so a long-lived ops does not grow
+    assert [key[0] for key in ops._memo] == [2.5]
     assert evolve_block(displaced_thermal_block(30, 0.7, 0.0, 0.0), ops,
                         2.5).rhs_evals > 0
     fresh = evolve_block(init, build_operators(30, p), 3.0)
