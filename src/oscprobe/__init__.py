@@ -24,10 +24,9 @@ _EXPORTS = {
                  "fidelity_uj_blocks", "fidelity_uj_gaussian",
                  "fidelity_uj_limit", "purity_oscillator", "purity_qubit"),
     "fock": ("BlockDensityMatrix", "OracleConfig", "build_operators",
-             "chord_from_matrix", "compare_point", "default_dim",
-             "displaced_thermal_block", "evolve_block", "evolve_thermal_blocks",
-             "reduced_quantities", "sample_comparison_points", "uhlmann_fidelity",
-             "wigner_grid_from_matrix"),
+             "compare_point", "default_dim", "displaced_thermal_block",
+             "evolve_block", "evolve_thermal_blocks", "reduced_quantities",
+             "sample_comparison_points", "uhlmann_fidelity"),
     "phase_space": ("Covariance2", "GaussianState", "PhaseVector",
                     "QubitInitState", "SystemParams", "chord_eval",
                     "occupation_from_temperature", "wigner_eval"),

@@ -50,7 +50,7 @@ from .propagator import (coherence_trace, displacement_vector,
                          reduced_wigner_grid, wigner_lobe_centers)
 
 MAX_GRID_POINTS = 10_000_000
-MAX_ORACLE_POINTS = 10_000  # random oracle points, ~65 ms of solve (~75 ms in all) each
+MAX_ORACLE_POINTS = 10_000  # random oracle points, ~37 ms of solve (~47 ms in all) each
 # pass bound of the oracle report on each deviation
 ORACLE_TOLERANCES = {"dev_fgen": 1e-6, "dev_fuj": 1e-5, "dev_coherence": 1e-6,
                      "dev_purity_qubit": 1e-6, "dev_purity_oscillator": 1e-6}
@@ -133,8 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=None,
                    help="fixed number-basis size; by default each point is "
                         "sized from a closed-form bound on its tail and "
-                        "doubled (at most twice) if the leak guard trips; "
-                        f"at most {MAX_DIM}")
+                        "doubled (at most twice) if the level guard trips; "
+                        "either way the coherence band |m - n| <= K it "
+                        "integrates is sized per point and K doubled, up to "
+                        f"dim - 1, if the band guard trips; at most {MAX_DIM}")
     p.add_argument("--output", type=str, default="oracle_report.json")
     _add_common_flags(p)
 
@@ -378,8 +380,9 @@ def cmd_oracle(args) -> int:
     for i, (params, t) in enumerate(points, 1):
         start = time.perf_counter()
         row = compare_point(params, qubit, config, t)
-        log.append(f"oracle point {i}/{len(points)}: dim {row['dim']}, dims tried "
-                   f"{row['dims_tried']}, rhs_evals {row['rhs_evals']}, "
+        log.append(f"oracle point {i}/{len(points)}: dim {row['dim']}, band "
+                   f"{row['band']}, dims tried {row['dims_tried']}, rhs_evals "
+                   f"{row['rhs_evals']}, "
                    f"{1e3 * (time.perf_counter() - start):.1f} ms")
         results.append({**row, **asdict(params)})
     maxdev = {k: max(row[k] for row in results) for k in ORACLE_TOLERANCES}

@@ -13,14 +13,16 @@ class TruncationLeakError(OscprobeError):
     """Truncated number basis is too small for the requested state or evolution.
 
     Carries ``suggested_dim``, a basis size expected to pass the leak check,
-    and ``weight``, the relative top-level weight that tripped it.
+    ``weight``, the relative top-level or band-edge weight that tripped it,
+    and, for a band leak, ``suggested_band``, a wider band at the same dim.
     """
 
     def __init__(self, message: str, suggested_dim: int | None = None,
-                 weight: float | None = None):
+                 weight: float | None = None, suggested_band: int | None = None):
         super().__init__(message)
         self.suggested_dim = suggested_dim
         self.weight = weight
+        self.suggested_band = suggested_band
 
 
 class DegenerateInputError(OscprobeError, ValueError):

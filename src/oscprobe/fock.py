@@ -1,8 +1,8 @@
 """Truncated number-basis oracle for the qubit-conditioned oscillator blocks.
 
 Integrates the block master equations directly in a truncated Fock basis and
-re-derives every observable (chord values, Wigner grids, fidelities,
-purities) from the raw density matrices, independently of the closed forms.
+re-derives the coherence, the fidelities and the purities from the raw
+density matrices, independently of the closed forms.
 
 Vectorization is row-major: vec(A rho B) = (A kron B^T) vec(rho).
 
@@ -27,7 +27,11 @@ Y(t) P exp(-i delta t). A thermal Y0 is Hermitian; any other runs as its
 two Hermitian parts. The parts of a point run as one real system under
 block_diag of their generators (OperatorSet._solve), and a parity-even 11
 start (every thermal one) is the 00 part: a thermal point is one solve of
-[vec R00; vec R01]. The stage sums are compiled loops, not
+[vec R00; vec R01]. A point integrates only the entries |m - n| <= K of
+vec R, the coherence band its blocks populate (K from _sized_band), under
+the band rows and columns of G, a set S maps to itself; a band guard refuses
+a block with more than LEAK_TOL of its largest entry on the band edge, as the
+level guard does on the top level. The stage sums are compiled loops, not
 threaded-BLAS products, so the integration runs on one core and leaves no
 BLAS worker spinning between steps; neither do the starts
 (`_displaced_thermal`) or the Uhlmann readout (`uhlmann_fidelity`). The one
@@ -47,7 +51,7 @@ import numpy as np
 
 from .errors import TruncationLeakError, ValidationError
 from .fidelity import _curve_columns
-from .phase_space import GaussianState, QubitInitState, SystemParams, as_points
+from .phase_space import GaussianState, QubitInitState, SystemParams
 from .propagator import coherence_trace
 
 if TYPE_CHECKING:
@@ -143,6 +147,14 @@ def _displaced_thermal(dim: int, occ: float, alpha: float) -> np.ndarray:
     return rho
 
 
+def _bounds(params: SystemParams) -> tuple:
+    """The bounding Gaussians' occupations, 0 and max(mbar, nbar), and the
+    drift bound 2g/sqrt(1 + kappa^2) as _displaced_thermal's real alpha."""
+    kappa = params.kappa
+    return ((0.0, max(params.mbar, params.nbar)),
+            math.sqrt(2.0) * abs(params.g) / math.sqrt(1.0 + kappa * kappa))
+
+
 def default_dim(params: SystemParams) -> int:
     """Smallest basis at which the bounding Gaussians' tails stay below SIZING_TOL.
 
@@ -157,10 +169,26 @@ def default_dim(params: SystemParams) -> int:
     evolved block. Raises ValidationError rather than build a basis above
     MAX_DIM.
     """
-    kappa = params.kappa
-    alpha = math.sqrt(2.0) * abs(params.g) / math.sqrt(1.0 + kappa * kappa)
-    return max(_sized_dim(occ, alpha)
-               for occ in (0.0, max(params.mbar, params.nbar)))
+    occs, alpha = _bounds(params)
+    return max(_sized_dim(occ, alpha) for occ in occs)
+
+
+def _sized_band(params: SystemParams, dim: int) -> int:
+    """Band half-width K of a point at dim: the coherence orders |m - n| <= K kept.
+
+    A displaced thermal state's entries fall off with |m - n| (Cahill &
+    Glauber 1969). default_dim's bounding Gaussians, displaced by twice the
+    drift bound (the 00-11 center separation, which also bounds the 01
+    block), are built at dim; K is one more than the largest |m - n| at which
+    either has an entry >= SIZING_TOL of its largest, at most dim - 1.
+    """
+    occs, alpha = _bounds(params)
+    widest = 0
+    for occ in occs:
+        rho = _displaced_thermal(dim, occ, 2.0 * alpha)  # every entry >= 0
+        m, n = np.nonzero(rho >= SIZING_TOL * rho.max())
+        widest = max(widest, int(np.max(np.abs(m - n))))
+    return min(widest + 1, dim - 1)
 
 
 def _sized_dim(occ: float, alpha: float) -> int:
@@ -209,13 +237,34 @@ def _check_leak(entries: np.ndarray, dim: int, stage: str) -> None:
 @dataclass(frozen=True)
 class OperatorSet:
     """The generators of one point at dim, assembled from index arithmetic on
-    (m, n) with no Kronecker product (G00 and G01 kept once built), and its
+    (m, n) with no Kronecker product (G00 and G01 kept once built) and acting
+    on the band |m - n| <= band of vec R (band dim - 1: every entry), and its
     solve memo."""
 
     dim: int
     params: SystemParams
+    band: int
     # (t, generator key, packed start bytes) -> end state, None while queued
     _memo: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @functools.cached_property
+    def _index(self):
+        """The band's positions in vec R, in order (all of them: a full slice)."""
+        level = np.arange(self.dim)
+        inner = abs(level[:, None] - level) <= self.band
+        return slice(None) if inner.all() else np.flatnonzero(inner)
+
+    def _check_band(self, entries: np.ndarray, stage: str) -> None:
+        """Refuse more than LEAK_TOL of the largest entry on the band edge
+        |m - n| = band or beyond it; the full band has no edge."""
+        level, mag = np.arange(self.dim), np.abs(entries)
+        edge = mag[abs(level[:, None] - level) >= self.band]
+        w = float(edge.max() / max(mag.max(), 1e-300))
+        if w > LEAK_TOL and self.band < self.dim - 1:
+            raise TruncationLeakError(
+                f"band-edge weight {w:.3g} > {LEAK_TOL:g} in {stage} at band "
+                f"{self.band}, dim {self.dim}", suggested_dim=self.dim, weight=w,
+                suggested_band=min(max(2 * self.band, 1), self.dim - 1))
 
     def _stencil(self, terms) -> sp.csr_matrix:
         """dim^2 x dim^2 CSR matrix with coef[m, n] at (vec (m, n), vec (m + dm, n + dn)).
@@ -268,7 +317,9 @@ class OperatorSet:
     def _generators(self) -> dict:
         g00 = _hermitian_generator(self.liouvillian("00"), self.dim)
         # the jump terms are real, so they are their own real generator
-        return {"00": g00, "01": g00 - 2.0 * self._stencil(self._ladder[3])}
+        gens = {"00": g00, "01": g00 - 2.0 * self._stencil(self._ladder[3])}
+        # S maps the band to itself, so G on the band is its band rows and columns
+        return {key: g[self._index][:, self._index] for key, g in gens.items()}
 
     def _solve(self, parts, t: float, run: bool = True) -> tuple[list, int, int]:
         """Queue (generator key, packed start) parts for t; if run, their end states.
@@ -285,7 +336,8 @@ class OperatorSet:
         if not (run and pending):
             return [memo[key] for key in keys], 0, 0
         import scipy.sparse as sp
-        size, gens = self.dim ** 2, [self._generators[key[1]] for key in pending]
+        gens = [self._generators[key[1]] for key in pending]
+        size = gens[0].shape[0]
         # block_diag(gens): each generator's rows, its columns shifted to its block
         gen = sp.vstack([sp.csr_matrix((g.data, g.indices + i * size, g.indptr),
                                        shape=(size, len(gens) * size))
@@ -295,11 +347,13 @@ class OperatorSet:
         return [memo[key] for key in keys], sol.nfev, sol.rejected_steps
 
 
-def build_operators(dim: int, params: SystemParams) -> OperatorSet:
-    """The operator set of params at dim >= 2."""
-    if dim < 2:
-        raise ValidationError("dim must be >= 2")
-    return OperatorSet(dim, params)
+def build_operators(dim: int, params: SystemParams,
+                    band: int | None = None) -> OperatorSet:
+    """The operator set of params at dim >= 2 on the band |m - n| <= band, by
+    default the full band dim - 1."""
+    if dim < 2 or not (band is None or 0 <= band < dim):
+        raise ValidationError("dim must be >= 2 and band in [0, dim - 1]")
+    return OperatorSet(dim, params, dim - 1 if band is None else band)
 
 
 def displaced_thermal_block(dim: int, mbar: float, q0: float, p0: float,
@@ -324,9 +378,12 @@ def _pack_hermitian(entries: np.ndarray) -> np.ndarray:
     return (entries.real + entries.imag).ravel()
 
 
-def _unpack_hermitian(v: np.ndarray, dim: int) -> np.ndarray:
-    """The exactly Hermitian (R + R^T)/2 + i (R - R^T)/2 from vec R."""
-    r = v.reshape(dim, dim)
+def _unpack_hermitian(v: np.ndarray, dim: int, index=slice(None)) -> np.ndarray:
+    """The exactly Hermitian (R + R^T)/2 + i (R - R^T)/2 from vec R at index
+    (0 elsewhere)."""
+    r = np.zeros(dim * dim)
+    r[index] = v
+    r = r.reshape(dim, dim)
     return 0.5 * (r + r.T) + 0.5j * (r - r.T)
 
 
@@ -397,10 +454,11 @@ def solve_ivp(gen, v0: np.ndarray, t: float) -> Integration:
     return result
 
 
-def _packed_parts(init: BlockDensityMatrix) -> tuple:
+def _packed_parts(init: BlockDensityMatrix, index=slice(None)) -> tuple:
     """(left, right, weights, parts): X = left * rho * right is rho_00, P rho_11 P
     or Y = rho_01 P, the sum of weight * part over the (generator key, packed
-    part) parts: X under "00", or Y's nonzero Hermitian parts under "01"."""
+    part) parts: X under "00", or Y's nonzero Hermitian parts under "01",
+    each packed at the band positions index."""
     parity = (-1.0) ** np.arange(init.dim)
     left = parity[:, None] if init.block == "11" else 1.0
     right = 1.0 if init.block == "00" else parity
@@ -411,7 +469,8 @@ def _packed_parts(init: BlockDensityMatrix) -> tuple:
         # Y0 = A + iB with A, B Hermitian; a thermal start has B = 0
         parts = [(1.0, "01", 0.5 * (x0 + x0.conj().T)),
                  (1j, "01", -0.5j * (x0 - x0.conj().T))]
-    kept = [(w, (key, _pack_hermitian(part))) for w, key, part in parts if part.any()]
+    kept = [(w, (key, _pack_hermitian(part)[index])) for w, key, part in parts
+            if part.any()]
     return left, right, [w for w, _ in kept], [part for _, part in kept]
 
 
@@ -437,85 +496,19 @@ def evolve_block(init: BlockDensityMatrix, ops: OperatorSet,
     if init.block in _HERMITIAN_BLOCKS:
         _check_hermitian(init.entries, init.block)
     _check_leak(init.entries, dim, "initial state")
+    ops._check_band(init.entries, "initial state")
     if t == 0.0:
         return BlockDensityMatrix(dim, init.entries.copy(), init.block)
-    left, right, weights, parts = _packed_parts(init)
+    left, right, weights, parts = _packed_parts(init, ops._index)
     ends, nfev, rejected = ops._solve(parts, t)
-    out = sum((w * _unpack_hermitian(y, dim) for w, y in zip(weights, ends)),
-              np.zeros((dim, dim), dtype=complex))
+    out = sum((w * _unpack_hermitian(y, dim, ops._index)
+               for w, y in zip(weights, ends)), np.zeros((dim, dim), dtype=complex))
     out = left * out * right
     if init.block == "01":
         out *= np.exp(-1j * ops.params.delta * t)
     _check_leak(out, dim, f"evolved {init.block} block")
+    ops._check_band(out, f"evolved {init.block} block")
     return BlockDensityMatrix(dim, out, init.block, nfev, rejected)
-
-
-def chord_from_matrix(rho, r) -> complex:
-    """Chord value Tr[rho exp(i(k x + s p))] from a raw density matrix."""
-    entries = rho.entries if isinstance(rho, BlockDensityMatrix) else np.asarray(rho)
-    dim = entries.shape[0]
-    rv = as_points(r)
-    if rv.shape != (2,):
-        raise ValidationError(f"expected one point, got shape {rv.shape}")
-    rootn = np.sqrt(np.arange(1, dim))
-    a = np.diag(rootn, 1)
-    x = (a + a.conj().T) / math.sqrt(2.0)
-    p = -1j * (a - a.conj().T) / math.sqrt(2.0)
-    lam, vecs = np.linalg.eigh(rv[0] * x + rv[1] * p)
-    u = (vecs * np.exp(1j * lam)) @ vecs.conj().T
-    return complex(np.einsum("ij,ji->", entries, u))
-
-
-def _eigenfunction_matrix(dim: int, x) -> np.ndarray:
-    """Oscillator eigenfunctions psi_n(x) by upward recurrence, shape (dim, len(x))."""
-    x = np.asarray(x, dtype=float)
-    psi = np.empty((dim, x.size))
-    psi[0] = math.pi ** -0.25 * np.exp(-0.5 * x * x)
-    if dim > 1:
-        psi[1] = math.sqrt(2.0) * x * psi[0]
-    for n in range(2, dim):
-        psi[n] = (math.sqrt(2.0 / n) * x * psi[n - 1]
-                  - math.sqrt((n - 1.0) / n) * psi[n - 2])
-    return psi
-
-
-def wigner_grid_from_matrix(rho, qs, ps) -> np.ndarray:
-    """Wigner values on a (q, p) grid from a raw number-basis matrix.
-
-    Evaluates W(q, p) = (1/pi) integral dy <q+y|rho|q-y> exp(-2ipy) with
-    exact eigenfunctions on a shared position grid, so accuracy is set by
-    quadrature alone and holds at any truncation dim. qs must be uniformly
-    spaced. Returns shape (len(ps), len(qs)) with W[j, i] = W(qs[i], ps[j]),
-    matching the analytic grid convention (q varies fastest on a C-order
-    flatten).
-    """
-    entries = rho.entries if isinstance(rho, BlockDensityMatrix) else np.asarray(rho)
-    dim = entries.shape[0]
-    qs = np.asarray(qs, dtype=float)
-    ps = np.asarray(ps, dtype=float)
-    if qs.size > 1:
-        dq = np.diff(qs)
-        if np.max(np.abs(dq - dq[0])) > 1e-9 * max(1.0, abs(dq[0])):
-            raise ValidationError("qs must be uniformly spaced")
-        hq = float(dq[0])
-    else:
-        hq = 0.05
-    # highest occupied level sets the spatial support and momentum content
-    x_max = math.sqrt(2.0 * dim + 1.0) + 4.0
-    p_max = float(np.max(np.abs(ps))) if ps.size else 0.0
-    h_target = min(hq, math.pi / (5.0 * (math.sqrt(2.0 * dim + 1.0) + p_max)))
-    h = hq / math.ceil(hq / h_target)  # divides hq so q +- y stays on nodes
-    ny = int(math.ceil(x_max / h))
-    ys = h * np.arange(-ny, ny + 1)
-    nodes = qs[0] + h * np.arange(-ny, round(hq / h) * (qs.size - 1) + ny + 1)
-    psi = _eigenfunction_matrix(dim, nodes)
-    density = psi.T @ (entries @ psi)  # <x|rho|x'> on the node grid
-    idx_q = int(round(hq / h)) * np.arange(qs.size) + ny
-    idx_y = np.arange(-ny, ny + 1)
-    kern = density[idx_q[:, None] + idx_y[None, :],
-                   idx_q[:, None] - idx_y[None, :]]
-    phases = np.exp(-2j * ys[:, None] * ps[None, :])
-    return (kern @ phases).T.real * (h / math.pi)
 
 
 def uhlmann_fidelity(rho1, rho2) -> float:
@@ -565,30 +558,40 @@ def evolve_thermal_blocks(params: SystemParams, config: OracleConfig,
     """Evolve all three blocks from the thermal start given by params.mbar.
 
     With config.dim None, starts from default_dim and doubles it (at most
-    twice, and never past MAX_DIM) whenever the truncation guard trips.
-    Returns the blocks under "00", "11" and "01", the dim that held under
-    "dim", every dim attempted, in order, under "dims_tried", and the tail
-    weight that rejected each dim but the last under "leak_weights".
+    twice, and never past MAX_DIM) whenever the level guard trips. Integrates
+    the band of _sized_band, doubled at the same dim (up to the full band,
+    also at a fixed dim) whenever the band guard trips. Returns the blocks
+    under "00", "11" and "01", the dim and band that held under "dim" and
+    "band", every dim and band attempted, in order, under "dims_tried" and
+    "bands_tried", and the weight that rejected each attempt but the last
+    under "leak_weights".
     """
     dim = config.dim if config.dim is not None else default_dim(params)
-    dims_tried, leak_weights = [], []
+    band = _sized_band(params, dim)
+    dims_tried, bands_tried, leak_weights = [], [], []
     while True:
         dims_tried.append(dim)
+        bands_tried.append(band)
         try:
-            ops = build_operators(dim, params)
-            starts = [displaced_thermal_block(dim, params.mbar, 0.0, 0.0, block)
-                      for block in _BLOCKS]
+            ops = build_operators(dim, params, band)
+            start = displaced_thermal_block(dim, params.mbar, 0.0, 0.0)
+            starts = [BlockDensityMatrix(dim, start.entries, b) for b in _BLOCKS]
             # queued, so the first evolve_block solves all three blocks at once
-            ops._solve([p for s in starts for p in _packed_parts(s)[3]], t, run=False)
+            ops._solve([p for s in starts for p in _packed_parts(s, ops._index)[3]],
+                       t, run=False)
             out = {start.block: evolve_block(start, ops, t) for start in starts}
-            return {**out, "dim": dim, "dims_tried": dims_tried,
-                    "leak_weights": leak_weights}
+            return {**out, "dim": dim, "band": band, "dims_tried": dims_tried,
+                    "bands_tried": bands_tried, "leak_weights": leak_weights}
         except TruncationLeakError as err:
-            if (config.dim is not None or len(dims_tried) == 3
-                    or 2 * dim > MAX_DIM):
+            if err.suggested_band is not None:
+                band = err.suggested_band
+            elif (config.dim is not None or len(set(dims_tried)) == 3
+                  or 2 * dim > MAX_DIM):
                 raise
+            else:
+                dim *= 2
+                band = max(band, _sized_band(params, dim))
             leak_weights.append(err.weight)
-            dim *= 2
 
 
 def sample_comparison_points(n: int, seed: int, t_max: float = 20.0,
@@ -614,11 +617,13 @@ def compare_point(params: SystemParams, qubit: QubitInitState,
                   config: OracleConfig, t: float) -> dict:
     """Oracle-vs-closed-form deviations for every observable at one point.
 
-    Besides the dev_* deviations, reports the dim used, every dim tried
-    (dims_tried), the number of leak-guard retries (leak_retries), the tail
-    weight behind each retry (leak_weights, one per dims_tried[:-1]), and the
-    RHS evaluations and rejected steps of the point's one stacked solve, whose
-    generator is 2 dim^2 square (rhs_evals, rejected_steps; 0 at t = 0).
+    Besides the dev_* deviations, reports the dim and band used, every dim
+    and band tried (dims_tried, bands_tried, one entry per attempt), the
+    number of level- and band-guard retries (leak_retries), the weight behind
+    each retry (leak_weights, one per dims_tried[:-1]), and the RHS
+    evaluations and rejected steps of the point's one stacked solve, whose
+    generator is twice the band's entry count square (rhs_evals,
+    rejected_steps; 0 at t = 0).
     """
     blocks = evolve_thermal_blocks(params, config, t)
     init = GaussianState.thermal(params.mbar)
@@ -629,7 +634,9 @@ def compare_point(params: SystemParams, qubit: QubitInitState,
     return {
         "t": t,
         "dim": blocks["dim"],
+        "band": blocks["band"],
         "dims_tried": blocks["dims_tried"],
+        "bands_tried": blocks["bands_tried"],
         "leak_retries": len(blocks["dims_tried"]) - 1,
         "leak_weights": blocks["leak_weights"],
         "rhs_evals": sum(blocks[b].rhs_evals for b in _BLOCKS),

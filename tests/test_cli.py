@@ -222,6 +222,7 @@ def test_oracle_random_mode(tmp_path):
     assert "method" not in report
     assert report["points"][0]["dev_fgen"] < 1e-6
     assert report["points"][0]["dims_tried"] == [report["points"][0]["dim"]]
+    assert report["points"][0]["bands_tried"] == [report["points"][0]["band"]]
     assert report["points"][0]["leak_retries"] == 0
     assert report["points"][0]["leak_weights"] == []
 
@@ -248,8 +249,8 @@ def test_oracle_prints_one_stderr_line_per_completed_point(tmp_path, capsys):
     assert len(lines) == 3 and len(out.out.splitlines()) == 1
     for i, (line, pt) in enumerate(zip(lines, report["points"]), 1):
         head, _, wall = line.rpartition(", ")
-        assert head == (f"oracle point {i}/3: dim {pt['dim']}, dims tried "
-                        f"{pt['dims_tried']}, rhs_evals {pt['rhs_evals']}")
+        assert head == (f"oracle point {i}/3: dim {pt['dim']}, band {pt['band']}, "
+                        f"dims tried {pt['dims_tried']}, rhs_evals {pt['rhs_evals']}")
         assert wall.endswith(" ms") and float(wall[:-3]) >= 0.0
     # the timings stay out of the report
     assert not any("wall" in key or key.endswith("_ms")

@@ -10,14 +10,14 @@ import pytest
 from oscprobe import (BlockDensityMatrix, GaussianState, OracleConfig,
                       PhaseVector, SystemParams, TruncationLeakError,
                       ValidationError, build_operators, chord_eval,
-                      chord_from_matrix, coherence_trace, compare_point,
-                      default_dim, displaced_thermal_block, evolve_block,
+                      coherence_trace, compare_point, default_dim,
+                      displaced_thermal_block, evolve_block,
                       evolve_thermal_blocks, fidelity_uj_gaussian,
-                      sample_comparison_points, uhlmann_fidelity,
-                      wigner_grid_from_matrix)
+                      sample_comparison_points, uhlmann_fidelity)
 from oscprobe import fock
 from oscprobe.fock import SIZING_TOL, _displaced_thermal, _tail_weights
 from oscprobe.phase_space import Covariance2, QubitInitState
+from readouts import chord_from_matrix, wigner_grid_from_matrix
 
 
 def number_expectation(block):
@@ -138,6 +138,15 @@ def test_default_dim_of_the_oracle_sweep_points():
         48, 30, 47, 48, 50, 46, 37, 26, 49, 33, 42, 27]
 
 
+def test_band_of_the_oracle_sweep_points():
+    # sizing only: a change that widens (or narrows) a band fails here first
+    points = (sample_comparison_points(20, seed=20260819, t_max=20.0)
+              + sample_comparison_points(4, seed=1, t_max=20.0, delta=0.3))
+    assert [fock._sized_band(p, default_dim(p)) for p, _ in points] == [
+        11, 9, 13, 13, 14, 16, 11, 5, 13, 7, 8, 17,
+        6, 13, 7, 10, 12, 13, 10, 11, 13, 14, 10, 13]
+
+
 def test_diag_evolution_preserves_trace_and_hermiticity():
     p = SystemParams(g=0.2, kappa=0.12, nbar=0.5, mbar=1.0)
     ops = build_operators(45, p)
@@ -249,8 +258,20 @@ def generator(ops, block):
     return fock._hermitian_generator(liou, ops.dim)
 
 
+def band_index(dim, band):
+    """Positions of the entries |m - n| <= band in row-major vec rho."""
+    level = np.arange(dim)
+    return np.flatnonzero(np.abs(level[:, None] - level) <= band)
+
+
+def on_band(gen, dim, band):
+    """A dim^2 x dim^2 generator's rows and columns at the band's entries, dense."""
+    idx = band_index(dim, band)
+    return gen.toarray()[np.ix_(idx, idx)]
+
+
 def stacked_generator(monkeypatch, params, dim, t=1.0):
-    """The generator of the one solve a thermal point runs at dim."""
+    """(generator, band) of the one solve a thermal point runs at dim."""
     solves, real = [], fock.solve_ivp
 
     def capture(gen, v0, t):
@@ -259,14 +280,15 @@ def stacked_generator(monkeypatch, params, dim, t=1.0):
 
     with monkeypatch.context() as patched:
         patched.setattr(fock, "solve_ivp", capture)
-        evolve_thermal_blocks(params, OracleConfig(dim=dim), t)
+        band = evolve_thermal_blocks(params, OracleConfig(dim=dim), t)["band"]
     (gen,) = solves
-    return gen
+    return gen, band
 
 
-def halves(gen, dim):
-    """(G00, G01) of a stacked generator, after checking nothing couples them."""
-    n = dim * dim
+def halves(gen, dim, band):
+    """(G00, G01) of a stacked generator on a band, after checking its shape
+    and that nothing couples them."""
+    n = band_index(dim, band).size
     assert gen.shape == (2 * n, 2 * n)
     assert gen[:n, n:].nnz == 0 and gen[n:, :n].nnz == 0
     return gen[:n, :n], gen[n:, n:]
@@ -317,21 +339,24 @@ def test_real_generator_acts_as_the_liouvillian(monkeypatch, block):
     assert fock._hermitian_generator(liou, 20).dtype == float
     assert (liou != kept).nnz == 0
     # a thermal point's one solve runs G00 on its first half and G01 on its
-    # second, each equal to the reference's, to roundoff
-    gen = halves(stacked_generator(monkeypatch, p, 20), 20)[block == "01"]
-    want_gen = generator(ops, block)
-    assert np.max(np.abs((gen - want_gen).data), initial=0.0) <= 1e-15 * np.max(
-        np.abs(want_gen.data))
+    # second, each the reference's on the point's band, to roundoff
+    stacked, band = stacked_generator(monkeypatch, p, 20)
+    assert band < 19
+    gen = halves(stacked, 20, band)[block == "01"]
+    want_gen = on_band(generator(ops, block), 20, band)
+    assert np.max(np.abs(gen.toarray() - want_gen)) <= 1e-15 * np.max(np.abs(want_gen))
     # 11 carries X = P rho P: dX/dt = P (L rho) P; 01 carries Y = rho P:
-    # dY/dt = (L rho + i delta rho) P
+    # dY/dt = (L rho + i delta rho) P; on the band, for an X inside it
     left, right = parity_sides(20, block)
     shift = 1j * p.delta if block == "01" else 0.0
+    idx = band_index(20, band)
+    inside = np.abs(np.subtract.outer(np.arange(20), np.arange(20))) <= band
     for _ in range(3):
-        x = random_hermitian(rng, 20)
+        x = random_hermitian(rng, 20) * inside
         rho = left * x * right
         drho = (liou @ rho.reshape(-1)).reshape(20, 20) + shift * rho
-        want = fock._pack_hermitian(left * drho * right)
-        got = fock._rhs(0.0, fock._pack_hermitian(x), gen)
+        want = fock._pack_hermitian(left * drho * right)[idx]
+        got = fock._rhs(0.0, fock._pack_hermitian(x)[idx], gen)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -480,7 +505,8 @@ def test_thermal_point_solves_two_blocks(monkeypatch):
         p = SystemParams(g=0.2, kappa=0.08, delta=delta, nbar=0.5, mbar=0.9)
         solves.clear()
         rep = compare_point(p, QubitInitState.balanced(), OracleConfig(), 3.0)
-        assert solves == [(2 * rep["dim"] ** 2,) * 2]
+        assert rep["band"] < rep["dim"] - 1
+        assert solves == [(2 * band_index(rep["dim"], rep["band"]).size,) * 2]
         assert rep["rhs_evals"] > 0
         assert max(v for k, v in rep.items() if k.startswith("dev_")) < 1e-8
     blocks = evolve_thermal_blocks(p, OracleConfig(dim=30), 3.0)
@@ -507,14 +533,122 @@ def test_point_at_time_zero_runs_no_solve(monkeypatch):
     SystemParams(g=0.2, kappa=0.08, delta=0.3, nbar=0.5, mbar=0.9),
 ], ids=("kappa-0", "detuned"))
 def test_stacked_point_matches_the_closed_forms(monkeypatch, params):
-    g00, g01 = halves(stacked_generator(monkeypatch, params, 30, 3.0), 30)
-    # the halves differ in the jump entries alone, and kappa = 0 has none
+    stacked, band = stacked_generator(monkeypatch, params, 30, 3.0)
+    g00, g01 = halves(stacked, 30, band)
+    # the halves differ in the jump entries alone, and kappa = 0 has none;
+    # the down and the up jumps each fill the band of the lower 29 levels
     jumps = (g00 - g01).tocsr()
     jumps.eliminate_zeros()
-    assert jumps.nnz == (0 if params.kappa == 0.0 else 2 * 29 * 29)
+    assert jumps.nnz == (0 if params.kappa == 0.0 else 2 * band_index(29, band).size)
     rep = compare_point(params, QubitInitState.balanced(), OracleConfig(), 3.0)
     assert rep["rhs_evals"] > 0
     assert max(v for k, v in rep.items() if k.startswith("dev_")) < 1e-8
+
+
+@pytest.mark.parametrize("band", [0, 3, None], ids=("K-0", "K-3", "K-full"))
+@pytest.mark.parametrize("dim", [2, 7, 20])
+def test_banded_generators_are_the_reference_on_the_band(dim, band):
+    # rows and columns both restricted: the band is closed under S (m <-> n)
+    p = SystemParams(g=0.21, kappa=0.09, delta=0.3, nbar=0.7)
+    band = dim - 1 if band is None else min(band, dim - 1)
+    ops = build_operators(dim, p, band)
+    n = band_index(dim, band).size
+    for block in ("00", "01"):
+        gen = ops._generators[block]
+        assert gen.shape == (n, n)
+        want = on_band(generator(ops, block), dim, band)
+        assert np.max(np.abs(gen.toarray() - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_full_band_is_the_unrestricted_solve(monkeypatch):
+    # K = dim - 1: the generator and the end state of block_diag(G00, G01) on
+    # every entry, bit for bit, as before there was a band
+    import scipy.sparse as sp
+    p = SystemParams(g=0.2, kappa=0.08, delta=0.3, nbar=0.5, mbar=0.9)
+    ops = build_operators(25, p, 24)
+    g00 = fock._hermitian_generator(ops.liouvillian("00"), 25)
+    want = sp.block_diag((g00, g00 - 2.0 * ops._stencil(ops._ladder[3])), format="csr")
+    starts = [displaced_thermal_block(25, 0.9, 0.0, 0.0, b) for b in ("00", "01")]
+    solves, real = [], fock.solve_ivp
+
+    def capture(gen, v0, t):
+        solves.append(gen)
+        return real(gen, v0, t)
+
+    monkeypatch.setattr(fock, "solve_ivp", capture)
+    ops._solve([part for s in starts for part in fock._packed_parts(s)[3]], 3.0,
+               run=False)
+    out = [evolve_block(s, ops, 3.0) for s in starts]
+    (gen,) = solves
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(gen, attr), getattr(want, attr))
+    sol = real(want, np.concatenate([packed_start(s) for s in starts]), 3.0)
+    x00, y01 = (fock._unpack_hermitian(y, 25) for y in np.split(sol.y, 2))
+    assert np.array_equal(out[0].entries, x00)
+    phase = np.exp(-1j * p.delta * 3.0)
+    assert np.array_equal(out[1].entries, y01 * (-1.0) ** np.arange(25) * phase)
+
+
+@pytest.mark.parametrize("params", [
+    SystemParams(g=0.25, kappa=0.1, nbar=0.8, mbar=0.3),
+    SystemParams(g=0.2, kappa=0.0, nbar=0.5, mbar=0.9),
+    SystemParams(g=0.2, kappa=0.08, delta=0.3, nbar=0.5, mbar=0.9),
+], ids=("damped", "kappa-0", "detuned"))
+def test_banded_point_matches_the_full_band(monkeypatch, params):
+    qubit, t = QubitInitState.balanced(), 6.0
+    banded = compare_point(params, qubit, OracleConfig(), t)
+    tr01 = evolve_thermal_blocks(params, OracleConfig(), t)["01"].trace
+    assert banded["band"] == fock._sized_band(params, banded["dim"]) < banded["dim"] - 1
+    assert banded["bands_tried"] == [banded["band"]] and banded["leak_retries"] == 0
+    monkeypatch.setattr(fock, "_sized_band", lambda p, dim: dim - 1)
+    full = compare_point(params, qubit, OracleConfig(), t)
+    assert full["band"] == full["dim"] - 1 and full["dim"] == banded["dim"]
+    assert abs(evolve_thermal_blocks(params, OracleConfig(), t)["01"].trace
+               - tr01) <= 1e-11
+    for key in banded:
+        if key.startswith("dev_"):
+            assert abs(banded[key] - full[key]) <= 1e-11, key
+
+
+def test_band_guard_widens_a_narrow_band(monkeypatch):
+    p = SystemParams(g=0.25, kappa=0.1, nbar=0.8, mbar=0.3)
+    dim = default_dim(p)
+    init = displaced_thermal_block(dim, p.mbar, 0.0, 0.0)
+    # an evolved block that spreads past |m - n| = 1 trips the band guard
+    with pytest.raises(TruncationLeakError, match=r"band-edge weight .* in evolved "
+                       rf"00 block at band 1, dim {dim}") as exc:
+        evolve_block(init, build_operators(dim, p, 1), 6.0)
+    assert exc.value.weight > fock.LEAK_TOL
+    assert exc.value.suggested_band == 2 and exc.value.suggested_dim == dim
+    # the retry doubles the band at the same dim until it holds
+    monkeypatch.setattr(fock, "_sized_band", lambda params, dim: 1)
+    rep = compare_point(p, QubitInitState.balanced(), OracleConfig(), 6.0)
+    tried = rep["bands_tried"]
+    assert tried[:2] == [1, 2] and tried == [1, *(2 * k for k in tried[:-1])]
+    assert rep["band"] == tried[-1] and rep["dims_tried"] == [dim] * len(tried)
+    assert rep["leak_retries"] == len(rep["leak_weights"]) == len(tried) - 1
+    assert min(rep["leak_weights"]) > fock.LEAK_TOL
+    assert max(v for k, v in rep.items() if k.startswith("dev_")) < 1e-8
+    # also at a fixed dim
+    fixed = compare_point(p, QubitInitState.balanced(), OracleConfig(dim=dim), 6.0)
+    assert fixed["bands_tried"] == tried
+
+
+def test_weight_outside_the_band_is_refused_not_dropped():
+    p = SystemParams(g=0.1, kappa=0.1)
+    ops = build_operators(20, p, 3)
+    entries = displaced_thermal_block(20, 0.2, 0.0, 0.0).entries
+    # a thermal start passes the start checks
+    evolve_block(BlockDensityMatrix(20, entries, "00"), ops, 0.0)
+    # beyond the band edge, not on it: packing would drop it
+    entries[0, 6] = entries[6, 0] = 1e-6
+    for block in ("00", "01"):
+        with pytest.raises(TruncationLeakError, match="band-edge weight .* in "
+                           "initial state at band 3"):
+            evolve_block(BlockDensityMatrix(20, entries, block), ops, 1.0)
+    # a displaced start whose coherences reach past the band is refused too
+    with pytest.raises(TruncationLeakError, match="band-edge weight"):
+        evolve_block(displaced_thermal_block(20, 0.0, 1.0, 0.0), ops, 1.0)
 
 
 def test_displaced_offdiagonal_parts_share_one_solve(monkeypatch):

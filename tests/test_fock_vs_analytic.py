@@ -5,12 +5,12 @@ import pytest
 
 from oscprobe import (GaussianState, OracleConfig, QubitInitState,
                       SystemParams, build_operators, chord_block_offdiag,
-                      chord_eval, chord_from_matrix, compare_point,
-                      diag_block_gaussians, displaced_thermal_block,
-                      displacement_vector, evolve_block, evolve_thermal_blocks,
-                      fundamental_matrix, reduced_wigner_grid,
-                      sample_comparison_points, wigner_grid_from_matrix,
+                      chord_eval, compare_point, diag_block_gaussians,
+                      displaced_thermal_block, displacement_vector,
+                      evolve_block, evolve_thermal_blocks, fundamental_matrix,
+                      reduced_wigner_grid, sample_comparison_points,
                       wigner_lobe_centers)
+from readouts import chord_from_matrix, wigner_grid_from_matrix
 
 QUBIT = QubitInitState.balanced()
 

@@ -8,10 +8,10 @@ import pytest
 from oscprobe import (BlockDensityMatrix, CoherenceSeries, Covariance2,
                       DegenerateInputError, GaussianState, QubitInitState,
                       SystemParams, ValidationError, build_operators,
-                      chord_from_matrix, coherence_trace, displaced_thermal_block,
-                      fit_parameters, fundamental_matrix, reduced_quantities,
-                      synthesize_series, wigner_grid_from_matrix,
-                      wigner_lobe_centers)
+                      coherence_trace, displaced_thermal_block, fit_parameters,
+                      fundamental_matrix, reduced_quantities,
+                      synthesize_series, wigner_lobe_centers)
+from readouts import chord_from_matrix, wigner_grid_from_matrix
 
 P = SystemParams(g=0.1, kappa=0.05, nbar=0.3)
 TS = np.arange(0.05, 10.0, 0.05)
@@ -40,6 +40,8 @@ REFUSALS = {
                        ValidationError, "block must be one of"),
     "operators-dim-1": (lambda: build_operators(1, P),
                         ValidationError, "dim must be >= 2"),
+    "operators-band-past-dim": (lambda: build_operators(4, P, 4),
+                                ValidationError, r"band in \[0, dim - 1\]"),
     "start-negative-mbar": (lambda: displaced_thermal_block(8, -0.1, 0.0, 0.0),
                             ValidationError, "mbar must be >= 0"),
     "chord-two-points": (lambda: chord_from_matrix(VACUUM, [[0.1, 0.0], [0.0, 0.1]]),
