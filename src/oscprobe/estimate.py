@@ -185,18 +185,6 @@ def _jacobian(kern: _Kernel, g: float, kappa: float, M, N: float):
     return np.column_stack([2.0 * g * core, g * g * jk, g * g * kappa * ev])
 
 
-def _phi_prime(u):
-    """d/du of (1 - e^{-u})/u, series-stabilized near u = 0."""
-    u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    small = np.abs(u) < 1e-4
-    us = u[small]
-    out[small] = -0.5 + us / 3.0 - us * us / 8.0 + us ** 3 / 30.0
-    ub = u[~small]
-    out[~small] = (ub * np.exp(-ub) + np.expm1(-ub)) / (ub * ub)
-    return out
-
-
 def _dsq_dkappa(kern: _Kernel, kappa: float):
     """d/dkappa of D on the kernel's grid."""
     t, e, u1 = kern.t, kern(kappa).e, 1.0 + kappa * kappa
@@ -205,12 +193,16 @@ def _dsq_dkappa(kern: _Kernel, kappa: float):
 
 
 def _delta_dkappa(kern: _Kernel, kappa: float):
-    """d/dkappa of E on the kernel's grid."""
+    """d/dkappa of E on the kernel's grid, with phi'(u) = (e^{-u} - phi(u))/u
+    for the kernel's phi = exprel(-u) at u = 2 kappa t (a series below 1e-4)."""
     t, e, u1 = kern.t, kern(kappa).e, 1.0 + kappa * kappa
-    da1 = 2.0 * t * t * _phi_prime(2.0 * kappa * t)
+    bracket, u = kern.bracket(), 2.0 * kappa * t
+    small = np.abs(u) < 1e-4
+    da1 = 2.0 * t * t * np.where(small, -0.5 + u / 3.0 - u * u / 8.0 + u ** 3 / 30.0,
+                                 (e * e - kern.exprel) / np.where(small, 1.0, u))
     dc = 1.0 - t * e * kern.s - e * kern.cos
     dcore = da1 - 2.0 * dc / u1 + 4.0 * kappa * kern.cterm / (u1 * u1)
-    return -8.0 * kappa * kern.bracket() / (u1 * u1) + 4.0 * dcore / u1
+    return -8.0 * kappa * bracket / (u1 * u1) + 4.0 * dcore / u1
 
 
 def _dot(a, b) -> float:

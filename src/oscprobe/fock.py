@@ -24,16 +24,16 @@ For the 01 block, Y = rho_01 P evolves under G01, G00 with its jump terms
 2 down a Y a^dag + 2 up a^dag Y a negated, which preserves Hermiticity;
 the scalar -i delta is left out of the integration: rho_01(t) is
 Y(t) P exp(-i delta t). A thermal Y0 is Hermitian; any other runs as its
-two Hermitian parts. The parts of a point run as one real system under
-block_diag of their generators (OperatorSet._solve), and a parity-even 11
-start (every thermal one) is the 00 part: a thermal point is one solve of
-[vec R00; vec R01]. A point integrates only the entries |m - n| <= K of
-vec R, the coherence band its blocks populate (K from _sized_band), under
-the band rows and columns of G, a set S maps to itself; a band guard refuses
-a block with more than LEAK_TOL of its largest entry on the band edge, as the
-level guard does on the top level. The stage sums are compiled loops, not
-threaded-BLAS products, so the integration runs on one core and leaves no
-BLAS worker spinning between steps; neither do the starts
+two Hermitian parts. A point's parts run as one real system under block_diag
+of their generators (OperatorSet._band_generator reads it off L00's band rows
+in one pass); a parity-even 11 start (every thermal one) is the 00 part: a
+thermal point is one solve of [vec R00; vec R01]. A point integrates only the
+entries |m - n| <= K of vec R, the coherence band its blocks populate (K from
+_sized_band), under the band rows and columns of G, a set S maps to itself; a
+band guard refuses a block with more than LEAK_TOL of its largest entry on
+the band edge, as the level guard does on the top level. The stage sums are
+compiled loops, not threaded-BLAS products, so the integration runs on one
+core and leaves no BLAS worker spinning between steps; neither do the starts
 (`_displaced_thermal`) or the Uhlmann readout (`uhlmann_fidelity`). The one
 solver is cached and not re-entrant. The basis never exceeds MAX_DIM levels.
 """
@@ -237,9 +237,8 @@ def _check_leak(entries: np.ndarray, dim: int, stage: str) -> None:
 @dataclass(frozen=True)
 class OperatorSet:
     """The generators of one point at dim, assembled from index arithmetic on
-    (m, n) with no Kronecker product (G00 and G01 kept once built) and acting
-    on the band |m - n| <= band of vec R (band dim - 1: every entry), and its
-    solve memo."""
+    (m, n) with no Kronecker product and acting on the band |m - n| <= band of
+    vec R (band dim - 1: every entry), and its solve memo."""
 
     dim: int
     params: SystemParams
@@ -248,11 +247,10 @@ class OperatorSet:
     _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @functools.cached_property
-    def _index(self):
-        """The band's positions in vec R, in order (all of them: a full slice)."""
+    def _index(self) -> np.ndarray:
+        """The band's positions in vec R, in order."""
         level = np.arange(self.dim)
-        inner = abs(level[:, None] - level) <= self.band
-        return slice(None) if inner.all() else np.flatnonzero(inner)
+        return np.flatnonzero(abs(level[:, None] - level) <= self.band)
 
     def _check_band(self, entries: np.ndarray, stage: str) -> None:
         """Refuse more than LEAK_TOL of the largest entry on the band edge
@@ -313,13 +311,29 @@ class OperatorSet:
             (1, 0, left * c * upper[:, None]), (-1, 0, left * c * lower[:, None]),
             (0, 1, -right * c * upper), (0, -1, -right * c * lower), *jumps])
 
-    @functools.cached_property
-    def _generators(self) -> dict:
-        g00 = _hermitian_generator(self.liouvillian("00"), self.dim)
-        # the jump terms are real, so they are their own real generator
-        gens = {"00": g00, "01": g00 - 2.0 * self._stencil(self._ladder[3])}
-        # S maps the band to itself, so G on the band is its band rows and columns
-        return {key: g[self._index][:, self._index] for key, g in gens.items()}
+    def _band_generator(self, keys) -> sp.csr_matrix:
+        """block_diag of the real generators keys ("00": G00, "01": G01) on the band,
+        read in one pass off L00's band rows and columns: an entry's real part
+        goes to its column, its imaginary part to the transposed one (G = Re L
+        + (Im L) S; S maps the band to itself); a 01 part negates the jumps
+        (m +- 1, n +- 1), the vec offsets +-(dim + 1). Zero sums are dropped."""
+        import scipy.sparse as sp
+        dim, index, n = self.dim, self._index, self._index.size
+        rows = self.liouvillian("00")[index][:, index]
+        row = np.repeat(np.arange(n), np.diff(rows.indptr))
+        flip = np.where(abs(index[rows.indices] - index[row]) == dim + 1, -1.0, 1.0)
+        transpose = np.searchsorted(index, index % dim * dim + index // dim)
+        # in each row, every entry's real part and then its imaginary part
+        cols = np.stack([rows.indices, transpose[rows.indices]], axis=1).ravel()
+        vals = [np.stack([rows.data.real * (flip if key == "01" else 1.0),
+                          rows.data.imag], axis=1).ravel() for key in keys]
+        shift, size = n * np.arange(len(keys))[:, None], len(keys) * n
+        indptr = np.append(0, np.cumsum(np.tile(2 * np.diff(rows.indptr), len(keys))))
+        gen = sp.csr_matrix((np.ravel(vals), (cols + shift).ravel(), indptr),
+                            shape=(size, size))
+        gen.sum_duplicates()  # sorts each row's columns and adds a column's two terms
+        gen.eliminate_zeros()
+        return gen
 
     def _solve(self, parts, t: float, run: bool = True) -> tuple[list, int, int]:
         """Queue (generator key, packed start) parts for t; if run, their end states.
@@ -335,13 +349,7 @@ class OperatorSet:
         pending = [key for key, y in memo.items() if y is None]
         if not (run and pending):
             return [memo[key] for key in keys], 0, 0
-        import scipy.sparse as sp
-        gens = [self._generators[key[1]] for key in pending]
-        size = gens[0].shape[0]
-        # block_diag(gens): each generator's rows, its columns shifted to its block
-        gen = sp.vstack([sp.csr_matrix((g.data, g.indices + i * size, g.indptr),
-                                       shape=(size, len(gens) * size))
-                         for i, g in enumerate(gens)], format="csr")
+        gen = self._band_generator([key[1] for key in pending])
         sol = solve_ivp(gen, np.concatenate([np.frombuffer(key[2]) for key in pending]), t)
         memo.update(zip(pending, np.split(sol.y, len(pending))))
         return [memo[key] for key in keys], sol.nfev, sol.rejected_steps
@@ -385,23 +393,6 @@ def _unpack_hermitian(v: np.ndarray, dim: int, index=slice(None)) -> np.ndarray:
     r[index] = v
     r = r.reshape(dim, dim)
     return 0.5 * (r + r.T) + 0.5j * (r - r.T)
-
-
-def _hermitian_generator(liou: sp.csr_matrix, dim: int) -> sp.csr_matrix:
-    """G = Re L + (Im L) S, the generator of a Hermitian-preserving L on vec R.
-
-    S permutes vec X to vec X^T, so (Im L) S is Im L with its column indices
-    permuted; zeros of the sum are dropped.
-    """
-    import scipy.sparse as sp
-    transpose = np.arange(dim * dim).reshape(dim, dim).T.ravel()
-    re = sp.csr_matrix((liou.data.real, liou.indices, liou.indptr),
-                       shape=liou.shape)
-    # sort_indices reorders data in place, and .imag is a view of liou's data
-    im = sp.csr_matrix((liou.data.imag.copy(), transpose[liou.indices],
-                        liou.indptr), shape=liou.shape)
-    im.sort_indices()
-    return re + im
 
 
 def _rhs(_t, v, gen):

@@ -80,7 +80,8 @@ class _Kernel:
 
     cos t and sin t are taken once. e = e^{-kappa t}, b = e^2 - 2 e cos t + 1,
     s = sin t - kappa cos t and cterm = kappa + e s are kept for the last kappa
-    only, and the delta bracket is built on first request.
+    only; the delta bracket, and the exprel(-2 kappa t) it reads, are built on
+    first request.
     """
 
     def __init__(self, t):
@@ -101,8 +102,8 @@ class _Kernel:
         """(1 + k^2) delta / (4 g^2); t exprel(-2kt) = (1 - e^{-2kt}) / (2k)."""
         if self._bracket is None:
             t, k = self.t, self.kappa
-            self._bracket = (t * _exprel(-2.0 * k * t)
-                             - 2.0 * self.cterm / (1.0 + k * k) + t)
+            self.exprel = _exprel(-2.0 * k * t)
+            self._bracket = t * self.exprel - 2.0 * self.cterm / (1.0 + k * k) + t
         return self._bracket
 
 

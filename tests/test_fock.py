@@ -245,6 +245,23 @@ def kron_liouvillian(ops, block):
     return liou.tocsr(), jumps
 
 
+def hermitian_generator(liou, dim):
+    """G = Re L + (Im L) S, the generator of a Hermitian-preserving L on vec R.
+
+    S permutes vec X to vec X^T, so (Im L) S is Im L with its column indices
+    permuted; zeros of the sum are dropped.
+    """
+    import scipy.sparse as sp
+    transpose = np.arange(dim * dim).reshape(dim, dim).T.ravel()
+    re = sp.csr_matrix((liou.data.real, liou.indices, liou.indptr),
+                       shape=liou.shape)
+    # sort_indices reorders data in place, and .imag is a view of liou's data
+    im = sp.csr_matrix((liou.data.imag.copy(), transpose[liou.indices],
+                        liou.indptr), shape=liou.shape)
+    im.sort_indices()
+    return re + im
+
+
 def generator(ops, block):
     """The real generator evolve_block integrates for block, from the reference.
 
@@ -255,7 +272,7 @@ def generator(ops, block):
     liou, jumps = kron_liouvillian(ops, "00")
     if block == "01":
         liou = liou - 2.0 * jumps
-    return fock._hermitian_generator(liou, ops.dim)
+    return hermitian_generator(liou, ops.dim)
 
 
 def band_index(dim, band):
@@ -336,7 +353,7 @@ def test_real_generator_acts_as_the_liouvillian(monkeypatch, block):
     liou, _ = kron_liouvillian(ops, block)
     kept = liou.copy()
     # building G leaves the complex generator as it was
-    assert fock._hermitian_generator(liou, 20).dtype == float
+    assert hermitian_generator(liou, 20).dtype == float
     assert (liou != kept).nnz == 0
     # a thermal point's one solve runs G00 on its first half and G01 on its
     # second, each the reference's on the point's band, to roundoff
@@ -406,7 +423,7 @@ def test_non_finite_generator_fails_with_its_return_code(monkeypatch):
 
     with pytest.raises(ValidationError, match=r"return code -\d+\)") as failed:
         fock.solve_ivp(
-            fock._hermitian_generator(poisoned(build_operators(8, p), "00"), 8),
+            hermitian_generator(poisoned(build_operators(8, p), "00"), 8),
             packed_start(init), 1.0)
     monkeypatch.setattr(fock.OperatorSet, "liouvillian", poisoned)
     with pytest.raises(ValidationError) as raised:
@@ -554,10 +571,27 @@ def test_banded_generators_are_the_reference_on_the_band(dim, band):
     ops = build_operators(dim, p, band)
     n = band_index(dim, band).size
     for block in ("00", "01"):
-        gen = ops._generators[block]
+        gen = ops._band_generator([block])
         assert gen.shape == (n, n)
         want = on_band(generator(ops, block), dim, band)
         assert np.max(np.abs(gen.toarray() - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("keys", [("00", "01"), ("01", "01"), ("00",)])
+def test_band_generator_is_the_sliced_reference_bit_for_bit(keys):
+    # the former path, rebuilt: the full G00 and G01 = G00 - 2 J, their band
+    # rows and columns, then block_diag; the same CSR arrays, the columns of
+    # each row in the sorted order that fixes every right-hand side's rounding
+    import scipy.sparse as sp
+    p = SystemParams(g=0.2, kappa=0.08, delta=0.3, nbar=0.5, mbar=0.9)
+    ops = build_operators(20, p, 6)
+    g00 = hermitian_generator(ops.liouvillian("00"), 20)
+    full = {"00": g00, "01": g00 - 2.0 * ops._stencil(ops._ladder[3])}
+    idx = band_index(20, 6)
+    want = sp.block_diag([full[key][idx][:, idx] for key in keys], format="csr")
+    gen = ops._band_generator(keys)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(gen, attr), getattr(want, attr))
 
 
 def test_full_band_is_the_unrestricted_solve(monkeypatch):
@@ -566,7 +600,7 @@ def test_full_band_is_the_unrestricted_solve(monkeypatch):
     import scipy.sparse as sp
     p = SystemParams(g=0.2, kappa=0.08, delta=0.3, nbar=0.5, mbar=0.9)
     ops = build_operators(25, p, 24)
-    g00 = fock._hermitian_generator(ops.liouvillian("00"), 25)
+    g00 = hermitian_generator(ops.liouvillian("00"), 25)
     want = sp.block_diag((g00, g00 - 2.0 * ops._stencil(ops._ladder[3])), format="csr")
     starts = [displaced_thermal_block(25, 0.9, 0.0, 0.0, b) for b in ("00", "01")]
     solves, real = [], fock.solve_ivp
