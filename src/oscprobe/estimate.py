@@ -14,12 +14,12 @@ fitting ("two-temperature" mode).
 
 Both modes fit by variable projection (Golub & Pereyra, SIAM J. Numer. Anal.
 10, 413 (1973)): at fixed kappa the model is linear in g^2 and g^2 N, so
-`least_squares` searches kappa alone, on numpy, from kappa = 0.13 for every
-record, doubled while no g^2 > 0 fits there. Each fit reads D and E as
-`_dsq(kern, 1.0, kappa)` and `_delta(kern, 1.0, kappa)` off one
-`propagator._Kernel`, so the residual is the closed form bit for bit. The
-fit stops at xtol = ftol = gtol = 1e-10, where the gate's noisy estimates lie
-within 6e-5 of a standard error of the former full (g, kappa, N) solve by
+`least_squares` searches kappa alone, on numpy, by Gauss-Newton steps halved
+until the cost falls, from kappa = 0.13 (doubled while no g^2 > 0 fits). Each
+fit reads D and E as `_dsq(kern, 1.0, kappa)` and `_delta(kern, 1.0, kappa)`
+off one `propagator._Kernel`, so the residual is the closed form bit for bit.
+The fit stops at xtol = ftol = gtol = 1e-10, where the gate's noisy estimates
+lie within 6e-5 of a standard error of the former full (g, kappa, N) solve by
 scipy's trust-region reflective method at 1e-14 tolerances
 (tests/test_estimate.py::test_fit_path_is_equivalent_to_the_trf_reference);
 a change to the fit path is judged by that gate, not by bitwise equal estimates.
@@ -40,6 +40,7 @@ from .propagator import _delta, _dsq, _dsq_prime, _float_guard, _Kernel
 
 _KAPPA_START = 0.13  # both fits' first kappa, before any doubling
 _TOL = 1e-10  # least_squares' xtol = ftol = gtol: the noise, not roundoff
+_PHI_SERIES = [(-1) ** j * j / math.factorial(j + 1) for j in range(18, 0, -1)]  # phi'
 
 
 @dataclass(frozen=True)
@@ -108,40 +109,31 @@ class EstimateReport:
 
 
 def least_squares(problem, kappa: float, max_nfev: int = 200) -> SimpleNamespace:
-    """Minimize |r(kappa)|^2 over kappa > 0 by one-parameter Levenberg-Marquardt.
-
-    A start that fixes no g^2 > 0 is doubled until one does, within 10 evaluations
-    counted in nfev; then trust-region Gauss-Newton steps on problem's exact
-    derivative, with MINPACK's radius updates and stopping tests at xtol = ftol =
-    gtol = 1e-10 (_TOL). status: 1 gtol, 2 ftol, 3 xtol, 0 when nfev hits max_nfev."""
-    point, nfev, tol, jac, status = problem.evaluate(kappa), 1, _TOL, None, 0
+    """Minimize |r|^2 over kappa > 0 by Gauss-Newton steps max(-grad/curv, -kappa/2), each
+    halved until the cost falls, from a start doubled while no g^2 > 0 fits (within 10
+    evaluations). status: 1 gtol, 2 ftol, 3 xtol (at _TOL), 0 when nfev hits max_nfev."""
+    point, nfev = None, 0
     while point is None and nfev < 10:
-        kappa, nfev = 2.0 * kappa, nfev + 1
-        point = problem.evaluate(kappa)
+        point, nfev = problem.evaluate(kappa * 2.0 ** nfev), nfev + 1
     if point is None:
         raise DegenerateInputError("the records fix no positive g^2")
-    cost, radius, njev = _dot(point.resid, point.resid), 100.0 * kappa, 0
+    cost, njev, step, status = _dot(point.resid, point.resid), 0, None, 0
     while not status:
-        if jac is None:
+        if step is None:  # a new point: its derivative, the gtol test, a full step
             jac, njev = problem.jacobian(point), njev + 1
             grad, curv = _dot(jac, point.resid), _dot(jac, jac)
-            status = int(abs(grad) <= tol * math.sqrt(curv * cost))
+            status = int(abs(grad) <= _TOL * math.sqrt(curv * cost))
+            step = None if status else max(-grad / curv, -0.5 * point.kappa)
         if status or nfev >= max_nfev:
             break
-        # the Gauss-Newton step, inside the radius and keeping kappa > 0
-        step = min(max(-grad / curv, -radius, -0.5 * point.kappa), radius)
         trial, nfev = problem.evaluate(point.kappa + step), nfev + 1
         new = math.inf if trial is None else _dot(trial.resid, trial.resid)
-        pred = -step * (2.0 * grad + curv * step)
-        ratio = (cost - new) / pred
-        if not ratio >= 0.25:
-            radius = 0.5 * abs(step)
-        elif ratio > 0.75 or abs(step) < radius:
-            radius = 2.0 * abs(step)
-        ftol = abs(cost - new) <= tol * cost and pred <= tol * cost and ratio <= 2.0
-        if ratio >= 1e-4:
-            point, cost, jac = trial, new, None
-        status = 2 if ftol else 3 if radius <= tol * point.kappa else 0
+        if new < cost:
+            status = 2 if cost - new <= _TOL * cost else 0
+            point, cost, step = trial, new, None
+        else:
+            step *= 0.5
+            status = 3 if abs(step) <= _TOL * point.kappa else 0
     return SimpleNamespace(point=point, nfev=nfev, njev=njev, status=status)
 
 
@@ -193,16 +185,23 @@ def _dsq_dkappa(kern: _Kernel, kappa: float):
 
 
 def _delta_dkappa(kern: _Kernel, kappa: float):
-    """d/dkappa of E on the kernel's grid, with phi'(u) = (e^{-u} - phi(u))/u
-    for the kernel's phi = exprel(-u) at u = 2 kappa t (a series below 1e-4)."""
-    t, e, u1 = kern.t, kern(kappa).e, 1.0 + kappa * kappa
-    bracket, u = kern.bracket(), 2.0 * kappa * t
-    small = np.abs(u) < 1e-4
-    da1 = 2.0 * t * t * np.where(small, -0.5 + u / 3.0 - u * u / 8.0 + u ** 3 / 30.0,
-                                 (e * e - kern.exprel) / np.where(small, 1.0, u))
+    """d/dkappa of E on the kernel's grid, through phi' at u = 2 kappa t."""
+    t, e, u1, bracket = kern.t, kern(kappa).e, 1.0 + kappa * kappa, kern.bracket()
+    da1 = 2.0 * t * t * _phi_prime(2.0 * kappa * t, e * e, kern.exprel)
     dc = 1.0 - t * e * kern.s - e * kern.cos
     dcore = da1 - 2.0 * dc / u1 + 4.0 * kappa * kern.cterm / (u1 * u1)
     return -8.0 * kappa * bracket / (u1 * u1) + 4.0 * dcore / u1
+
+
+def _phi_prime(u: np.ndarray, emu: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """(emu - phi)/u = phi'(u) for phi = exprel(-u), emu = e^{-u}; at u < 1 its series."""
+    small = u < 1.0
+    out, us, acc = np.asarray((emu - phi) / np.where(small, 1.0, u)), u[small], 0.0
+    for c in _PHI_SERIES:  # Horner; acc is an array from the first *=, then in place
+        acc *= us
+        acc += c
+    out[small] = acc
+    return out
 
 
 def _dot(a, b) -> float:

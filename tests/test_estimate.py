@@ -1,6 +1,7 @@
 """Parameter recovery from coherence-decay records."""
 
 import functools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -234,6 +235,49 @@ def test_fit_reports_convergence(monkeypatch):
             rep = fit_parameters([s1, s2], mode=mode)
             assert rep.converged is False
             assert rep.nfev == budget
+
+
+class _Stub:
+    """A least_squares problem on a residual r(kappa) and its derivative,
+    recording every kappa the solver evaluates."""
+
+    def __init__(self, r, dr):
+        self.r, self.dr, self.kappas = r, dr, []
+
+    def evaluate(self, kappa):
+        self.kappas.append(kappa)
+        return SimpleNamespace(kappa=kappa, resid=np.asarray(self.r(kappa), float))
+
+    def jacobian(self, point):
+        return np.asarray(self.dr(point.kappa), float)
+
+
+def test_solver_never_evaluates_kappa_at_or_below_zero():
+    # the Gauss-Newton step from 1 is -6, to the minimum at -5; each step is
+    # clamped at -kappa/2 instead
+    stub = _Stub(lambda k: [k + 5.0], lambda k: [1.0])
+    estimate.least_squares(stub, 1.0, max_nfev=8)
+    assert stub.kappas == [1.0 / 2 ** i for i in range(8)]
+
+
+def test_solver_stops_on_gtol_at_an_exact_minimum():
+    # r = (k, 2 - k) has a zero gradient and |r|^2 = 2 at k = 1
+    stub = _Stub(lambda k: [k, 2.0 - k], lambda k: [1.0, -1.0])
+    sol = estimate.least_squares(stub, 1.0)
+    assert (sol.status, sol.nfev, sol.njev) == (1, 1, 1)
+    assert stub.kappas == [1.0] and sol.point.kappa == 1.0
+
+
+def test_solver_halves_a_step_that_raises_the_cost():
+    # r = atan(k - 5) from k = 2: the full step s overshoots to k ~ 14.5 and
+    # s/2 still raises the cost; s/4 lowers it and is taken
+    stub = _Stub(lambda k: [np.arctan(k - 5.0)],
+                 lambda k: [1.0 / (1.0 + (k - 5.0) ** 2)])
+    sol = estimate.least_squares(stub, 2.0)
+    s = 10.0 * np.arctan(3.0)
+    assert stub.kappas[:4] == pytest.approx([2.0, 2.0 + s, 2.0 + s / 2, 2.0 + s / 4],
+                                            rel=1e-12)
+    assert sol.status > 0 and sol.point.kappa == pytest.approx(5.0, abs=1e-9)
 
 
 def test_two_temperature_report_ignores_input_order():

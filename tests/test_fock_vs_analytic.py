@@ -10,6 +10,7 @@ from oscprobe import (GaussianState, OracleConfig, QubitInitState,
                       evolve_block, evolve_thermal_blocks, fundamental_matrix,
                       reduced_wigner_grid, sample_comparison_points,
                       wigner_lobe_centers)
+from oscprobe.cli import ORACLE_TOLERANCES
 from readouts import chord_from_matrix, wigner_grid_from_matrix
 
 QUBIT = QubitInitState.balanced()
@@ -25,6 +26,19 @@ def test_random_points_match_closed_forms():
         assert rep["dev_purity_qubit"] < 1e-6
         assert rep["dev_purity_oscillator"] < 1e-6
         assert rep["dev_fuj"] < 1e-5
+
+
+@pytest.mark.parametrize("g, kappa, nbar, mbar", [
+    (0.05, 0.1, 1.0, 0.5), (0.05, 0.01, 0.0, 2.0),
+    (0.2, 0.01, 1.0, 0.5), (0.2, 0.1, 0.0, 2.0)])
+def test_figure_corners_match_at_their_end_time(g, kappa, nbar, mbar):
+    # corners of the fig2/fig3 sweep (g, kappa) at t = 100, the figures' end
+    # time, which the criterion-1 box (t <= 20) never reaches
+    p = SystemParams(g=g, kappa=kappa, nbar=nbar, mbar=mbar)
+    rep = compare_point(p, QUBIT, OracleConfig(), 100.0)
+    assert rep["leak_retries"] == 0
+    for key, bound in ORACLE_TOLERANCES.items():
+        assert rep[key] <= bound, key
 
 
 def test_chord_functions_match_pointwise():
