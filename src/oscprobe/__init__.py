@@ -28,9 +28,9 @@ _EXPORTS = {
              "evolve_block", "evolve_thermal_blocks", "reduced_quantities",
              "sample_comparison_points", "uhlmann_fidelity"),
     "phase_space": ("Covariance2", "GaussianState", "PhaseVector",
-                    "QubitInitState", "SystemParams", "chord_eval",
+                    "QubitInitState", "SystemParams",
                     "occupation_from_temperature", "wigner_eval"),
-    "propagator": ("chord_block_offdiag", "coherence_trace", "diag_block_gaussians",
+    "propagator": ("coherence_trace", "diag_block_gaussians",
                    "displacement_vector", "fundamental_matrix",
                    "reduced_wigner_grid", "wigner_lobe_centers"),
 }

@@ -128,10 +128,10 @@ def least_squares(problem, kappa: float, max_nfev: int = 200) -> SimpleNamespace
             break
         trial, nfev = problem.evaluate(point.kappa + step), nfev + 1
         new = math.inf if trial is None else _dot(trial.resid, trial.resid)
+        status = 2 if abs(cost - new) <= _TOL * cost else 0
         if new < cost:
-            status = 2 if cost - new <= _TOL * cost else 0
             point, cost, step = trial, new, None
-        else:
+        elif not status:
             step *= 0.5
             status = 3 if abs(step) <= _TOL * point.kappa else 0
     return SimpleNamespace(point=point, nfev=nfev, njev=njev, status=status)

@@ -29,13 +29,13 @@ of their generators (OperatorSet._band_generator reads it off L00's band rows
 in one pass); a parity-even 11 start (every thermal one) is the 00 part: a
 thermal point is one solve of [vec R00; vec R01]. A point integrates only the
 entries |m - n| <= K of vec R, the coherence band its blocks populate (K from
-_sized_band), under the band rows and columns of G, a set S maps to itself; a
-band guard refuses a block with more than LEAK_TOL of its largest entry on
-the band edge, as the level guard does on the top level. The stage sums are
-compiled loops, not threaded-BLAS products, so the integration runs on one
-core and leaves no BLAS worker spinning between steps; neither do the starts
-(`_displaced_thermal`) or the Uhlmann readout (`uhlmann_fidelity`). The one
-solver is cached and not re-entrant. The basis never exceeds MAX_DIM levels.
+_sized_band), under the band rows and columns of G, a set S maps to itself;
+one guard refuses a block with more than LEAK_TOL relative weight on the top
+level or more than LEAK_TOL of its largest entry on the band edge. The stage
+sums are compiled loops, not threaded-BLAS products, so the integration runs
+on one core and leaves no BLAS worker spinning between steps; neither do the
+starts (`_displaced_thermal`) or the Uhlmann readout (`uhlmann_fidelity`). The
+one solver is cached and not re-entrant. The basis never exceeds MAX_DIM levels.
 """
 
 from __future__ import annotations
@@ -226,14 +226,6 @@ def _check_hermitian(entries: np.ndarray, block: str) -> None:
             f"{HERMITIAN_TOL:g} of its largest entry")
 
 
-def _check_leak(entries: np.ndarray, dim: int, stage: str) -> None:
-    w = float(_tail_weights(entries)[-1])
-    if w > LEAK_TOL:
-        raise TruncationLeakError(
-            f"top-level weight {w:.3g} > {LEAK_TOL:g} in {stage} at dim {dim}",
-            suggested_dim=2 * dim, weight=w)
-
-
 @dataclass(frozen=True)
 class OperatorSet:
     """The generators of one point at dim, assembled from index arithmetic on
@@ -252,9 +244,14 @@ class OperatorSet:
         level = np.arange(self.dim)
         return np.flatnonzero(abs(level[:, None] - level) <= self.band)
 
-    def _check_band(self, entries: np.ndarray, stage: str) -> None:
-        """Refuse more than LEAK_TOL of the largest entry on the band edge
-        |m - n| = band or beyond it; the full band has no edge."""
+    def _check_leak(self, entries: np.ndarray, stage: str) -> None:
+        """Refuse more than LEAK_TOL relative weight on the top level, then more than
+        LEAK_TOL of the largest entry on |m - n| >= band; the full band has no edge."""
+        w = float(_tail_weights(entries)[-1])
+        if w > LEAK_TOL:
+            raise TruncationLeakError(
+                f"top-level weight {w:.3g} > {LEAK_TOL:g} in {stage} at dim "
+                f"{self.dim}", suggested_dim=2 * self.dim, weight=w)
         level, mag = np.arange(self.dim), np.abs(entries)
         edge = mag[abs(level[:, None] - level) >= self.band]
         w = float(edge.max() / max(mag.max(), 1e-300))
@@ -476,8 +473,8 @@ def evolve_block(init: BlockDensityMatrix, ops: OperatorSet,
     start integrates nothing. The result carries the RHS evaluations and
     rejected steps of the solve if this call ran it, else 0. Raises
     ValidationError when a 00 or 11 start is not Hermitian to HERMITIAN_TOL,
-    and TruncationLeakError (with a suggested dim) when the initial or the
-    evolved matrix puts more than LEAK_TOL relative weight on the top level.
+    and TruncationLeakError (ops._check_leak) when the initial or the evolved
+    matrix leaks past the top level or the band edge.
     """
     if not (math.isfinite(t) and t >= 0.0):
         raise ValidationError("t must be finite and >= 0")
@@ -486,8 +483,7 @@ def evolve_block(init: BlockDensityMatrix, ops: OperatorSet,
         raise ValidationError(f"ops dim {ops.dim} != initial matrix dim {dim}")
     if init.block in _HERMITIAN_BLOCKS:
         _check_hermitian(init.entries, init.block)
-    _check_leak(init.entries, dim, "initial state")
-    ops._check_band(init.entries, "initial state")
+    ops._check_leak(init.entries, "initial state")
     if t == 0.0:
         return BlockDensityMatrix(dim, init.entries.copy(), init.block)
     left, right, weights, parts = _packed_parts(init, ops._index)
@@ -497,8 +493,7 @@ def evolve_block(init: BlockDensityMatrix, ops: OperatorSet,
     out = left * out * right
     if init.block == "01":
         out *= np.exp(-1j * ops.params.delta * t)
-    _check_leak(out, dim, f"evolved {init.block} block")
-    ops._check_band(out, f"evolved {init.block} block")
+    ops._check_leak(out, f"evolved {init.block} block")
     return BlockDensityMatrix(dim, out, init.block, nfev, rejected)
 
 
@@ -549,9 +544,9 @@ def evolve_thermal_blocks(params: SystemParams, config: OracleConfig,
     """Evolve all three blocks from the thermal start given by params.mbar.
 
     With config.dim None, starts from default_dim and doubles it (at most
-    twice, and never past MAX_DIM) whenever the level guard trips. Integrates
+    twice, and never past MAX_DIM) whenever the level test trips. Integrates
     the band of _sized_band, doubled at the same dim (up to the full band,
-    also at a fixed dim) whenever the band guard trips. Returns the blocks
+    also at a fixed dim) whenever the band test trips. Returns the blocks
     under "00", "11" and "01", the dim and band that held under "dim" and
     "band", every dim and band attempted, in order, under "dims_tried" and
     "bands_tried", and the weight that rejected each attempt but the last

@@ -5,9 +5,9 @@ Conventions (hbar = 1, oscillator frequency = 1):
     chord function  w(r) = Tr[rho exp(i(k x + s p))],  r = (k, s)
     Gaussian chord  w(r) = exp(i x0.r - r^T sigma r / 2)
     Wigner          W(x) = exp(-(x-x0)^T sigma^-1 (x-x0)/2) / (2 pi sqrt(det sigma))
-chord_eval and wigner_eval take arrays of points of shape (..., 2), the last axis
-holding (k, s) or (q, p), and return an array of shape (...), or a Python scalar
-for a single point of shape (2,).
+wigner_eval takes points (q, p) on the last axis of an array of shape (..., 2) and
+returns an array of shape (...), or a float for a single point of shape (2,); the
+log chord _log_chord is elementwise in k and s.
 A thermal state with mean occupation m has center 0 and sigma = (m + 1/2) * identity;
 the vacuum saturates the uncertainty bound det sigma = 1/4.
 """
@@ -203,13 +203,6 @@ def _log_chord(state: GaussianState, k, s):
     x0, cov = state.center, state.cov
     return (1j * (x0.x1 * k + x0.x2 * s)
             - 0.5 * _quadratic(cov.s11, cov.s12, cov.s22, k, s))
-
-
-def chord_eval(state: GaussianState, r):
-    """Chord (characteristic) function of a Gaussian state at chord points r = (k, s)."""
-    rv = as_points(r)
-    w = np.exp(_log_chord(state, rv[..., 0], rv[..., 1]))
-    return complex(w) if rv.ndim == 1 else w
 
 
 def wigner_eval(state: GaussianState, x):

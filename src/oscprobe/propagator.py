@@ -17,9 +17,7 @@ dependence reduces to these kernels:
 Every kernel is elementwise in t; d, |d|^2, delta, Gamma and sigma(t) also
 take a `_Kernel` in place of t, so they and the fits in `estimate` share one. The
 off-diagonal block's log chord `_log_offdiag` is elementwise in r = (k, s) and
-t: the coherence Tr rho_01 is its value at r = 0, and chord_block_offdiag takes
-points r of shape (..., 2) at one t and, like chord_eval, returns an array of
-shape (...), or a complex for a single point of shape (2,).
+t, and the coherence Tr rho_01 is its value at r = 0.
 
 The qubit has splitting delta, the detuning (H_q = (delta/2) sigma_z; not the
 integral delta(t) above), which gives the coherence the phase factor
@@ -39,8 +37,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .phase_space import (Covariance2, GaussianState, PhaseVector,
-                          QubitInitState, SystemParams, _log_chord, as_points,
-                          wigner_eval)
+                          QubitInitState, SystemParams, _log_chord, wigner_eval)
 
 
 def fundamental_matrix(t: float, kappa: float) -> np.ndarray:
@@ -211,15 +208,6 @@ def _log_offdiag(k, s, t, params: SystemParams, init: GaussianState):
 def _log_coherence(t, params: SystemParams, init: GaussianState):
     """ln Tr rho_01(t), the off-diagonal chord at r = 0; Re is ln F_gen / 2."""
     return _log_offdiag(0.0, 0.0, t, params, init)
-
-
-def chord_block_offdiag(r, t: float, params: SystemParams,
-                        init: GaussianState):
-    """Chord function of the off-diagonal block (unit initial trace) at time t >= 0."""
-    t = float(_require_nonneg_time(t))
-    rv = as_points(r)
-    w = np.exp(_log_offdiag(rv[..., 0], rv[..., 1], t, params, init))
-    return complex(w) if rv.ndim == 1 else w
 
 
 def coherence_trace(t, params: SystemParams, init: GaussianState):

@@ -1,8 +1,9 @@
 """Number-basis readouts the tests check the oracle's blocks with.
 
 Chord values and Wigner grids of a raw density matrix, computed with no use
-of the closed forms: the closed-form chord functions and Wigner grids are
-compared against the oracle through these.
+of the closed forms: the closed-form chords (`phase_space._log_chord`,
+`propagator._log_offdiag`) and Wigner grids are compared against the oracle
+through these.
 """
 
 import math

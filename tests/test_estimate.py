@@ -280,6 +280,15 @@ def test_solver_halves_a_step_that_raises_the_cost():
     assert sol.status > 0 and sol.point.kappa == pytest.approx(5.0, abs=1e-9)
 
 
+def test_solver_stops_on_ftol_at_a_trial_that_ties_the_cost():
+    # a flat cost: the first trial, at kappa 1/2, ties it, so the search stops
+    # there on ftol instead of halving the step down to xtol
+    stub = _Stub(lambda k: [1.0], lambda k: [1e-3])
+    sol = estimate.least_squares(stub, 1.0)
+    assert (sol.status, sol.nfev, sol.njev) == (2, 2, 1)
+    assert stub.kappas == [1.0, 0.5] and sol.point.kappa == 1.0
+
+
 def test_two_temperature_report_ignores_input_order():
     p1 = SystemParams(g=0.1, kappa=0.05, nbar=0.3, mbar=0.0)
     p2 = SystemParams(g=0.1, kappa=0.05, nbar=0.3, mbar=1.0)

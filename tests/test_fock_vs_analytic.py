@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from oscprobe import (GaussianState, OracleConfig, QubitInitState,
-                      SystemParams, build_operators, chord_block_offdiag,
-                      chord_eval, compare_point, diag_block_gaussians,
-                      displaced_thermal_block, displacement_vector,
-                      evolve_block, evolve_thermal_blocks, fundamental_matrix,
-                      reduced_wigner_grid, sample_comparison_points,
-                      wigner_lobe_centers)
+                      SystemParams, build_operators, compare_point,
+                      diag_block_gaussians, displaced_thermal_block,
+                      displacement_vector, evolve_block, evolve_thermal_blocks,
+                      fundamental_matrix, reduced_wigner_grid,
+                      sample_comparison_points, wigner_lobe_centers)
 from oscprobe.cli import ORACLE_TOLERANCES
+from oscprobe.phase_space import _log_chord
+from oscprobe.propagator import _log_offdiag
 from readouts import chord_from_matrix, wigner_grid_from_matrix
 
 QUBIT = QubitInitState.balanced()
@@ -51,11 +52,11 @@ def test_chord_functions_match_pointwise():
     for _ in range(5):
         r = 1.8 * rng.normal(size=2)
         assert chord_from_matrix(blocks["00"], r) == pytest.approx(
-            chord_eval(up, r), abs=1e-6)
+            np.exp(_log_chord(up, *r)), abs=1e-6)
         assert chord_from_matrix(blocks["11"], r) == pytest.approx(
-            chord_eval(down, r), abs=1e-6)
+            np.exp(_log_chord(down, *r)), abs=1e-6)
         assert chord_from_matrix(blocks["01"], r) == pytest.approx(
-            chord_block_offdiag(r, t, p, init), abs=1e-6)
+            np.exp(_log_offdiag(*r, t, p, init)), abs=1e-6)
 
 
 def test_flipping_the_qubit_flips_the_coupling():

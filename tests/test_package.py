@@ -122,6 +122,30 @@ def test_every_export_resolves_from_its_owner(name):
     assert name not in vars(oscprobe)
 
 
+def _loaded_names(tree: ast.AST) -> set:
+    """Names tree reads: each loaded name and each attribute."""
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def test_every_export_has_a_caller():
+    # read by src itself, imported by the acceptance gate, or traced by perfbench
+    trees = [ast.parse(path.read_text())
+             for path in sorted((SRC / "oscprobe").glob("*.py"))
+             if path.name != "__init__.py"]
+    read = set().union(*map(_loaded_names, trees))
+    gate = ast.parse((SRC.parent / "tests" / "test_acceptance.py").read_text())
+    imported = {alias.name for node in ast.walk(gate)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    tracing = ast.parse((SRC.parent / "perfbench" / "tracing.py").read_text())
+    targets = next(node.value for node in ast.walk(tracing)
+                   if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets] == ["_TARGETS"])
+    traced = {ast.literal_eval(entry)[1] for entry in targets.elts}
+    assert sorted(set(oscprobe.__all__) - read - imported - traced) == []
+
+
 def test_dir_covers_all_and_unknown_names_raise():
     assert set(oscprobe.__all__) <= set(dir(oscprobe))
     assert "__version__" in dir(oscprobe)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from oscprobe import (Covariance2, GaussianState, PhaseVector, QubitInitState,
-                      SystemParams, ValidationError, chord_eval,
+                      SystemParams, ValidationError,
                       occupation_from_temperature, wigner_eval)
+from oscprobe.phase_space import _log_chord
 
 
 def test_occupation_from_temperature():
@@ -22,11 +23,11 @@ def test_occupation_from_temperature():
 def test_chord_coherent_values():
     st = GaussianState.coherent(1.0, 0.0)
     # exp(i x0.r - r.sigma.r/2) with sigma = I/2
-    assert chord_eval(st, (0.0, 1.0)) == pytest.approx(
+    assert np.exp(_log_chord(st, 0.0, 1.0)) == pytest.approx(
         0.7788007830714049, abs=1e-15)
-    w = chord_eval(st, (1.0, 0.0))
+    w = np.exp(_log_chord(st, 1.0, 0.0))
     assert w == pytest.approx(np.exp(1j) * np.exp(-0.25), abs=1e-15)
-    assert chord_eval(st, (0.0, 0.0)) == pytest.approx(1.0, abs=1e-15)
+    assert np.exp(_log_chord(st, 0.0, 0.0)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_wigner_ground_and_thermal_values():
@@ -59,7 +60,7 @@ def test_chord_wigner_fourier_pair():
         step = 0.1
         ax = np.arange(-12.0, 12.0 + step / 2, step)
         kk, ss = np.meshgrid(ax, ax, indexing="ij")
-        w = chord_eval(st, np.stack([kk, ss], axis=-1))
+        w = np.exp(_log_chord(st, kk, ss))
         for x in (x0, x0 + [0.5, -0.3]):
             phase = np.exp(-1j * (kk * x[0] + ss * x[1]))
             val = (w * phase).sum().real * step ** 2 / (2 * np.pi) ** 2
@@ -70,9 +71,9 @@ def test_chord_derivatives_encode_moments():
     # d/d(ik) log w at r=0 gives <x>, second derivative gives the variance
     st = GaussianState(PhaseVector(0.7, -0.4), Covariance2(0.9, 0.2, 1.3))
     h = 1e-3
-    wp = chord_eval(st, (h, 0.0))
-    wm = chord_eval(st, (-h, 0.0))
-    w0 = chord_eval(st, (0.0, 0.0))
+    wp = np.exp(_log_chord(st, h, 0.0))
+    wm = np.exp(_log_chord(st, -h, 0.0))
+    w0 = np.exp(_log_chord(st, 0.0, 0.0))
     mean_q = ((wp - wm) / (2 * h)).imag
     var_q = -((wp - 2 * w0 + wm) / h ** 2).real - mean_q ** 2
     assert mean_q == pytest.approx(0.7, abs=1e-6)

@@ -9,14 +9,14 @@ from scipy.special import exprel
 
 from oscprobe import (Covariance2, GaussianState, PhaseVector,
                       QubitInitState, SystemParams, ValidationError,
-                      chord_block_offdiag, chord_eval,
                       coherence_trace, diag_block_gaussians,
                       displacement_vector, fidelity_generalized,
                       fidelity_uj_blocks, fundamental_matrix, reduced_wigner_grid,
                       wigner_eval, wigner_lobe_centers)
+from oscprobe.phase_space import _log_chord
 from oscprobe.propagator import (_alpha, _delta, _dsq, _dsq_prime,
                                  _eta_components, _evolved_covariance,
-                                 _exprel, _gamma_components)
+                                 _exprel, _gamma_components, _log_offdiag)
 
 
 def random_params(rng):
@@ -185,17 +185,18 @@ def test_diag_chord_hermiticity_and_sign_flip():
         t = 15 * rng.random()
         r = 3 * rng.normal(size=2)
         up_state, down_state = diag_block_gaussians(t, p, init)
-        up = chord_eval(up_state, r)
-        assert chord_eval(up_state, -r) == pytest.approx(np.conj(up), abs=1e-14)
+        up = np.exp(_log_chord(up_state, *r))
+        assert np.exp(_log_chord(up_state, *-r)) == pytest.approx(
+            np.conj(up), abs=1e-14)
         # flipping the qubit is the same as flipping the coupling sign
         flipped = SystemParams(g=-p.g, kappa=p.kappa, nbar=p.nbar,
                                mbar=p.mbar)
-        down = chord_eval(down_state, r)
-        assert down == pytest.approx(
-            chord_eval(diag_block_gaussians(t, flipped, init)[0], r), abs=1e-14)
+        down = np.exp(_log_chord(down_state, *r))
+        assert down == pytest.approx(np.exp(
+            _log_chord(diag_block_gaussians(t, flipped, init)[0], *r)), abs=1e-14)
         # a thermal start makes the two conditional states mirror images
         assert down == pytest.approx(np.conj(up), abs=1e-14)
-        assert down == pytest.approx(chord_eval(up_state, -r), abs=1e-14)
+        assert down == pytest.approx(np.exp(_log_chord(up_state, *-r)), abs=1e-14)
 
 
 def test_diag_chord_normalization():
@@ -203,7 +204,7 @@ def test_diag_chord_normalization():
     init = GaussianState.thermal(p.mbar)
     for t in (0.0, 1.0, 8.0):
         up, _ = diag_block_gaussians(t, p, init)
-        assert chord_eval(up, (0.0, 0.0)) == pytest.approx(1.0, abs=1e-14)
+        assert np.exp(_log_chord(up, 0.0, 0.0)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_offdiag_chord_origin_is_coherence_trace():
@@ -213,7 +214,7 @@ def test_offdiag_chord_origin_is_coherence_trace():
         init = GaussianState.thermal(p.mbar)
         t = 15 * rng.random()
         tr = coherence_trace(t, p, init)
-        assert chord_block_offdiag((0.0, 0.0), t, p, init) == pytest.approx(
+        assert np.exp(_log_offdiag(0.0, 0.0, t, p, init)) == pytest.approx(
             tr, abs=1e-14)
         assert abs(tr) ** 2 == pytest.approx(
             fidelity_generalized(t, p, init), rel=1e-12)
@@ -226,7 +227,7 @@ def test_offdiag_chord_origin_is_coherence_trace():
 def test_coherence_is_the_offdiagonal_chord_at_the_origin_bit_for_bit(init, delta):
     p = SystemParams(g=0.3, kappa=0.08, delta=delta, nbar=0.6, mbar=0.7)
     ts = np.linspace(0.0, 40.0, 161)
-    at_origin = np.array([chord_block_offdiag((0.0, 0.0), t, p, init) for t in ts])
+    at_origin = np.array([np.exp(_log_offdiag(0.0, 0.0, t, p, init)) for t in ts])
     assert at_origin.tobytes() == coherence_trace(ts, p, init).tobytes()
 
 
@@ -252,29 +253,18 @@ def test_detuning_only_rotates_coherence_phase():
 
 def test_evaluators_broadcast_over_points():
     rng = np.random.default_rng(9)
-    p = SystemParams(g=0.2, kappa=0.08, delta=0.3, nbar=0.4, mbar=0.6)
     init = GaussianState(PhaseVector(0.4, -0.7), Covariance2(1.3, 0.2, 0.9))
-    t = 3.7
-    up, down = diag_block_gaussians(t, p, init)
-    evaluators = {
-        "chord_eval": (complex, lambda r: chord_eval(init, r)),
-        "wigner_eval": (float, lambda x: wigner_eval(init, x)),
-        "diag up": (complex, lambda r: chord_eval(up, r)),
-        "diag down": (complex, lambda r: chord_eval(down, r)),
-        "offdiag": (complex, lambda r: chord_block_offdiag(r, t, p, init)),
-    }
     pts = 2.0 * rng.normal(size=(4, 5, 2))
-    for name, (kind, evaluate) in evaluators.items():
-        batch = evaluate(pts)
-        assert batch.shape == (4, 5), name
-        for idx in np.ndindex(4, 5):
-            one = evaluate(pts[idx])
-            assert type(one) is kind, name
-            assert batch[idx] == one, name
-        for bad in (np.zeros((4, 3)), np.zeros(3), 1.0, [[0.0, np.nan]],
-                    [np.inf, 0.0]):
-            with pytest.raises(ValidationError):
-                evaluate(bad)
+    batch = wigner_eval(init, pts)
+    assert batch.shape == (4, 5)
+    for idx in np.ndindex(4, 5):
+        one = wigner_eval(init, pts[idx])
+        assert type(one) is float
+        assert batch[idx] == one
+    for bad in (np.zeros((4, 3)), np.zeros(3), 1.0, [[0.0, np.nan]],
+                [np.inf, 0.0]):
+        with pytest.raises(ValidationError):
+            wigner_eval(init, bad)
 
 
 def test_diag_block_gaussian_centers():
