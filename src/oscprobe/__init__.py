@@ -23,10 +23,10 @@ _EXPORTS = {
     "fidelity": ("fidelity_gen_asymptotic_rate", "fidelity_generalized",
                  "fidelity_uj_blocks", "fidelity_uj_gaussian",
                  "fidelity_uj_limit", "purity_oscillator", "purity_qubit"),
-    "fock": ("BlockDensityMatrix", "OracleConfig", "build_operators",
-             "compare_point", "default_dim", "displaced_thermal_block",
-             "evolve_block", "evolve_thermal_blocks", "reduced_quantities",
-             "sample_comparison_points", "uhlmann_fidelity"),
+    "fock": ("BlockDensityMatrix", "OracleConfig", "compare_point",
+             "default_dim", "displaced_thermal_block", "evolve_thermal_blocks",
+             "reduced_quantities", "sample_comparison_points",
+             "uhlmann_fidelity"),
     "phase_space": ("Covariance2", "GaussianState", "PhaseVector",
                     "QubitInitState", "SystemParams",
                     "occupation_from_temperature", "wigner_eval"),

@@ -433,7 +433,7 @@ def cmd_estimate(args) -> int:
                               "their noise is identical: use distinct --seed values")
         drawn[seed] = name
         series.append(CoherenceSeries(
-            times=cols["t"], fgen=np.minimum(cols["fgen"], 1.0),
+            times=cols["t"], fgen=cols["fgen"],
             M=_header_float(meta.get("M"), "M", name), noise=noise))
     report = fit_parameters(series, mode=args.mode)
     # undefined values are NaN in the report and null in the JSON

@@ -125,6 +125,8 @@ def _is_row(text: str, width: int) -> bool:
 
 
 def _parse_scalar(text: str):
+    if "_" in text:  # int and float read 1_0 as 10; left a string, it reads as no number
+        return text
     for cast in (int, float):
         try:
             return cast(text)

@@ -19,10 +19,10 @@ dim^2 reals R = Re X + Im X of a Hermitian X, from which
 X = (R + R^T)/2 + i (R - R^T)/2; on vec R a Hermitian-preserving generator
 L becomes the real matrix G = Re L + (Im L) S, with S the permutation
 vec X -> vec X^T. With P = diag((-1)^n), P H- P = H+ and P a P = -a, so
-X = P rho_11 P runs under the 00 generator G00 and rho_11(t) = P X(t) P.
-For the 01 block, Y = rho_01 P evolves under G01, G00 with its jump terms
-2 down a Y a^dag + 2 up a^dag Y a negated, which preserves Hermiticity;
-the scalar -i delta is left out of the integration: rho_01(t) is
+X = P rho_11 P runs under G00, from the 00 generator L00 (the one complex
+generator built), and rho_11(t) = P X(t) P. Y = rho_01 P evolves under G01,
+G00 with its jumps 2 down a Y a^dag + 2 up a^dag Y a negated, which keeps
+Y Hermitian; the scalar -i delta is left out of the integration: rho_01(t) is
 Y(t) P exp(-i delta t). A thermal Y0 is Hermitian; any other runs as its
 two Hermitian parts. A point's parts run as one real system under block_diag
 of their generators (OperatorSet._band_generator reads it off L00's band rows
@@ -228,9 +228,9 @@ def _check_hermitian(entries: np.ndarray, block: str) -> None:
 
 @dataclass(frozen=True)
 class OperatorSet:
-    """The generators of one point at dim, assembled from index arithmetic on
-    (m, n) with no Kronecker product and acting on the band |m - n| <= band of
-    vec R (band dim - 1: every entry), and its solve memo."""
+    """The generators of one point at dim, read off L00, built as seven diagonals
+    with no Kronecker product, and acting on the band |m - n| <= band of vec R
+    (band dim - 1: every entry), and its solve memo."""
 
     dim: int
     params: SystemParams
@@ -261,52 +261,33 @@ class OperatorSet:
                 f"{self.band}, dim {self.dim}", suggested_dim=self.dim, weight=w,
                 suggested_band=min(max(2 * self.band, 1), self.dim - 1))
 
-    def _stencil(self, terms) -> sp.csr_matrix:
-        """dim^2 x dim^2 CSR matrix with coef[m, n] at (vec (m, n), vec (m + dm, n + dn)).
+    def liouvillian(self) -> sp.csr_matrix:
+        """L00, the 00 block's full dim^2 x dim^2 complex generator, as seven diagonals.
 
-        One (dm, dn, coef) term per (dm, dn), coef 0 where (m + dm, n + dn)
-        leaves the basis; zeros are not stored; sorted terms give sorted rows."""
+        -i [H+, rho] + down (2 a rho a^dag - {a^dag a, rho}) + up (2 a^dag rho a -
+        {a a^dag, rho}): coef[m, n] of each (dm, dn) at (vec (m, n), vec (m + dm,
+        n + dn)), the offset dm dim + dn; coef is 0 where (m + dm, n + dn) leaves
+        the basis, so no entry wraps around.
+        """
         import scipy.sparse as sp
-        size = self.dim ** 2
-        terms = sorted(terms, key=lambda term: term[:2])
-        vals = np.stack([np.broadcast_to(coef, (self.dim, self.dim)).ravel()
-                         for _, _, coef in terms], axis=1)
-        cols = np.arange(size)[:, None] + [dm * self.dim + dn for dm, dn, _ in terms]
-        kept = vals != 0.0
-        indptr = np.append(0, np.cumsum(np.count_nonzero(kept, axis=1)))
-        return sp.csr_matrix((vals[kept], cols[kept], indptr), shape=(size, size))
-
-    @functools.cached_property
-    def _ladder(self) -> tuple:
-        """(lower, upper, anti, jumps): sqrt(k) and sqrt(k + 1) per level k, a's
-        entries into and out of it (0 on top); the diagonal of down a^dag a +
-        up a a^dag; the stencil of the jumps 2 down a rho a^dag + 2 up a^dag rho a."""
-        level = np.arange(self.dim, dtype=float)
+        dim, level = self.dim, np.arange(self.dim, dtype=float)
         lower, upper = np.sqrt(level), np.sqrt(np.append(level[1:], 0.0))
         kappa, nbar = self.params.kappa, self.params.nbar
         down, up = kappa * (1.0 + nbar), kappa * nbar
-        return (lower, upper, down * lower ** 2 + up * upper ** 2,
-                [(1, 1, 2.0 * down * np.outer(upper, upper)),
-                 (-1, -1, 2.0 * up * np.outer(lower, lower))])
-
-    def liouvillian(self, block: str) -> sp.csr_matrix:
-        """Full dim^2 x dim^2 generator of a block (11, 01: the tests' reference).
-
-        -i (H_l rho - rho H_r) (- i delta rho for 01) + down (2 a rho a^dag -
-        {a^dag a, rho}) + up (2 a^dag rho a - {a a^dag, rho}): per (m, n) a
-        diagonal, four Hamiltonian neighbours and two jumps.
-        """
-        if block not in _BLOCKS:
-            raise ValidationError(f"block must be one of {_BLOCKS}")
-        left, right = {"00": (1.0, 1.0), "11": (-1.0, -1.0), "01": (1.0, -1.0)}[block]
-        delta = self.params.delta if block == "01" else 0.0
-        lower, upper, anti, jumps = self._ladder
-        level = np.arange(self.dim, dtype=float)
+        anti = down * lower ** 2 + up * upper ** 2  # down a^dag a + up a a^dag
         c = -1j * self.params.g / math.sqrt(2.0)  # -i g times x = (a + a^dag)/sqrt(2)
-        return self._stencil([
-            (0, 0, -1j * (level[:, None] - level + delta) - anti[:, None] - anti),
-            (1, 0, left * c * upper[:, None]), (-1, 0, left * c * lower[:, None]),
-            (0, 1, -right * c * upper), (0, -1, -right * c * lower), *jumps])
+        # -1.0 * c, not -c: a complex product, whose real parts stay +0.0
+        terms = {(0, 0): -1j * (level[:, None] - level) - anti[:, None] - anti,
+                 (1, 0): c * upper[:, None], (-1, 0): c * lower[:, None],
+                 (0, 1): -1.0 * c * upper, (0, -1): -1.0 * c * lower,
+                 (1, 1): 2.0 * down * np.outer(upper, upper),
+                 (-1, -1): 2.0 * up * np.outer(lower, lower)}
+        offsets = [dm * dim + dn for dm, dn in terms]
+        flat = [np.broadcast_to(coef, (dim, dim)).ravel() for coef in terms.values()]
+        liou = sp.diags([f[max(-k, 0):f.size - max(k, 0)] for f, k in zip(flat, offsets)],
+                        offsets, format="csr")
+        liou.eliminate_zeros()
+        return liou
 
     def _band_generator(self, keys) -> sp.csr_matrix:
         """block_diag of the real generators keys ("00": G00, "01": G01) on the band,
@@ -316,7 +297,7 @@ class OperatorSet:
         (m +- 1, n +- 1), the vec offsets +-(dim + 1). Zero sums are dropped."""
         import scipy.sparse as sp
         dim, index, n = self.dim, self._index, self._index.size
-        rows = self.liouvillian("00")[index][:, index]
+        rows = self.liouvillian()[index][:, index]
         row = np.repeat(np.arange(n), np.diff(rows.indptr))
         flip = np.where(abs(index[rows.indices] - index[row]) == dim + 1, -1.0, 1.0)
         transpose = np.searchsorted(index, index % dim * dim + index // dim)

@@ -415,6 +415,16 @@ def test_cli_commands_start_without_scipy(tmp_path):
 _RECORD = "#M=1.0\nt,fgen\n0,1.0\n1,0.9\n"
 
 
+def _model_record(m="1.0", f6=None):
+    """A clean M = 1 record of g 0.2, kappa 0.1 and N 2 headed #M=m, its
+    seventh fidelity set to f6 if given."""
+    ts = np.arange(0.0, 10.0, 0.5)
+    params = SystemParams(g=0.2, kappa=0.1, nbar=0.5, mbar=0.5)
+    fgen = estimate.synthesize_series(params, 1.0, ts).fgen
+    fgen[6] = fgen[6] if f6 is None else f6
+    return f"#M={m}\nt,fgen\n" + "".join(f"{t:g},{f:.17g}\n" for t, f in zip(ts, fgen))
+
+
 @pytest.mark.parametrize("argv, message", [
     (["estimate", "--input", "{src}/missing.csv"], "cannot read"),
     (["estimate", "--input", "{src}/bad_row.csv"],
@@ -434,6 +444,9 @@ _RECORD = "#M=1.0\nt,fgen\n0,1.0\n1,0.9\n"
     (["estimate", "--input", "{src}/no_fgen.csv"], "needs 't' and 'fgen' columns"),
     # F = 1 throughout: no kappa that the fit steps up to fixes g^2 > 0
     (["estimate", "--input", "{src}/flat.csv"], "the records fix no positive g^2"),
+    # read as given: clipped to 1, the 1.5 fitted N 5.7, and M = 10 fitted N 20
+    (["estimate", "--input", "{src}/above_one.csv"], "fidelities must lie in (0, 1]"),
+    (["estimate", "--input", "{src}/grouped_m.csv"], "M='1_0' is not a number"),
     (["propagate", "--config", "{src}/missing.json"], "cannot read config"),
     (["propagate", "--config", "{src}/open.json"], "is not valid JSON"),
     (["propagate", "--config", "{src}/array.json"], "must hold a JSON object"),
@@ -516,7 +529,8 @@ _RECORD = "#M=1.0\nt,fgen\n0,1.0\n1,0.9\n"
      "the block fidelity overflows a float"),
 ], ids=("missing", "bad-cell", "bad-M", "bad-noise", "twice-column",
         "twice-key", "junk-key", "no-header", "wide-rows", "ragged-row",
-        "no-fgen", "flat-record", "config-missing", "config-not-json",
+        "no-fgen", "flat-record", "fgen-above-1", "grouped-M", "config-missing",
+        "config-not-json",
         "config-array", "config-points-float", "config-output-number",
         "seed-flag",
         "seed-config", "oracle-seed", "outdir-is-file", "output-no-dir",
@@ -549,6 +563,8 @@ def test_bad_outside_input_exits_2_without_output(tmp_path, capsys, argv,
               "ragged.csv": "#M=1.0\nt,fgen\n0,1.0\n1,0.9,0.8\n",
               "no_fgen.csv": _RECORD.replace("fgen", "f"),
               "flat.csv": "#M=1.0\nt,fgen\n0,1.0\n1,1.0\n2,1.0\n",
+              "above_one.csv": _model_record(f6=1.5),
+              "grouped_m.csv": _model_record(m="1_0"),
               "open.json": "{",
               "array.json": "[1]",
               "points.json": json.dumps({"points": 1.5}),

@@ -94,3 +94,6 @@ def test_read_csv_reads_a_header_alone_and_refuses_grouped_digits(tmp_path):
     (tmp_path / "grouped.csv").write_text("t,fgen\n1_0,1.0\n")
     with pytest.raises(ConfigError, match="non-numeric cell"):
         read_csv(tmp_path / "grouped.csv")
+    # nor does a header read 1_0 as 10: it stays a string, as a word does
+    (tmp_path / "grouped_m.csv").write_text("#M=1_0\n#init=thermal\nt,fgen\n0,1.0\n")
+    assert read_csv(tmp_path / "grouped_m.csv")[0] == {"M": "1_0", "init": "thermal"}

@@ -9,13 +9,13 @@ import pytest
 
 from oscprobe import (BlockDensityMatrix, GaussianState, OracleConfig,
                       PhaseVector, SystemParams, TruncationLeakError,
-                      ValidationError, build_operators, coherence_trace,
-                      compare_point, default_dim, displaced_thermal_block,
-                      evolve_block, evolve_thermal_blocks,
-                      fidelity_uj_gaussian, sample_comparison_points,
-                      uhlmann_fidelity)
+                      ValidationError, coherence_trace, compare_point,
+                      default_dim, displaced_thermal_block,
+                      evolve_thermal_blocks, fidelity_uj_gaussian,
+                      sample_comparison_points, uhlmann_fidelity)
 from oscprobe import fock
-from oscprobe.fock import SIZING_TOL, _displaced_thermal, _tail_weights
+from oscprobe.fock import (SIZING_TOL, _displaced_thermal, _tail_weights,
+                           build_operators, evolve_block)
 from oscprobe.phase_space import Covariance2, QubitInitState, _log_chord
 from readouts import chord_from_matrix, wigner_grid_from_matrix
 
@@ -26,9 +26,10 @@ def number_expectation(block):
 
 
 def test_operator_algebra():
-    # the assembled generators carry H+- = a^dag a + 1/2 +- g x and the
-    # dissipator of the truncated ladder (a a^dag is 0 on the top level):
-    # their actions, checked against dense products on a random matrix
+    # the assembled L00 and the reference's 11 and 01 generators carry
+    # H+- = a^dag a + 1/2 +- g x and the dissipator of the truncated ladder
+    # (a a^dag is 0 on the top level): their actions, checked against dense
+    # products on a random matrix
     p = SystemParams(g=0.17, kappa=0.1, delta=0.3, nbar=0.4)
     ops = build_operators(24, p)
     rho = random_hermitian(np.random.default_rng(2), 24)
@@ -36,7 +37,8 @@ def test_operator_algebra():
     ad, x = a.T, (a + a.T) / np.sqrt(2)
 
     def act(block):
-        return (ops.liouvillian(block) @ rho.ravel()).reshape(24, 24)
+        liou = ops.liouvillian() if block == "00" else kron_liouvillian(ops, block)[0]
+        return (liou @ rho.ravel()).reshape(24, 24)
 
     # H+ - H- = 2 g x, in the commutator and on the right of rho_01
     assert np.allclose(act("00") - act("11"), -2j * p.g * (x @ rho - rho @ x),
@@ -190,7 +192,7 @@ def test_integrator_backends_agree():
                  for block in ("01", "11")]
     for init in starts + displaced:
         rk = evolve_block(init, ops, 4.0)
-        ex = expm_multiply(ops.liouvillian(init.block) * 4.0,
+        ex = expm_multiply(kron_liouvillian(ops, init.block)[0] * 4.0,
                            init.entries.reshape(-1))
         assert np.max(np.abs(rk.entries - ex.reshape(35, 35))) < 1e-10
 
@@ -199,7 +201,7 @@ def test_thermal_offdiagonal_block_times_parity_stays_hermitian():
     # the identity the real 01 path rests on, checked on the complex generator
     from scipy.sparse.linalg import expm_multiply
     p = SystemParams(g=0.18, kappa=0.07, nbar=0.3, mbar=0.6)
-    liou = build_operators(35, p).liouvillian("01")
+    liou, _ = kron_liouvillian(build_operators(35, p), "01")
     v0 = displaced_thermal_block(35, 0.6, 0.0, 0.0, "01").entries.reshape(-1)
     y = expm_multiply(liou * 4.0, v0).reshape(35, 35) * (-1.0) ** np.arange(35)
     assert np.max(np.abs(y - y.conj().T)) < 1e-12
@@ -222,8 +224,8 @@ def test_hermitian_packing_round_trips():
 def kron_liouvillian(ops, block):
     """(L, J): a block's complex generator and its jump terms, by Kronecker products.
 
-    The reference for the index-arithmetic assembly of OperatorSet.liouvillian,
-    with vec(A rho B) = (A kron B^T) vec(rho) and the dissipator
+    The reference for OperatorSet.liouvillian's L00, and the only 11 and 01
+    generators, with vec(A rho B) = (A kron B^T) vec(rho) and the dissipator
     down (2 a rho a^dag - {a^dag a, rho}) + up (2 a^dag rho a - {a a^dag, rho}).
     """
     import scipy.sparse as sp
@@ -243,6 +245,15 @@ def kron_liouvillian(ops, block):
         ham = ham + p.delta * sp.identity(ops.dim ** 2)
     liou = -1j * ham + jumps - sp.kron(anti, eye) - sp.kron(eye, anti.T)
     return liou.tocsr(), jumps
+
+
+def jump_terms(liou, dim):
+    """J, the real jump terms of L00: its entries at the vec offsets +-(dim + 1)."""
+    import scipy.sparse as sp
+    coo = liou.tocoo()
+    kept = abs(coo.col - coo.row) == dim + 1
+    return sp.csr_matrix((coo.data.real[kept], (coo.row[kept], coo.col[kept])),
+                         shape=liou.shape)
 
 
 def hermitian_generator(liou, dim):
@@ -332,16 +343,15 @@ def packed_start(init):
 ], ids=("damped", "kappa-0", "nbar-0"))
 def test_liouvillian_matches_the_kronecker_reference(dim, params):
     ops = build_operators(dim, params)
-    for block in ("00", "11", "01"):
-        ref, _ = kron_liouvillian(ops, block)
-        ref.eliminate_zeros()
-        liou = ops.liouvillian(block)
-        # the same stored entries, none of them zero, in canonical CSR order
-        assert liou.has_canonical_format
-        assert np.count_nonzero(liou.data) == liou.nnz == ref.nnz
-        assert np.array_equal(liou.indptr, ref.indptr)
-        assert np.array_equal(liou.indices, ref.indices)
-        assert np.max(np.abs(liou.data - ref.data)) <= 1e-15 * np.max(np.abs(ref.data))
+    ref, _ = kron_liouvillian(ops, "00")
+    ref.eliminate_zeros()
+    liou = ops.liouvillian()
+    # the same stored entries, none of them zero, in canonical CSR order
+    assert liou.has_canonical_format
+    assert np.count_nonzero(liou.data) == liou.nnz == ref.nnz
+    assert np.array_equal(liou.indptr, ref.indptr)
+    assert np.array_equal(liou.indices, ref.indices)
+    assert np.max(np.abs(liou.data - ref.data)) <= 1e-15 * np.max(np.abs(ref.data))
 
 
 @pytest.mark.parametrize("block", ["00", "11", "01"])
@@ -416,14 +426,14 @@ def test_non_finite_generator_fails_with_its_return_code(monkeypatch):
     init = displaced_thermal_block(8, 0.0, 0.0, 0.0)
     good = fock.OperatorSet.liouvillian
 
-    def poisoned(self, block):
-        liou = good(self, block).tolil()
+    def poisoned(self):
+        liou = good(self).tolil()
         liou[1, 1] = np.nan
         return liou.tocsr()
 
     with pytest.raises(ValidationError, match=r"return code -\d+\)") as failed:
         fock.solve_ivp(
-            hermitian_generator(poisoned(build_operators(8, p), "00"), 8),
+            hermitian_generator(poisoned(build_operators(8, p)), 8),
             packed_start(init), 1.0)
     monkeypatch.setattr(fock.OperatorSet, "liouvillian", poisoned)
     with pytest.raises(ValidationError) as raised:
@@ -491,9 +501,9 @@ def test_oracle_point_builds_only_the_products_it_reads(monkeypatch):
     import scipy.sparse as sp
     built, real = [], fock.OperatorSet.liouvillian
 
-    def counted(self, block):
-        built.append(block)
-        return real(self, block)
+    def counted(self):
+        built.append(self.dim)
+        return real(self)
 
     def no_kron(*args, **kwargs):
         raise AssertionError("a Kronecker product was built")
@@ -502,10 +512,9 @@ def test_oracle_point_builds_only_the_products_it_reads(monkeypatch):
     monkeypatch.setattr(sp, "kron", no_kron)
     p = SystemParams(g=0.2, kappa=0.08, nbar=0.5, mbar=0.9)
     compare_point(p, QubitInitState.balanced(), OracleConfig(dim=30), 1.0)
-    # one complex generator, the 00 one, assembled with no Kronecker product:
-    # the 11 block runs under it and the 01 block under it with its jumps
-    # negated, so no generator with H- is built
-    assert built == ["00"]
+    # one complex generator, L00, assembled with no Kronecker product: the 11
+    # block runs under it and the 01 block under it with its jumps negated
+    assert built == [30]
 
 
 def test_thermal_point_solves_two_blocks(monkeypatch):
@@ -585,8 +594,9 @@ def test_band_generator_is_the_sliced_reference_bit_for_bit(keys):
     import scipy.sparse as sp
     p = SystemParams(g=0.2, kappa=0.08, delta=0.3, nbar=0.5, mbar=0.9)
     ops = build_operators(20, p, 6)
-    g00 = hermitian_generator(ops.liouvillian("00"), 20)
-    full = {"00": g00, "01": g00 - 2.0 * ops._stencil(ops._ladder[3])}
+    liou = ops.liouvillian()
+    g00 = hermitian_generator(liou, 20)
+    full = {"00": g00, "01": g00 - 2.0 * jump_terms(liou, 20)}
     idx = band_index(20, 6)
     want = sp.block_diag([full[key][idx][:, idx] for key in keys], format="csr")
     gen = ops._band_generator(keys)
@@ -600,8 +610,9 @@ def test_full_band_is_the_unrestricted_solve(monkeypatch):
     import scipy.sparse as sp
     p = SystemParams(g=0.2, kappa=0.08, delta=0.3, nbar=0.5, mbar=0.9)
     ops = build_operators(25, p, 24)
-    g00 = hermitian_generator(ops.liouvillian("00"), 25)
-    want = sp.block_diag((g00, g00 - 2.0 * ops._stencil(ops._ladder[3])), format="csr")
+    liou = ops.liouvillian()
+    g00 = hermitian_generator(liou, 25)
+    want = sp.block_diag((g00, g00 - 2.0 * jump_terms(liou, 25)), format="csr")
     starts = [displaced_thermal_block(25, 0.9, 0.0, 0.0, b) for b in ("00", "01")]
     solves, real = [], fock.solve_ivp
 

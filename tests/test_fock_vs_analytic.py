@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from oscprobe import (GaussianState, OracleConfig, QubitInitState,
-                      SystemParams, build_operators, compare_point,
-                      diag_block_gaussians, displaced_thermal_block,
-                      displacement_vector, evolve_block, evolve_thermal_blocks,
-                      fundamental_matrix, reduced_wigner_grid,
-                      sample_comparison_points, wigner_lobe_centers)
+                      SystemParams, compare_point, diag_block_gaussians,
+                      displaced_thermal_block, displacement_vector,
+                      evolve_thermal_blocks, fundamental_matrix,
+                      reduced_wigner_grid, sample_comparison_points,
+                      wigner_lobe_centers)
 from oscprobe.cli import ORACLE_TOLERANCES
+from oscprobe.fock import build_operators, evolve_block
 from oscprobe.phase_space import _log_chord
 from oscprobe.propagator import _log_offdiag
 from readouts import chord_from_matrix, wigner_grid_from_matrix

@@ -7,10 +7,11 @@ import pytest
 
 from oscprobe import (BlockDensityMatrix, CoherenceSeries, Covariance2,
                       DegenerateInputError, GaussianState, QubitInitState,
-                      SystemParams, ValidationError, build_operators,
-                      coherence_trace, displaced_thermal_block, fit_parameters,
+                      SystemParams, ValidationError, coherence_trace,
+                      displaced_thermal_block, fit_parameters,
                       fundamental_matrix, reduced_quantities,
                       synthesize_series, wigner_lobe_centers)
+from oscprobe.fock import build_operators
 from readouts import chord_from_matrix, wigner_grid_from_matrix
 
 P = SystemParams(g=0.1, kappa=0.05, nbar=0.3)
@@ -36,8 +37,6 @@ REFUSALS = {
                               DegenerateInputError, "exactly two series"),
     "block-nan": (lambda: BlockDensityMatrix(2, [[1.0, 0.0], [0.0, np.inf]], "00"),
                   ValidationError, "entries must be finite"),
-    "liouvillian-10": (lambda: build_operators(4, P).liouvillian("10"),
-                       ValidationError, "block must be one of"),
     "operators-dim-1": (lambda: build_operators(1, P),
                         ValidationError, "dim must be >= 2"),
     "operators-band-past-dim": (lambda: build_operators(4, P, 4),

@@ -1,6 +1,7 @@
 """The lazy package namespace, the CLI's one BLAS thread, the src line cap."""
 
 import ast
+import functools
 import json
 import os
 import subprocess
@@ -15,9 +16,12 @@ from oscprobe import estimate
 SRC = Path(oscprobe.__file__).parents[1]
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
-# Runs oscprobe one of three ways and prints, as its last line, the thread
-# variables at exit, OPENBLAS_NUM_THREADS as it stood when numpy was first
-# imported, and whether numpy was loaded once the entry module was imported.
+# Runs oscprobe one of three ways, once per (how, target, thread variables)
+# run in argv[1], setting those variables alone and restoring the environment
+# after each run. Prints, as its last line, one result per run: the thread
+# variables at its end, OPENBLAS_NUM_THREADS as it stood when numpy was first
+# imported in the child, whether numpy was loaded once the entry module was
+# imported, and the name the package's lazy `fock` attribute resolves to.
 _PROBE = """
 import importlib, json, os, runpy, sys
 
@@ -32,35 +36,44 @@ class NumpySpy:
         return None
 
 sys.meta_path.insert(0, NumpySpy)
-env_before = dict(os.environ)
-how, target = sys.argv[1], sys.argv[2]
-sys.argv = ["oscprobe", "--help"]
-numpy_after_entry_import = None
-try:
-    if how == "main":
-        runpy.run_module(target, run_name="__main__")
-    elif how == "script":
-        module, _, attr = target.partition(":")
-        entry = getattr(importlib.import_module(module), attr)
-        numpy_after_entry_import = "numpy" in sys.modules
-        entry()
-    else:
-        importlib.import_module(target)
-except SystemExit:
-    pass
-print(json.dumps({
-    "thread_env": {v: os.environ[v] for v in THREAD_VARS if v in os.environ},
-    "env_unchanged": dict(os.environ) == env_before,
-    "openblas_at_numpy_import": seen.get("openblas", "numpy never imported"),
-    "numpy_after_entry_import": numpy_after_entry_import,
-}))
+start_env, results = dict(os.environ), []
+for how, target, thread_env in json.loads(sys.argv[1]):
+    os.environ.update(thread_env)
+    env_before = dict(os.environ)
+    sys.argv = ["oscprobe", "--help"]
+    numpy_after_entry_import = fock = None
+    try:
+        if how == "main":
+            runpy.run_module(target, run_name="__main__")
+        elif how == "script":
+            module, _, attr = target.partition(":")
+            entry = getattr(importlib.import_module(module), attr)
+            numpy_after_entry_import = "numpy" in sys.modules
+            entry()
+        else:
+            importlib.import_module(target)
+            numpy_after_entry_import = "numpy" in sys.modules
+            fock = sys.modules["oscprobe"].fock.__name__
+    except SystemExit:
+        pass
+    results.append({
+        "thread_env": {v: os.environ[v] for v in THREAD_VARS if v in os.environ},
+        "env_unchanged": dict(os.environ) == env_before,
+        "openblas_at_numpy_import": seen.get("openblas", "numpy never imported"),
+        "numpy_after_entry_import": numpy_after_entry_import,
+        "fock": fock,
+    })
+    os.environ.clear()
+    os.environ.update(start_env)
+print(json.dumps(results))
 """
 
 
-def _probe(how, target, **thread_env):
+def _probe(*runs):
+    """Results of the (how, target, thread variables) runs, in one fresh child."""
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
-    env.update(thread_env, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", _PROBE, how, target],
+    env.update(PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(runs)],
                           env=env, capture_output=True, text=True, timeout=120,
                           check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -72,14 +85,30 @@ def _script_target():
         return tomllib.load(fh)["project"]["scripts"]["oscprobe"]
 
 
+def _entry(how):
+    # the script's target is read from pyproject.toml, as an installer would
+    return "oscprobe.cli" if how == "main" else _script_target()
+
+
+@functools.cache
+def _user_set_runs(how):
+    """Each thread variable's run of an entry point, set alone to 2, in one child."""
+    return dict(zip(THREAD_VARS, _probe(*[(how, _entry(how), {var: "2"})
+                                          for var in THREAD_VARS])))
+
+
+@functools.cache
+def _library_imports():
+    """import oscprobe, then import oscprobe.cli, in one child."""
+    targets = ("oscprobe", "oscprobe.cli")
+    return dict(zip(targets, _probe(*[("import", target, {}) for target in targets])))
+
+
 def test_import_oscprobe_loads_no_numpy():
     # a submodule named on the package still loads on first access
-    code = ("import sys, oscprobe; numpy = 'numpy' in sys.modules; "
-            "print(numpy, oscprobe.fock.__name__)")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          env=dict(os.environ, PYTHONPATH=str(SRC)),
-                          capture_output=True, text=True, timeout=60, check=True)
-    assert proc.stdout.split() == ["False", "oscprobe.fock"]
+    out = _library_imports()["oscprobe"]
+    assert out["numpy_after_entry_import"] is False
+    assert out["fock"] == "oscprobe.fock"
 
 
 # src size ceiling in physical lines; ROADMAP.md keeps the same figure
@@ -169,9 +198,8 @@ def test_a_name_swapped_in_its_submodule_shows_through(monkeypatch):
 
 @pytest.mark.parametrize("how", ["main", "script"])
 def test_program_defaults_to_one_blas_thread(how):
-    # the script's target is read from pyproject.toml, as an installer would
-    target = "oscprobe.cli" if how == "main" else _script_target()
-    out = _probe(how, target)
+    # a fresh child each: the variable counts only at numpy's first import
+    (out,) = _probe((how, _entry(how), {}))
     assert out["thread_env"] == {"OPENBLAS_NUM_THREADS": "1"}
     assert out["openblas_at_numpy_import"] == "1"
     if how == "script":
@@ -181,14 +209,13 @@ def test_program_defaults_to_one_blas_thread(how):
 @pytest.mark.parametrize("how", ["main", "script"])
 @pytest.mark.parametrize("var", THREAD_VARS)
 def test_a_thread_variable_the_user_set_wins(how, var):
-    target = "oscprobe.cli" if how == "main" else _script_target()
-    out = _probe(how, target, **{var: "2"})
+    out = _user_set_runs(how)[var]
     assert out["thread_env"] == {var: "2"}
     assert out["env_unchanged"] is True
 
 
 @pytest.mark.parametrize("target", ["oscprobe", "oscprobe.cli"])
 def test_importing_as_a_library_changes_no_thread_setting(target):
-    out = _probe("import", target)
+    out = _library_imports()[target]
     assert out["env_unchanged"] is True
     assert out["thread_env"] == {}
